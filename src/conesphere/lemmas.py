@@ -14,8 +14,8 @@ numerical sweep:
   fixed base and fixed opposite angle, which occur at the isosceles shapes.
 * lemma1_caseb_exclusion certifies that two non-identical triangles over the
   chord can never piece together into a bigon.
-* step1_asymmetric_exclusion repeats the defect sweep for unequal football
-  angles.
+* step1_asymmetric_exclusion sweeps that defect over the slit length for
+  football angles (alpha, beta); lemma2_sweep is its case alpha = beta.
 """
 
 from __future__ import annotations
@@ -159,12 +159,8 @@ def half_piece_solve(cfg: HalfPieceConfig) -> HalfPieceSolution:
     """
     side = sine_rule_side(cfg.apex_half, cfg.ell, cfg.d_half, cfg.branch)
     diag = side_from_sas(side, side, 2.0 * cfg.apex_half)
-    upper = SphericalTriangle(side, side, diag)
-    lower = SphericalTriangle(cfg.ell, cfg.ell, diag)
-    upper.require_valid()
-    lower.require_valid()
-    up = angles_from_sss(upper)
-    low = angles_from_sss(lower)
+    up = angles_from_sss(SphericalTriangle(side, side, diag))
+    low = angles_from_sss(SphericalTriangle(cfg.ell, cfg.ell, diag))
     # The lower apex must reproduce the doubled D-half-angle.
     if abs(low.C - 2.0 * cfg.d_half) > 1e-8:
         raise NoTriangleError(
@@ -185,13 +181,24 @@ def lemma2_defect(beta: float, eps: float, ell: float, regime: str) -> Lemma2Def
     regime "below" is the perturbation branch with l1, l2 < pi/2 (slit
     length above pi/2); "above" is the mirror branch.
     """
-    _check_regime(ell, regime)
-    b1, b2 = beta - 2.0 * eps, beta + 2.0 * eps
+    return _defect_node(beta, beta, _d_split(beta, beta, eps), ell, regime)
+
+
+def _d_split(alpha: float, beta: float, eps: float) -> tuple[float, float]:
+    """The uneven D-split (alpha - 2*eps, beta + 2*eps), checked to lie in (0, pi)."""
+    b1, b2 = alpha - 2.0 * eps, beta + 2.0 * eps
     if not (0.0 < b1 < PI and 0.0 < b2 < PI):
         raise ValueError(f"D-split {b1!r}, {b2!r} leaves (0, pi)")
+    return b1, b2
+
+
+def _defect_node(alpha: float, beta: float, split: tuple[float, float],
+                 ell: float, regime: str) -> Lemma2Defect:
+    """Defect of the pieces (alpha, split[0]) and (beta, split[1]) at slit ell."""
+    _check_regime(ell, regime)
     branch = "acute" if regime == "below" else "obtuse"
-    p1 = half_piece_solve(HalfPieceConfig(0.5 * beta, 0.5 * b1, ell, branch))
-    p2 = half_piece_solve(HalfPieceConfig(0.5 * beta, 0.5 * b2, ell, branch))
+    p1 = half_piece_solve(HalfPieceConfig(0.5 * alpha, 0.5 * split[0], ell, branch))
+    p2 = half_piece_solve(HalfPieceConfig(0.5 * beta, 0.5 * split[1], ell, branch))
     return Lemma2Defect(l1=p1.side, l2=p2.side,
                         alpha1=p1.corner, alpha2=p2.corner,
                         defect=2.0 * (p1.corner + p2.corner) - 4.0 * PI)
@@ -384,33 +391,18 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> CaseBReport:
 def step1_asymmetric_exclusion(alpha: float, beta: float, eps: float,
                                ell_grid, regime: str) -> DefectSweepReport:
     """Defect sweep for unequal football angles with D-split (alpha-2e, beta+2e)."""
-    b1, b2 = alpha - 2.0 * eps, beta + 2.0 * eps
-    if not (0.0 < b1 < PI and 0.0 < b2 < PI):
-        raise ValueError(f"D-split {b1!r}, {b2!r} leaves (0, pi)")
-    branch = "acute" if regime == "below" else "obtuse"
+    split = _d_split(alpha, beta, eps)
     rows = []
     for ell in ell_grid:
         ell = float(ell)
-        _check_regime(ell, regime)
         try:
-            p1 = half_piece_solve(HalfPieceConfig(0.5 * alpha, 0.5 * b1, ell, branch))
-            p2 = half_piece_solve(HalfPieceConfig(0.5 * beta, 0.5 * b2, ell, branch))
+            result = _defect_node(alpha, beta, split, ell, regime)
         except NoTriangleError:
-            rows.append(DefectRow(ell=ell, result=None))
-            continue
-        rows.append(DefectRow(ell=ell, result=Lemma2Defect(
-            l1=p1.side, l2=p2.side, alpha1=p1.corner, alpha2=p2.corner,
-            defect=2.0 * (p1.corner + p2.corner) - 4.0 * PI)))
+            result = None
+        rows.append(DefectRow(ell=ell, result=result))
     return DefectSweepReport(rows=tuple(rows))
 
 
 def lemma2_sweep(beta: float, eps: float, ell_grid, regime: str) -> DefectSweepReport:
-    """lemma2_defect over a grid, infeasible nodes flagged."""
-    rows = []
-    for ell in ell_grid:
-        ell = float(ell)
-        try:
-            rows.append(DefectRow(ell=ell, result=lemma2_defect(beta, eps, ell, regime)))
-        except NoTriangleError:
-            rows.append(DefectRow(ell=ell, result=None))
-    return DefectSweepReport(rows=tuple(rows))
+    """lemma2_defect over a grid, infeasible nodes flagged (step 1 with alpha = beta)."""
+    return step1_asymmetric_exclusion(beta, beta, eps, ell_grid, regime)

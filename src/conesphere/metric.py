@@ -22,9 +22,10 @@ from .sphtrig import (
     TWO_PI,
     SphericalTriangle,
     InvalidTriangleError,
-    angles_from_sss,
     clamped_asin,
+    sss_angles,
     triangle_excess,
+    triangle_violations,
 )
 
 LENGTH_FIELDS = ("l1", "l2", "l3", "l4", "l5", "l6")
@@ -100,21 +101,20 @@ class TriangulatedMetric:
     def lengths(self) -> tuple[float, ...]:
         return (self.l1, self.l2, self.l3, self.l4, self.l5, self.l6)
 
-    @classmethod
-    def from_lengths(cls, lengths) -> "TriangulatedMetric":
-        vals = tuple(float(v) for v in lengths)
-        if len(vals) != 6:
-            raise ValueError(f"expected 6 lengths, got {len(vals)}")
-        return cls(*vals)
-
     def triangles(self) -> tuple[SphericalTriangle, ...]:
         """T1..T4; T1/T3 are the isosceles A/B triangles, T2/T4 the slit pair."""
-        return (
-            SphericalTriangle(self.l1, self.l1, self.l5),
-            SphericalTriangle(self.l3, self.l4, self.l5),
-            SphericalTriangle(self.l2, self.l2, self.l6),
-            SphericalTriangle(self.l4, self.l3, self.l6),
-        )
+        return tuple(SphericalTriangle(*sides)
+                     for sides in _triangle_sides(self.lengths()))
+
+
+def _triangle_sides(lengths) -> tuple[tuple[float, float, float], ...]:
+    """The layout: sides (a, b, c) of T1..T4 from l1..l6.
+
+    Each triangle's third side c faces its apex, the cone point A, D, B or D
+    in turn; the corners opposite a and b all collect at C.
+    """
+    l1, l2, l3, l4, l5, l6 = lengths
+    return ((l1, l1, l5), (l3, l4, l5), (l2, l2, l6), (l4, l3, l6))
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,12 @@ class ValidityReport:
 
 def validate(m: TriangulatedMetric) -> ValidityReport:
     """Total validity check: range of every length plus all four triangles."""
-    issues: list[str] = []
-    for name, v in zip(LENGTH_FIELDS, m.lengths()):
-        if not (0.0 < v < PI):
-            issues.append(f"{name} = {v!r} outside (0, pi)")
+    lengths = m.lengths()
+    issues = [f"{name} = {v!r} outside (0, pi)"
+              for name, v in zip(LENGTH_FIELDS, lengths) if not (0.0 < v < PI)]
     if not issues:
-        for idx, tri in enumerate(m.triangles(), start=1):
-            for bad in tri.violations():
-                issues.append(f"T{idx}: {bad}")
+        for idx, sides in enumerate(_triangle_sides(lengths), start=1):
+            issues.extend(f"T{idx}: {bad}" for bad in triangle_violations(*sides))
     return ValidityReport(tuple(issues))
 
 
@@ -178,25 +176,31 @@ def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
     return m
 
 
-def cone_angles(m: TriangulatedMetric) -> ConeAngles:
-    """Total angle at each cone point, from SSS solves of the four triangles.
+def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
+    """(theta_A, theta_B, theta_D, theta_C) of lengths l1..l6.
 
-    theta_A and theta_B are the apex angles of T1 and T3, theta_D collects
-    the two slit-triangle apexes, and theta_C sums the eight remaining
-    corner angles.
+    Each triangle is checked as it is solved; an invalid one raises
+    InvalidTriangleError naming it (T1..T4).  theta_A and theta_B are the
+    apex angles of T1 and T3, theta_D collects the two slit-triangle
+    apexes, and theta_C sums the eight remaining corner angles.
     """
     angs = []
-    for idx, tri in enumerate(m.triangles(), start=1):
+    for idx, sides in enumerate(_triangle_sides([float(v) for v in lengths]),
+                                start=1):
         try:
-            angs.append(angles_from_sss(tri))
+            angs.append(sss_angles(*sides))
         except InvalidTriangleError as err:
             raise InvalidTriangleError(
                 f"triangle T{idx} invalid: {err}", violation=err.violation
             ) from err
     a1, a2, a3, a4 = angs
-    theta_c = (a1.A + a1.B + a2.A + a2.B + a3.A + a3.B + a4.A + a4.B)
-    return ConeAngles(theta_A=a1.C, theta_B=a3.C,
-                      theta_D=a2.C + a4.C, theta_C=theta_c)
+    theta_c = (a1[0] + a1[1] + a2[0] + a2[1] + a3[0] + a3[1] + a4[0] + a4[1])
+    return a1[2], a3[2], a2[2] + a4[2], theta_c
+
+
+def cone_angles(m: TriangulatedMetric) -> ConeAngles:
+    """Total angle at each cone point, from SSS solves of the four triangles."""
+    return ConeAngles(*cone_angle_tuple(m.lengths()))
 
 
 def total_area(m: TriangulatedMetric) -> float:

@@ -27,7 +27,6 @@ class RunConfig:
     radius: float = 0.05
     samples: int = 500
     seed: int = 7
-    workers: int = 1
     # Suite grids.  The slit-defect windows sit inside the feasibility
     # region of every eps in lemma2_eps.
     lemma1_grid: int = 1000

@@ -6,6 +6,11 @@ Around a glued-football point the finite-difference Jacobian of this map is
 rank deficient, damped minimum-norm Gauss-Newton projects perturbed metrics
 back onto the zero set, and the rigidity scan measures how far multistart
 solutions land from the one-parameter glued family.
+
+The cone angles and the validity rule come from metric.cone_angle_tuple,
+which checks every triangle as it solves it.  The solver loops evaluate the
+residual once per point and treat its InvalidTriangleError (or an inverse-
+trig argument beyond the roundoff clamp) as "outside the validity region".
 """
 
 from __future__ import annotations
@@ -19,13 +24,22 @@ from .metric import (
     ConeAngleSpec,
     GluedFootballParams,
     TriangulatedMetric,
-    cone_angles,
+    cone_angle_tuple,
     glued_football,
     validate,
 )
-from .sphtrig import PI, VALIDITY_MARGIN, clamped_asin, side_from_sas
+from .sphtrig import (
+    PI,
+    InvalidTriangleError,
+    NumericalCorruptionError,
+    clamped_asin,
+    side_from_sas,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Errors of a residual evaluated outside the validity region.
+OFF_DOMAIN = (InvalidTriangleError, NumericalCorruptionError)
 
 # Slit parameter window scanned when projecting onto the family.
 FAMILY_T_MIN = 1e-4
@@ -112,62 +126,20 @@ class RigidityReport:
         return self.converged > 0 and self.max_family_distance < self.dist_tol
 
 
-def _cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
-    """(theta_A, theta_B, theta_D, theta_C) via inlined SSS solves.
-
-    Same formulas as metric.cone_angles, unwrapped for the solver loops;
-    the agreement of the two paths is pinned by tests.
-    """
-    l1, l2, l3, l4, l5, l6 = (float(v) for v in lengths)
-    acos = math.acos
-    cos = math.cos
-    sin = math.sin
-
-    def sss(a, b, c):
-        ca, cb, cc = cos(a), cos(b), cos(c)
-        sa, sb, sc = sin(a), sin(b), sin(c)
-        A = acos(max(-1.0, min(1.0, (ca - cb * cc) / (sb * sc))))
-        B = acos(max(-1.0, min(1.0, (cb - ca * cc) / (sa * sc))))
-        C = acos(max(-1.0, min(1.0, (cc - ca * cb) / (sa * sb))))
-        return A, B, C
-
-    a1 = sss(l1, l1, l5)
-    a2 = sss(l3, l4, l5)
-    a3 = sss(l2, l2, l6)
-    a4 = sss(l4, l3, l6)
-    theta_c = (a1[0] + a1[1] + a2[0] + a2[1] + a3[0] + a3[1] + a4[0] + a4[1])
-    return a1[2], a3[2], a2[2] + a4[2], theta_c
-
-
 def _residual_vector(lengths, spec: ConeAngleSpec) -> np.ndarray:
-    if not _is_valid_lengths(lengths):
-        # Route through the strict path so the error names the triangle.
-        cone_angles(TriangulatedMetric(*(float(v) for v in lengths)))
-    theta = _cone_angle_tuple(lengths)
+    theta = cone_angle_tuple(lengths)
     target = spec.cone_vector()
     return np.array([theta[0] - target[0], theta[1] - target[1],
                      theta[2] - target[2], theta[3] - target[3]])
 
 
 def residual(m: TriangulatedMetric, spec: ConeAngleSpec) -> ConstraintResidual:
-    """Cone-angle defects of a valid metric against the target spec."""
+    """Cone-angle defects of a valid metric against the target spec.
+
+    An invalid metric raises InvalidTriangleError naming the triangle.
+    """
     vec = _residual_vector(np.array(m.lengths()), spec)
     return ConstraintResidual(tuple(float(v) for v in vec))
-
-
-def _is_valid_lengths(lengths) -> bool:
-    """Fast equivalent of validate(...).is_valid for solver inner loops."""
-    m = VALIDITY_MARGIN
-    l1, l2, l3, l4, l5, l6 = (float(v) for v in lengths)
-    for v in (l1, l2, l3, l4, l5, l6):
-        if not (m < v < PI - m):
-            return False
-    for a, b, c in ((l1, l1, l5), (l3, l4, l5), (l2, l2, l6), (l4, l3, l6)):
-        if a >= b + c - m or b >= a + c - m or c >= a + b - m:
-            return False
-        if a + b + c >= 2.0 * PI - m:
-            return False
-    return True
 
 
 def jacobian(m: TriangulatedMetric, spec: ConeAngleSpec, h: float = 1e-6) -> np.ndarray:
@@ -185,11 +157,12 @@ def jacobian(m: TriangulatedMetric, spec: ConeAngleSpec, h: float = 1e-6) -> np.
             xm = x.copy()
             xp[i] += step
             xm[i] -= step
-            if _is_valid_lengths(xp) and _is_valid_lengths(xm):
+            try:
                 J[:, i] = (_residual_vector(xp, spec)
                            - _residual_vector(xm, spec)) / (2.0 * step)
                 break
-            step /= 16.0
+            except OFF_DOMAIN:
+                step /= 16.0
         else:
             raise ValueError(
                 f"cannot difference across l{i + 1}: validity margin below {h!r}")
@@ -224,9 +197,10 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec,
     """
     opts = opts or GaussNewtonOptions()
     x = np.array(start.lengths())
-    if not _is_valid_lengths(x):
+    try:
+        r = _residual_vector(x, spec)
+    except OFF_DOMAIN:
         return GaussNewtonResult("boundary", None, math.inf, 0)
-    r = _residual_vector(x, spec)
     rnorm = float(np.linalg.norm(r))
     lam = opts.damping0
     last_step = math.inf
@@ -246,14 +220,17 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec,
         step = _damped_min_norm_step(J, r, lam)
         # Backtrack into the validity region.
         shrink = 0
-        while not _is_valid_lengths(x + step):
-            step = 0.5 * step
-            shrink += 1
-            if shrink > 60:
-                return GaussNewtonResult("boundary", TriangulatedMetric(*x),
-                                         rnorm, iterations)
-        x_new = x + step
-        r_new = _residual_vector(x_new, spec)
+        while True:
+            x_new = x + step
+            try:
+                r_new = _residual_vector(x_new, spec)
+                break
+            except OFF_DOMAIN:
+                step = 0.5 * step
+                shrink += 1
+                if shrink > 60:
+                    return GaussNewtonResult("boundary", TriangulatedMetric(*x),
+                                             rnorm, iterations)
         rnorm_new = float(np.linalg.norm(r_new))
         if rnorm_new <= rnorm or rnorm_new < opts.res_tol:
             last_step = float(np.linalg.norm(step))
@@ -317,7 +294,7 @@ def _ball_corners_valid(base: TriangulatedMetric, radius: float) -> bool:
     x = np.array(base.lengths())
     for mask in range(64):
         signs = np.array([1.0 if mask & (1 << i) else -1.0 for i in range(6)])
-        if not _is_valid_lengths(x + radius * signs):
+        if not validate(TriangulatedMetric(*(x + radius * signs))).is_valid:
             return False
     return True
 
@@ -326,8 +303,7 @@ def rigidity_scan(p: GluedFootballParams, radius: float = 0.05,
                   n_samples: int = 500, seed: int = 7,
                   opts: GaussNewtonOptions | None = None,
                   dist_tol: float = 1e-6,
-                  rank_tol: float = 1e-6,
-                  workers: int = 1) -> RigidityReport:
+                  rank_tol: float = 1e-6) -> RigidityReport:
     """Multistart probe of local rigidity around one glued football.
 
     Draws n_samples starts uniformly in the max-norm ball of the given
@@ -348,13 +324,7 @@ def rigidity_scan(p: GluedFootballParams, radius: float = 0.05,
     offsets = rng.uniform(-radius, radius, size=(n_samples, 6))
     starts = [TriangulatedMetric(*(np.array(base.lengths()) + off))
               for off in offsets]
-    jobs = [(s, p.spec, opts) for s in starts]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_one, jobs, chunksize=16))
-    else:
-        results = [_solve_one(job) for job in jobs]
+    results = [gauss_newton(s, p.spec, opts) for s in starts]
     solutions = []
     boundary = 0
     nonconv = 0
@@ -381,11 +351,6 @@ def rigidity_scan(p: GluedFootballParams, radius: float = 0.05,
         dist_tol=dist_tol,
         solutions=tuple(solutions),
     )
-
-
-def _solve_one(job) -> GaussNewtonResult:
-    start, spec, opts = job
-    return gauss_newton(start, spec, opts)
 
 
 @dataclass(frozen=True)
@@ -443,9 +408,9 @@ def _scan_node(spec, l3, l4, d1, d2, branch) -> ScanRow:
     l2 = clamped_asin(s2)
     if branch == "obtuse":
         l1, l2 = PI - l1, PI - l2
-    m = TriangulatedMetric(l1, l2, l3, l4, l5, l6)
-    if not validate(m).is_valid:
+    try:
+        r = _residual_vector((l1, l2, l3, l4, l5, l6), spec)
+    except OFF_DOMAIN:
         return infeasible
-    r = _residual_vector(np.array(m.lengths()), spec)
     return ScanRow(l1, l2, l3, l4, l5, l6,
                    float(r[0]), float(r[1]), float(r[2]), float(r[3]), True)

@@ -86,6 +86,27 @@ def _require_range(name: str, value: float, lo: float = 0.0, hi: float = PI) -> 
             f"{name} = {value!r} outside the open interval ({lo}, {hi})")
 
 
+def triangle_violations(a: float, b: float, c: float) -> list[str]:
+    """The validity rule: every violated invariant of sides (a, b, c)."""
+    margin = VALIDITY_MARGIN
+    out = []
+    if not (margin < a < PI - margin):
+        out.append(f"side a = {a!r} outside (0, pi)")
+    if not (margin < b < PI - margin):
+        out.append(f"side b = {b!r} outside (0, pi)")
+    if not (margin < c < PI - margin):
+        out.append(f"side c = {c!r} outside (0, pi)")
+    if a >= b + c - margin:
+        out.append(f"triangle inequality a < b + c violated by {a - (b + c)!r}")
+    if b >= a + c - margin:
+        out.append(f"triangle inequality b < a + c violated by {b - (a + c)!r}")
+    if c >= a + b - margin:
+        out.append(f"triangle inequality c < a + b violated by {c - (a + b)!r}")
+    if a + b + c >= TWO_PI - margin:
+        out.append(f"perimeter {a + b + c!r} not below 2*pi")
+    return out
+
+
 @dataclass(frozen=True)
 class SphericalTriangle:
     """Three side lengths of a spherical triangle, in radians."""
@@ -97,32 +118,9 @@ class SphericalTriangle:
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
-    def violations(self, margin: float = VALIDITY_MARGIN) -> list[str]:
-        """All violated validity invariants, each with its margin."""
-        out = []
-        for name, s in zip("abc", self.sides()):
-            if not (margin < s < PI - margin):
-                out.append(f"side {name} = {s!r} outside (0, pi)")
-        a, b, c = self.sides()
-        for name, lhs, rhs in (("a < b + c", a, b + c),
-                               ("b < a + c", b, a + c),
-                               ("c < a + b", c, a + b)):
-            if lhs >= rhs - margin:
-                out.append(f"triangle inequality {name} violated by {lhs - rhs!r}")
-        if a + b + c >= TWO_PI - margin:
-            out.append(f"perimeter {a + b + c!r} not below 2*pi")
-        return out
-
     @property
     def is_valid(self) -> bool:
-        return not self.violations()
-
-    def require_valid(self, margin: float = VALIDITY_MARGIN) -> None:
-        bad = self.violations(margin)
-        if bad:
-            raise InvalidTriangleError(
-                f"invalid spherical triangle {self.sides()}: {bad[0]}",
-                violation=bad[0])
+        return not triangle_violations(self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -150,16 +148,26 @@ def side_from_sas(a: float, b: float, C: float) -> float:
     return clamped_acos(arg)
 
 
-def angles_from_sss(t: SphericalTriangle) -> TriangleAngles:
-    """All three angles of a valid triangle (inverse cosine law)."""
-    t.require_valid()
-    a, b, c = t.sides()
+def sss_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Angles (A, B, C) opposite sides (a, b, c) by the inverse cosine law.
+
+    The sides are checked against the validity rule first; an invalid
+    triangle raises InvalidTriangleError naming its first violation.
+    """
+    bad = triangle_violations(a, b, c)
+    if bad:
+        raise InvalidTriangleError(
+            f"invalid spherical triangle {(a, b, c)}: {bad[0]}", violation=bad[0])
     ca, cb, cc = math.cos(a), math.cos(b), math.cos(c)
     sa, sb, sc = math.sin(a), math.sin(b), math.sin(c)
-    A = clamped_acos((ca - cb * cc) / (sb * sc))
-    B = clamped_acos((cb - ca * cc) / (sa * sc))
-    C = clamped_acos((cc - ca * cb) / (sa * sb))
-    return TriangleAngles(A, B, C)
+    return (clamped_acos((ca - cb * cc) / (sb * sc)),
+            clamped_acos((cb - ca * cc) / (sa * sc)),
+            clamped_acos((cc - ca * cb) / (sa * sb)))
+
+
+def angles_from_sss(t: SphericalTriangle) -> TriangleAngles:
+    """All three angles of a valid triangle (inverse cosine law)."""
+    return TriangleAngles(*sss_angles(t.a, t.b, t.c))
 
 
 def dual_cosine_angle(A: float, B: float, c: float) -> float:

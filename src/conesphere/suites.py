@@ -1,7 +1,8 @@
 """Suite runners: wire the library operations to reports and pass/fail verdicts.
 
-Each runner returns (report_dict, ok).  The slit-defect suites (lemma2,
-step1, scan) assert the classical sign convention for the corner-angle
+Each runner returns (report_dict, ok).  lemma2_suite and step1_suite are
+two entries into one uneven-split defect runner; lemma2 is step1 with
+alpha = beta.  The slit-defect suites (lemma2, step1, scan) assert the classical sign convention for the corner-angle
 defect: corner total below 4*pi when l1, l2 < pi/2 and above 4*pi in the
 mirror regime.  The computed geometry consistently yields the opposite
 signs (see the test suite for the corrected sign law verified against
@@ -49,39 +50,14 @@ def _stated_sign(regime: str) -> int:
     return -1 if regime == "below" else 1
 
 
-def lemma2_suite(config: RunConfig, beta: float = PI / 2.0) -> tuple[dict, bool]:
-    results = {"beta": beta, "sweeps": []}
+def _defect_suite(command: str, config: RunConfig, alpha: float, beta: float,
+                  windows: dict, results: dict) -> tuple[dict, bool]:
+    """Uneven-split defect sweeps over every eps and regime window."""
+    results["sweeps"] = []
     ok = True
     margin = 1e-9
     for eps in config.lemma2_eps:
-        for regime, (lo, hi) in (("below", config.lemma2_below),
-                                 ("above", config.lemma2_above)):
-            grid = np.linspace(lo, hi, config.lemma2_grid)
-            sweep = lemmas.lemma2_sweep(beta, eps, grid, regime)
-            expected = _stated_sign(regime)
-            rows = _defect_rows_json(sweep, expected)
-            node_ok = all(
-                r["feasible"] and r["computed_sign"] == expected
-                and abs(r["defect"]) > margin
-                for r in rows)
-            ok = ok and node_ok
-            results["sweeps"].append({
-                "eps": eps, "regime": regime,
-                "grid": [float(g) for g in grid],
-                "rows": rows, "pass": node_ok,
-            })
-    results["pass"] = ok
-    return build_report("lemmas --suite lemma2", config, results), ok
-
-
-def step1_suite(config: RunConfig, alpha: float = 1.0,
-                beta: float = 2.0) -> tuple[dict, bool]:
-    results = {"alpha": alpha, "beta": beta, "sweeps": []}
-    ok = True
-    margin = 1e-9
-    for eps in config.lemma2_eps:
-        for regime, (lo, hi) in (("below", config.step1_below),
-                                 ("above", config.step1_above)):
+        for regime, (lo, hi) in windows.items():
             grid = np.linspace(lo, hi, config.lemma2_grid)
             sweep = lemmas.step1_asymmetric_exclusion(alpha, beta, eps, grid, regime)
             expected = _stated_sign(regime)
@@ -97,7 +73,20 @@ def step1_suite(config: RunConfig, alpha: float = 1.0,
                 "rows": rows, "pass": node_ok,
             })
     results["pass"] = ok
-    return build_report("lemmas --suite step1", config, results), ok
+    return build_report(command, config, results), ok
+
+
+def lemma2_suite(config: RunConfig, beta: float = PI / 2.0) -> tuple[dict, bool]:
+    windows = {"below": config.lemma2_below, "above": config.lemma2_above}
+    return _defect_suite("lemmas --suite lemma2", config, beta, beta, windows,
+                         {"beta": beta})
+
+
+def step1_suite(config: RunConfig, alpha: float = 1.0,
+                beta: float = 2.0) -> tuple[dict, bool]:
+    windows = {"below": config.step1_below, "above": config.step1_above}
+    return _defect_suite("lemmas --suite step1", config, alpha, beta, windows,
+                         {"alpha": alpha, "beta": beta})
 
 
 def lemma3_suite(config: RunConfig, ell: float, beta: float) -> tuple[dict, bool]:
@@ -205,7 +194,7 @@ def rigidity_suite(config: RunConfig, alpha: float, beta: float,
     report = rigidity_scan(GluedFootballParams(spec, t), radius=config.radius,
                            n_samples=config.samples, seed=config.seed,
                            opts=opts, dist_tol=config.dist_tol,
-                           rank_tol=config.rank_tol, workers=config.workers)
+                           rank_tol=config.rank_tol)
     ok = report.rigidity_holds
     results = {
         "alpha": alpha, "beta": beta, "t": t,

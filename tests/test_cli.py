@@ -207,7 +207,11 @@ class TestConfigFile:
         assert report["results"]["starts"] == 9
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"nonsense": 1}))
-        code, _, err = run(capsys, "--config", str(cfg), "eigen")
-        assert code == 2
+        # "workers" was a field once; old config files naming it must fail
+        # loudly rather than be half-applied.
+        for overrides in ({"nonsense": 1}, {"workers": 2}):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(overrides))
+            code, _, err = run(capsys, "--config", str(cfg), "eigen")
+            assert code == 2
+            assert next(iter(overrides)) in err

@@ -134,11 +134,16 @@ class TestValidate:
         assert "l1" in report.issues[0]
 
     def test_cone_angles_error_names_triangle(self):
+        from conesphere.solver import residual
         from conesphere.sphtrig import InvalidTriangleError
 
         bad = TriangulatedMetric(1.5, 1.5, 0.5, 0.5, 1.2, 1.4)
         with pytest.raises(InvalidTriangleError) as err:
             cone_angles(bad)
+        assert "T2" in str(err.value)
+        # The solver's residual evaluates through the same path.
+        with pytest.raises(InvalidTriangleError) as err:
+            residual(bad, ConeAngleSpec(1.0, 1.0))
         assert "T2" in str(err.value)
 
 

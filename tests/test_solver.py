@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conesphere.metric import (
     ConeAngleSpec,
     GluedFootballParams,
     TriangulatedMetric,
     glued_football,
+    validate,
 )
 from conesphere.reports import RunConfig
 from conesphere.solver import (
@@ -37,6 +39,63 @@ def family_tangent(spec, t, ds=1e-7):
     return (np.array(plus.lengths()) - np.array(minus.lengths())) / (2 * ds)
 
 
+# ---------------------------------------------------------------------------
+# Embedding oracle for the cone angles: each triangle is built from unit
+# vectors and its corners are measured with tangent vectors, so neither the
+# inverse cosine law nor the library's triangle layout is used.
+# ---------------------------------------------------------------------------
+
+# T1..T4: the sides (a, b, c) as indices into l1..l6, and the cone point that
+# collects the corner opposite a, opposite b and opposite c.
+LAYOUT = (
+    ((0, 0, 4), ("C", "C", "A")),
+    ((2, 3, 4), ("C", "C", "D")),
+    ((1, 1, 5), ("C", "C", "B")),
+    ((3, 2, 5), ("C", "C", "D")),
+)
+
+
+def _tangent(at, to):
+    t = to - np.dot(to, at) * at
+    return t / np.linalg.norm(t)
+
+
+def _corner(at, p, q):
+    """Interior angle at `at` between the arcs to p and q."""
+    u, v = _tangent(at, p), _tangent(at, q)
+    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+
+
+def embedded_corners(a, b, c):
+    """Corners opposite sides a, b and c of a triangle on the unit sphere.
+
+    P1 is the north pole and P2 lies at distance c from it on the xz-plane;
+    the third vertex P solves P.P1 = cos b, P.P2 = cos a and |P| = 1.
+    """
+    P1 = np.array([0.0, 0.0, 1.0])
+    P2 = np.array([math.sin(c), 0.0, math.cos(c)])
+    z = math.cos(b)
+    x = (math.cos(a) - z * math.cos(c)) / math.sin(c)
+    P = np.array([x, math.sqrt(1.0 - x * x - z * z), z])
+    return _corner(P1, P2, P), _corner(P2, P1, P), _corner(P, P1, P2)
+
+
+def embedded_cone_angles(lengths, layout=LAYOUT):
+    """(theta_A, theta_B, theta_D, theta_C) assembled from embedded corners."""
+    theta = dict.fromkeys("ABDC", 0.0)
+    for sides, points in layout:
+        corners = embedded_corners(*(lengths[k] for k in sides))
+        for point, corner in zip(points, corners):
+            theta[point] += corner
+    return tuple(theta[k] for k in "ABDC")
+
+
+def embedded_residual(lengths, spec, layout=LAYOUT):
+    target = spec.cone_vector()
+    return tuple(a - b for a, b in
+                 zip(embedded_cone_angles(lengths, layout), target))
+
+
 class TestResidual:
     def test_family_point_is_zero(self):
         res = residual(base_metric(), SPEC)
@@ -50,14 +109,29 @@ class TestResidual:
         assert res.r[2] == pytest.approx(-0.1, abs=1e-13)
 
     def test_matches_cone_angles_path(self):
-        from conesphere.metric import cone_angles
-
+        # The residual is computed by metric.cone_angles itself, so the
+        # reference is the embedding oracle.
         m = TriangulatedMetric(1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
         res = residual(m, SPEC)
-        theta = cone_angles(m).as_tuple()
-        target = SPEC.cone_vector()
-        assert res.r == pytest.approx(
-            tuple(a - b for a, b in zip(theta, target)), abs=1e-14)
+        assert res.r == pytest.approx(embedded_residual(m.lengths(), SPEC),
+                                      abs=1e-12)
+        # Negative control: the oracle tells layouts apart.  Swapping the D
+        # corner of T2 with one of its C corners moves r_D and r_C.
+        swapped = (LAYOUT[0], ((2, 3, 4), ("C", "D", "C")), LAYOUT[2], LAYOUT[3])
+        wrong = embedded_residual(m.lengths(), SPEC, swapped)
+        assert max(abs(a - b) for a, b in zip(res.r, wrong)) > 1e-2
+
+    @given(st.floats(0.3, PI - 0.3), st.floats(0.3, PI - 0.3),
+           st.floats(0.4, PI - 0.4),
+           st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_embedding_near_family(self, alpha, beta, t, offset):
+        spec = ConeAngleSpec(alpha, beta)
+        base = glued_football(GluedFootballParams(spec, t))
+        m = TriangulatedMetric(*(np.array(base.lengths()) + np.array(offset)))
+        assume(validate(m).is_valid)
+        assert residual(m, spec).r == pytest.approx(
+            embedded_residual(m.lengths(), spec), abs=1e-10)
 
     def test_antisymmetric_reclosed_perturbation(self):
         # l3/l4 pushed apart with l5, l6 re-closed: the A, B, D residuals
