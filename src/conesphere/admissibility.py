@@ -8,6 +8,7 @@ football family sits exactly on that boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,7 +87,6 @@ def mp_distance_bruteforce(v: AngleVector, parity: str = "sum",
     centers = [round(xi) for xi in x]
     best = None
     ranges = [range(c - radius, c + radius + 1) for c in centers]
-    import itertools
     for m in itertools.product(*ranges):
         if parity == "sum" and sum(m) % 2 == 0:
             continue

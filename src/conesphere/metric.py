@@ -107,14 +107,32 @@ class TriangulatedMetric:
                      for sides in _triangle_sides(self.lengths()))
 
 
-def _triangle_sides(lengths) -> tuple[tuple[float, float, float], ...]:
-    """The layout: sides (a, b, c) of T1..T4 from l1..l6.
+# The layout of T1..T4: the sides (a, b, c) as indices into l1..l6, and the
+# cone point, as an index into (theta_A, theta_B, theta_D, theta_C), that
+# collects the corner opposite a, b and c.  Each third side c faces its
+# apex, the cone point A, D, B or D in turn; every other corner is at C.
+TRIANGLE_LAYOUT = (
+    ((0, 0, 4), (3, 3, 0)),
+    ((2, 3, 4), (3, 3, 2)),
+    ((1, 1, 5), (3, 3, 1)),
+    ((3, 2, 5), (3, 3, 2)),
+)
 
-    Each triangle's third side c faces its apex, the cone point A, D, B or D
-    in turn; the corners opposite a and b all collect at C.
-    """
-    l1, l2, l3, l4, l5, l6 = lengths
-    return ((l1, l1, l5), (l3, l4, l5), (l2, l2, l6), (l4, l3, l6))
+
+def _triangle_sides(lengths) -> list[tuple[float, float, float]]:
+    """Sides (a, b, c) of T1..T4 from l1..l6."""
+    return [(lengths[i], lengths[j], lengths[k])
+            for (i, j, k), _ in TRIANGLE_LAYOUT]
+
+
+def solve_triangle(idx: int, solve, a: float, b: float, c: float):
+    """solve(a, b, c), its InvalidTriangleError re-raised naming T<idx>."""
+    try:
+        return solve(a, b, c)
+    except InvalidTriangleError as err:
+        raise InvalidTriangleError(
+            f"triangle T{idx} invalid: {err}", violation=err.violation
+        ) from err
 
 
 @dataclass(frozen=True)
@@ -180,22 +198,17 @@ def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
     """(theta_A, theta_B, theta_D, theta_C) of lengths l1..l6.
 
     Each triangle is checked as it is solved; an invalid one raises
-    InvalidTriangleError naming it (T1..T4).  theta_A and theta_B are the
-    apex angles of T1 and T3, theta_D collects the two slit-triangle
-    apexes, and theta_C sums the eight remaining corner angles.
+    InvalidTriangleError naming it (T1..T4).  Every corner angle is added
+    to the cone point TRIANGLE_LAYOUT assigns it, T1 first.
     """
-    angs = []
-    for idx, sides in enumerate(_triangle_sides([float(v) for v in lengths]),
-                                start=1):
-        try:
-            angs.append(sss_angles(*sides))
-        except InvalidTriangleError as err:
-            raise InvalidTriangleError(
-                f"triangle T{idx} invalid: {err}", violation=err.violation
-            ) from err
-    a1, a2, a3, a4 = angs
-    theta_c = (a1[0] + a1[1] + a2[0] + a2[1] + a3[0] + a3[1] + a4[0] + a4[1])
-    return a1[2], a3[2], a2[2] + a4[2], theta_c
+    x = [float(v) for v in lengths]
+    theta = [0.0, 0.0, 0.0, 0.0]
+    for idx, ((i, j, k), (p, q, r)) in enumerate(TRIANGLE_LAYOUT, start=1):
+        A, B, C = solve_triangle(idx, sss_angles, x[i], x[j], x[k])
+        theta[p] += A
+        theta[q] += B
+        theta[r] += C
+    return tuple(theta)
 
 
 def cone_angles(m: TriangulatedMetric) -> ConeAngles:
@@ -206,11 +219,6 @@ def cone_angles(m: TriangulatedMetric) -> ConeAngles:
 def total_area(m: TriangulatedMetric) -> float:
     """Surface area as the sum of the four triangle excesses."""
     return sum(triangle_excess(tri) for tri in m.triangles())
-
-
-def metric_distance(m: TriangulatedMetric, other: TriangulatedMetric) -> float:
-    """Max-norm distance between edge-length tuples (the closeness notion)."""
-    return max(abs(x - y) for x, y in zip(m.lengths(), other.lengths()))
 
 
 def serialize(m: TriangulatedMetric, spec: ConeAngleSpec) -> str:

@@ -21,7 +21,6 @@ class RunConfig:
     res_tol: float = 1e-11
     rank_tol: float = 1e-6
     dist_tol: float = 1e-6
-    fd_step: float = 1e-6
     max_iter: int = 50
     damping0: float = 1e-3
     radius: float = 0.05

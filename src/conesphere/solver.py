@@ -2,15 +2,17 @@
 
 The residual map sends edge lengths to the four cone-angle defects
 (theta_A - alpha, theta_B - beta, theta_D - (alpha + beta), theta_C - 4*pi).
-Around a glued-football point the finite-difference Jacobian of this map is
-rank deficient, damped minimum-norm Gauss-Newton projects perturbed metrics
-back onto the zero set, and the rigidity scan measures how far multistart
+Around a glued-football point the exact Jacobian of this map is rank
+deficient, damped minimum-norm Gauss-Newton projects perturbed metrics back
+onto the zero set, and the rigidity scan measures how far multistart
 solutions land from the one-parameter glued family.
 
 The cone angles and the validity rule come from metric.cone_angle_tuple,
-which checks every triangle as it solves it.  The solver loops evaluate the
-residual once per point and treat its InvalidTriangleError (or an inverse-
-trig argument beyond the roundoff clamp) as "outside the validity region".
+which checks every triangle as it solves it; the Jacobian sums
+sphtrig.sss_differentials over the same layout.  The solver loops evaluate
+the residual once per point and treat its InvalidTriangleError (or an
+inverse-trig argument beyond the roundoff clamp) as "outside the validity
+region".
 """
 
 from __future__ import annotations
@@ -21,19 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import (
+    TRIANGLE_LAYOUT,
     ConeAngleSpec,
     GluedFootballParams,
     TriangulatedMetric,
     cone_angle_tuple,
     glued_football,
+    solve_triangle,
     validate,
 )
+from .reports import RunConfig
 from .sphtrig import (
     PI,
     InvalidTriangleError,
     NumericalCorruptionError,
     clamped_asin,
     side_from_sas,
+    sss_differentials,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -45,6 +51,15 @@ OFF_DOMAIN = (InvalidTriangleError, NumericalCorruptionError)
 FAMILY_T_MIN = 1e-4
 FAMILY_T_MAX = PI - 1e-4
 
+# Bounds of the Levenberg damping.  Along the family tangent sigma_4 is
+# about 1e-16 sigma_1, so an undamped minimum-norm step would blow up.
+DAMPING_FLOOR = 1e-8
+DAMPING_MAX = 1e3
+# Once res_tol is met, polish until steps stall: the quadratically flat
+# kernel directions need the extra steps to pull tight onto the solution set.
+STEP_TOL = 1e-10
+POLISH_LIMIT = 15
+
 
 @dataclass(frozen=True)
 class ConstraintResidual:
@@ -55,24 +70,6 @@ class ConstraintResidual:
     @property
     def norm(self) -> float:
         return math.sqrt(sum(v * v for v in self.r))
-
-
-@dataclass(frozen=True)
-class GaussNewtonOptions:
-    max_iter: int = 50
-    res_tol: float = 1e-11
-    # Levenberg-style damping, adapted multiplicatively; the floor keeps
-    # noise in the finite-difference Jacobian from being amplified into
-    # large spurious steps once the residual sits at roundoff level.
-    damping0: float = 1e-3
-    damping_floor: float = 1e-8
-    damping_max: float = 1e3
-    fd_step: float = 1e-6
-    # After res_tol is met, keep polishing until steps stall; the flat
-    # (quadratically degenerate) kernel directions need these extra halvings
-    # to pull the iterate tight onto the solution set.
-    step_tol: float = 1e-10
-    polish_limit: int = 15
 
 
 @dataclass(frozen=True)
@@ -142,31 +139,21 @@ def residual(m: TriangulatedMetric, spec: ConeAngleSpec) -> ConstraintResidual:
     return ConstraintResidual(tuple(float(v) for v in vec))
 
 
-def jacobian(m: TriangulatedMetric, spec: ConeAngleSpec, h: float = 1e-6) -> np.ndarray:
-    """4x6 central-difference Jacobian of the residual in l1..l6.
+def jacobian(m: TriangulatedMetric) -> np.ndarray:
+    """Exact 4x6 Jacobian of the residual (the cone angles) in l1..l6.
 
-    If a probe step leaves the validity region the step is shrunk once by
-    16x before giving up.
+    Each triangle's sss_differentials go to the cone-point rows and side
+    columns TRIANGLE_LAYOUT assigns them; the target does not enter.  An
+    invalid metric raises InvalidTriangleError naming the triangle.
     """
-    x = np.array(m.lengths())
-    J = np.zeros((4, 6))
-    for i in range(6):
-        step = h
-        for attempt in range(2):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += step
-            xm[i] -= step
-            try:
-                J[:, i] = (_residual_vector(xp, spec)
-                           - _residual_vector(xm, spec)) / (2.0 * step)
-                break
-            except OFF_DOMAIN:
-                step /= 16.0
-        else:
-            raise ValueError(
-                f"cannot difference across l{i + 1}: validity margin below {h!r}")
-    return J
+    x = m.lengths()
+    J = [[0.0] * 6 for _ in range(4)]
+    for idx, (sides, points) in enumerate(TRIANGLE_LAYOUT, start=1):
+        dangs = solve_triangle(idx, sss_differentials, *(x[s] for s in sides))
+        for p, row in zip(points, dangs):
+            for col, d in zip(sides, row):
+                J[p][col] += d
+    return np.array(J)
 
 
 def numerical_rank(J: np.ndarray, rel_tol: float = 1e-6) -> tuple[int, np.ndarray]:
@@ -186,38 +173,32 @@ def _damped_min_norm_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarra
 
 
 def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec,
-                 opts: GaussNewtonOptions | None = None) -> GaussNewtonResult:
+                 config: RunConfig = RunConfig()) -> GaussNewtonResult:
     """Project a metric onto the cone-angle constraint set.
 
     Steps are damped minimum-norm least-squares solutions from the SVD of
-    the finite-difference Jacobian, backtracked to stay inside the validity
-    region.  Success requires the residual norm below opts.res_tol; the
-    iteration then polishes until the step size stalls so that the
-    quadratically flat directions are fully resolved.
+    the exact Jacobian, backtracked to stay inside the validity region.
+    Success requires the residual norm below config.res_tol; the iteration
+    then polishes until the step size stalls so that the quadratically flat
+    directions are fully resolved.
     """
-    opts = opts or GaussNewtonOptions()
     x = np.array(start.lengths())
     try:
         r = _residual_vector(x, spec)
     except OFF_DOMAIN:
         return GaussNewtonResult("boundary", None, math.inf, 0)
     rnorm = float(np.linalg.norm(r))
-    lam = opts.damping0
+    lam = config.damping0
     last_step = math.inf
     polish = 0
     iterations = 0
-    for _ in range(opts.max_iter):
-        if rnorm < opts.res_tol:
-            if last_step < opts.step_tol or polish >= opts.polish_limit:
+    for _ in range(config.max_iter):
+        if rnorm < config.res_tol:
+            if last_step < STEP_TOL or polish >= POLISH_LIMIT:
                 break
             polish += 1
         iterations += 1
-        try:
-            J = jacobian(TriangulatedMetric(*x), spec, h=opts.fd_step)
-        except ValueError:
-            return GaussNewtonResult("boundary", TriangulatedMetric(*x),
-                                     rnorm, iterations)
-        step = _damped_min_norm_step(J, r, lam)
+        step = _damped_min_norm_step(jacobian(TriangulatedMetric(*x)), r, lam)
         # Backtrack into the validity region.
         shrink = 0
         while True:
@@ -232,13 +213,13 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec,
                     return GaussNewtonResult("boundary", TriangulatedMetric(*x),
                                              rnorm, iterations)
         rnorm_new = float(np.linalg.norm(r_new))
-        if rnorm_new <= rnorm or rnorm_new < opts.res_tol:
+        if rnorm_new <= rnorm or rnorm_new < config.res_tol:
             last_step = float(np.linalg.norm(step))
             x, r, rnorm = x_new, r_new, rnorm_new
-            lam = max(lam / 3.0, opts.damping_floor)
+            lam = max(lam / 3.0, DAMPING_FLOOR)
         else:
-            lam = min(lam * 10.0, opts.damping_max)
-    if rnorm < opts.res_tol:
+            lam = min(lam * 10.0, DAMPING_MAX)
+    if rnorm < config.res_tol:
         return GaussNewtonResult("converged", TriangulatedMetric(*x),
                                  rnorm, iterations)
     return GaussNewtonResult("max_iter", TriangulatedMetric(*x), rnorm, iterations)
@@ -299,32 +280,28 @@ def _ball_corners_valid(base: TriangulatedMetric, radius: float) -> bool:
     return True
 
 
-def rigidity_scan(p: GluedFootballParams, radius: float = 0.05,
-                  n_samples: int = 500, seed: int = 7,
-                  opts: GaussNewtonOptions | None = None,
-                  dist_tol: float = 1e-6,
-                  rank_tol: float = 1e-6) -> RigidityReport:
+def rigidity_scan(p: GluedFootballParams,
+                  config: RunConfig = RunConfig()) -> RigidityReport:
     """Multistart probe of local rigidity around one glued football.
 
-    Draws n_samples starts uniformly in the max-norm ball of the given
-    radius, projects each with gauss_newton and reports the Jacobian
+    Draws config.samples starts uniformly in the max-norm ball of radius
+    config.radius, projects each with gauss_newton and reports the Jacobian
     spectrum at the base point, convergence counts and the largest family
     distance among converged solutions.  Deterministic for a fixed seed.
     """
-    opts = opts or GaussNewtonOptions()
+    radius = config.radius
     base = glued_football(p)
     if not _ball_corners_valid(base, radius):
         feasible = max_feasible_radius(base)
         raise ValueError(
             f"radius {radius!r} leaves the validity region; "
             f"max feasible radius here is {feasible:.6f}")
-    J = jacobian(base, p.spec, h=opts.fd_step)
-    rank, svals = numerical_rank(J, rank_tol)
-    rng = np.random.default_rng(seed)
-    offsets = rng.uniform(-radius, radius, size=(n_samples, 6))
+    rank, svals = numerical_rank(jacobian(base), config.rank_tol)
+    rng = np.random.default_rng(config.seed)
+    offsets = rng.uniform(-radius, radius, size=(config.samples, 6))
     starts = [TriangulatedMetric(*(np.array(base.lengths()) + off))
               for off in offsets]
-    results = [gauss_newton(s, p.spec, opts) for s in starts]
+    results = [gauss_newton(s, p.spec, config) for s in starts]
     solutions = []
     boundary = 0
     nonconv = 0
@@ -340,15 +317,15 @@ def rigidity_scan(p: GluedFootballParams, radius: float = 0.05,
         else:
             nonconv += 1
     return RigidityReport(
-        spec=p.spec, t=p.t, radius=radius, seed=seed,
+        spec=p.spec, t=p.t, radius=radius, seed=config.seed,
         singular_values=tuple(float(s) for s in svals),
         kernel_dim=6 - rank,
-        starts=n_samples,
+        starts=config.samples,
         converged=len(solutions),
         boundary_failures=boundary,
         nonconverged=nonconv,
         max_family_distance=max_dist,
-        dist_tol=dist_tol,
+        dist_tol=config.dist_tol,
         solutions=tuple(solutions),
     )
 

@@ -165,6 +165,24 @@ def sss_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
             clamped_acos((cc - ca * cb) / (sa * sb)))
 
 
+def sss_differentials(a: float, b: float, c: float) -> tuple[tuple[float, float, float], ...]:
+    """Exact Jacobian of sss_angles (which checks validity): rows A, B, C.
+
+    The differential of the cosine law (Todhunter, Spherical Trigonometry,
+    small variations of a triangle's parts): dA/da = sin a/(sin b sin c sin A),
+    dA/db = -cos C dA/da, dA/dc = -cos B dA/da, and cyclically for B and C.
+    """
+    A, B, C = sss_angles(a, b, c)
+    sa, sb, sc = math.sin(a), math.sin(b), math.sin(c)
+    cA, cB, cC = math.cos(A), math.cos(B), math.cos(C)
+    dAa = sa / (sb * sc * math.sin(A))
+    dBb = sb / (sa * sc * math.sin(B))
+    dCc = sc / (sa * sb * math.sin(C))
+    return ((dAa, -cC * dAa, -cB * dAa),
+            (-cC * dBb, dBb, -cA * dBb),
+            (-cB * dCc, -cA * dCc, dCc))
+
+
 def angles_from_sss(t: SphericalTriangle) -> TriangleAngles:
     """All three angles of a valid triangle (inverse cosine law)."""
     return TriangleAngles(*sss_angles(t.a, t.b, t.c))

@@ -186,15 +186,8 @@ def admissible_suite(config: RunConfig, alpha: float, beta: float) -> tuple[dict
 
 def rigidity_suite(config: RunConfig, alpha: float, beta: float,
                    t: float) -> tuple[dict, bool]:
-    from .solver import GaussNewtonOptions
-
-    spec = ConeAngleSpec(alpha, beta)
-    opts = GaussNewtonOptions(max_iter=config.max_iter, res_tol=config.res_tol,
-                              damping0=config.damping0, fd_step=config.fd_step)
-    report = rigidity_scan(GluedFootballParams(spec, t), radius=config.radius,
-                           n_samples=config.samples, seed=config.seed,
-                           opts=opts, dist_tol=config.dist_tol,
-                           rank_tol=config.rank_tol)
+    report = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
+                           config)
     ok = report.rigidity_holds
     results = {
         "alpha": alpha, "beta": beta, "t": t,

@@ -64,7 +64,7 @@ def test_c1_family_realization():
 ])
 def test_c2_rigidity(alpha, beta, t):
     rep = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
-                        radius=0.05, n_samples=500, seed=7)
+                        RunConfig(radius=0.05, samples=500, seed=7))
     frac = rep.converged / rep.starts
     ok = frac >= 0.95 and rep.max_family_distance < 1e-6
     report(f"2 rigidity ({alpha:.4f},{beta:.4f},{t:.4f})", ok,
@@ -82,7 +82,7 @@ def test_c3_jacobian_degeneracy():
             spec = ConeAngleSpec(alpha, beta)
             for t in T_GRID:
                 m = glued_football(GluedFootballParams(spec, t))
-                rank, svals = numerical_rank(jacobian(m, spec), rel_tol=1e-6)
+                rank, svals = numerical_rank(jacobian(m), rel_tol=1e-6)
                 ratio = svals[3] / svals[0]
                 worst = max(worst, ratio)
                 assert rank <= 3, (alpha, beta, t, svals)

@@ -207,9 +207,9 @@ class TestConfigFile:
         assert report["results"]["starts"] == 9
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        # "workers" was a field once; old config files naming it must fail
-        # loudly rather than be half-applied.
-        for overrides in ({"nonsense": 1}, {"workers": 2}):
+        # "workers" and "fd_step" were fields once; old config files naming
+        # them must fail loudly rather than be half-applied.
+        for overrides in ({"nonsense": 1}, {"workers": 2}, {"fd_step": 1e-6}):
             cfg = tmp_path / "config.json"
             cfg.write_text(json.dumps(overrides))
             code, _, err = run(capsys, "--config", str(cfg), "eigen")

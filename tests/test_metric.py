@@ -11,7 +11,6 @@ from conesphere.metric import (
     cone_angles,
     deserialize,
     glued_football,
-    metric_distance,
     serialize,
     total_area,
     validate,
@@ -191,9 +190,3 @@ class TestSerialization:
     def test_not_json_is_document_error(self):
         with pytest.raises(MetricDocumentError):
             deserialize("not a document")
-
-
-def test_metric_distance_is_max_norm():
-    a = TriangulatedMetric(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    b = TriangulatedMetric(1.0, 1.2, 1.0, 0.9, 1.0, 1.0)
-    assert metric_distance(a, b) == pytest.approx(0.2)

@@ -13,7 +13,6 @@ from conesphere.metric import (
 )
 from conesphere.reports import RunConfig
 from conesphere.solver import (
-    GaussNewtonOptions,
     ScanClosure,
     defect_scan,
     family_distance,
@@ -96,6 +95,33 @@ def embedded_residual(lengths, spec, layout=LAYOUT):
                  zip(embedded_cone_angles(lengths, layout), target))
 
 
+EMBED_STEP = 1e-7
+
+
+def embedded_margin(lengths):
+    """Smallest slack of any side range, triangle inequality or perimeter."""
+    slack = []
+    for sides, _ in LAYOUT:
+        a, b, c = (lengths[k] for k in sides)
+        slack += [a, b, c, PI - a, PI - b, PI - c,
+                  b + c - a, a + c - b, a + b - c, 2 * PI - a - b - c]
+    return min(slack)
+
+
+def embedded_jacobian(x, spec, layout=LAYOUT):
+    """Central differences of embedded_residual, step EMBED_STEP.
+
+    Their truncation error grows like (EMBED_STEP / embedded_margin)**2
+    relative to the derivative, so callers keep the margin at 1e-3 or more.
+    """
+    cols = []
+    for e in np.eye(6):
+        plus = embedded_residual(x + EMBED_STEP * e, spec, layout)
+        minus = embedded_residual(x - EMBED_STEP * e, spec, layout)
+        cols.append((np.array(plus) - np.array(minus)) / (2 * EMBED_STEP))
+    return np.column_stack(cols)
+
+
 class TestResidual:
     def test_family_point_is_zero(self):
         res = residual(base_metric(), SPEC)
@@ -156,26 +182,15 @@ class TestJacobian:
     def test_family_tangent_in_kernel(self):
         for spec, t in ((SPEC, PI / 3), (ConeAngleSpec(1.0, 2.0), 1.2)):
             m = glued_football(GluedFootballParams(spec, t))
-            J = jacobian(m, spec)
+            J = jacobian(m)
             v = family_tangent(spec, t)
             assert np.linalg.norm(J @ v) / np.linalg.norm(v) < 1e-6
-
-    def test_half_step_agreement_is_second_order(self):
-        m = base_metric()
-        bumped = TriangulatedMetric(m.l1 + 0.02, m.l2 - 0.01, m.l3, m.l4,
-                                    m.l5 + 0.015, m.l6)
-        J1 = jacobian(bumped, SPEC, h=1e-4)
-        J2 = jacobian(bumped, SPEC, h=5e-5)
-        J3 = jacobian(bumped, SPEC, h=2.5e-5)
-        err1 = np.max(np.abs(J1 - J3))
-        err2 = np.max(np.abs(J2 - J3))
-        assert err2 < 0.5 * err1  # roughly O(h^2) contraction
 
     def test_swap_equivariance_at_symmetric_point(self):
         # Swapping the two footballs (l1<->l2, l5<->l6) permutes the A and
         # B residuals when alpha = beta.
         m = base_metric()
-        J = jacobian(m, SPEC)
+        J = jacobian(m)
         S = np.zeros((6, 6))
         for i, j in ((0, 1), (1, 0), (2, 2), (3, 3), (4, 5), (5, 4)):
             S[i, j] = 1.0
@@ -187,22 +202,43 @@ class TestJacobian:
     def test_slit_swap_direction_in_kernel(self):
         # r is invariant under l3 <-> l4, so the antisymmetric direction
         # is flat at any symmetric point.
-        J = jacobian(base_metric(), SPEC)
+        J = jacobian(base_metric())
         v = np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
         assert np.linalg.norm(J @ v) < 1e-8
 
-    def test_probe_across_boundary_retries_then_raises(self):
+    @given(st.floats(0.3, PI - 0.3), st.floats(0.3, PI - 0.3),
+           st.floats(0.4, PI - 0.4),
+           st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_embedding_differences(self, alpha, beta, t, offset):
+        spec = ConeAngleSpec(alpha, beta)
+        base = glued_football(GluedFootballParams(spec, t))
+        x = np.array(base.lengths()) + np.array(offset)
+        assume(embedded_margin(x) > 1e-3)
+        J = jacobian(TriangulatedMetric(*x))
+        scale = max(1.0, float(np.max(np.abs(J))))
+        assert np.max(np.abs(J - embedded_jacobian(x, spec))) < 1e-6 * scale
+
+    def test_embedding_differences_tell_layouts_apart(self):
+        # Negative control for the property above: with T2's D corner
+        # swapped for one of its C corners, the differenced oracle no
+        # longer matches the Jacobian.
+        swapped = (LAYOUT[0], ((2, 3, 4), ("C", "D", "C")), LAYOUT[2], LAYOUT[3])
+        m = TriangulatedMetric(1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
+        x = np.array(m.lengths())
+        assert np.max(np.abs(jacobian(m) - embedded_jacobian(x, SPEC))) < 1e-6
+        assert np.max(np.abs(jacobian(m)
+                             - embedded_jacobian(x, SPEC, swapped))) > 1e-1
+
+    def test_finite_at_thin_validity_margin(self):
+        # T2 within 5e-9 of degenerate (T1 is near its perimeter bound too).
+        # The exact Jacobian takes no probe step, so it exists wherever the
+        # residual does.
         m = base_metric()
-        # T2 margin wide enough only for the 16x-reduced probe step.
-        near = TriangulatedMetric(m.l1, m.l2, m.l3, m.l4,
-                                  m.l3 + m.l4 - 2e-7, m.l6)
-        J = jacobian(near, SPEC)
-        assert np.all(np.isfinite(J))
-        # Margin below even the reduced step: differencing must fail.
         closer = TriangulatedMetric(m.l1, m.l2, m.l3, m.l4,
                                     m.l3 + m.l4 - 5e-9, m.l6)
-        with pytest.raises(ValueError):
-            jacobian(closer, SPEC)
+        assert validate(closer).is_valid
+        assert np.all(np.isfinite(jacobian(closer)))
 
 
 class TestNumericalRank:
@@ -220,9 +256,9 @@ class TestNumericalRank:
         for spec, t in ((SPEC, PI / 3), (ConeAngleSpec(1.0, 2.0), 1.2),
                         (SPEC, PI / 2)):
             m = glued_football(GluedFootballParams(spec, t))
-            rank, svals = numerical_rank(jacobian(m, spec))
+            rank, svals = numerical_rank(jacobian(m))
             assert rank <= 3
-            assert svals[3] / svals[0] < 1e-8
+            assert svals[3] / svals[0] < 1e-13
 
 
 class TestGaussNewton:
@@ -284,7 +320,7 @@ class TestFamilyDistance:
 class TestRigidityScan:
     def test_small_scan_converges_onto_family(self):
         report = rigidity_scan(GluedFootballParams(SPEC, PI / 3),
-                               radius=0.05, n_samples=40, seed=7)
+                               RunConfig(radius=0.05, samples=40, seed=7))
         assert report.converged == 40
         assert report.max_family_distance < 1e-6
         assert report.rigidity_holds
@@ -301,15 +337,15 @@ class TestRigidityScan:
 
     def test_seed_changes_details_not_verdict(self):
         p = GluedFootballParams(SPEC, PI / 3)
-        rep1 = rigidity_scan(p, radius=0.05, n_samples=25, seed=7)
-        rep2 = rigidity_scan(p, radius=0.05, n_samples=25, seed=8)
+        rep1 = rigidity_scan(p, RunConfig(radius=0.05, samples=25, seed=7))
+        rep2 = rigidity_scan(p, RunConfig(radius=0.05, samples=25, seed=8))
         assert rep1.rigidity_holds == rep2.rigidity_holds
         assert rep1.solutions != rep2.solutions
 
     def test_oversized_radius_names_feasible_bound(self):
         p = GluedFootballParams(SPEC, 0.1)
         with pytest.raises(ValueError) as err:
-            rigidity_scan(p, radius=0.5, n_samples=5)
+            rigidity_scan(p, RunConfig(radius=0.5, samples=5))
         feasible = max_feasible_radius(glued_football(p))
         assert f"{feasible:.6f}" in str(err.value)
 

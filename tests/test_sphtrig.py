@@ -18,6 +18,8 @@ from conesphere.sphtrig import (
     napier_corner,
     side_from_sas,
     sine_rule_side,
+    sss_angles,
+    sss_differentials,
     triangle_excess,
 )
 
@@ -109,6 +111,37 @@ class TestAnglesFromSss:
     def test_angle_sum_window(self, tri):
         ang = angles_from_sss(tri)
         assert PI < sum(ang.angles()) < 3.0 * PI
+
+
+class TestSssDifferentials:
+    def test_octant_is_identity(self):
+        # All angles right: dA/da = 1 and every cross term carries a cos 0.
+        D = sss_differentials(PI / 2, PI / 2, PI / 2)
+        for i in range(3):
+            for j in range(3):
+                assert D[i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
+
+    def test_invalid_triangle_raises(self):
+        with pytest.raises(InvalidTriangleError):
+            sss_differentials(2.0, 0.7, 0.7)
+
+    @given(valid_triangles())
+    @settings(max_examples=100)
+    def test_matches_central_differences(self, tri):
+        # valid_triangles keeps every inequality 1e-3 from equality, so
+        # the O((h / margin)**2) truncation error stays near 1e-8.
+        h = 1e-7
+        sides = list(tri.sides())
+        D = sss_differentials(*sides)
+        scale = max(1.0, max(abs(v) for row in D for v in row))
+        for j in range(3):
+            plus, minus = list(sides), list(sides)
+            plus[j] += h
+            minus[j] -= h
+            fd = [(p - m) / (2 * h) for p, m in
+                  zip(sss_angles(*plus), sss_angles(*minus))]
+            for i in range(3):
+                assert abs(D[i][j] - fd[i]) < 1e-6 * scale
 
 
 class TestDualCosine:
