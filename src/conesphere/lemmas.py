@@ -25,10 +25,12 @@ from dataclasses import dataclass
 
 from .sphtrig import (
     PI,
+    TWO_PI,
     InconsistentDataError,
     NoTriangleError,
     SphericalTriangle,
     angles_from_sss,
+    clamped_acos,
     napier_corner,
     side_from_sas,
     sine_rule_side,
@@ -223,42 +225,25 @@ def inequality_sign(ell: float, l1: float, l2: float) -> int:
     return 0
 
 
-def _angle_sum_roots(alpha: float, ell: float, beta: float,
-                     subintervals: int = 96, tol: float = 1e-12) -> list[float]:
-    """All s with cos(beta) = -cos(a)cos(s-a) + sin(a)sin(s-a)cos(ell).
+def _angle_sum_roots(alpha: float, ell: float, beta: float) -> list[float]:
+    """All s in (alpha, alpha + pi) at which the dual cosine law holds.
 
-    Bracketed bisection over s in (alpha + 1e-9, alpha + pi - 1e-9).
+    The law is cos(beta) = -cos(alpha)cos(u) + sin(alpha)sin(u)cos(ell) for
+    the second base angle u = s - alpha.  It reads R cos(u - phi) = cos(beta),
+    where (R cos phi, R sin phi) = (-cos alpha, sin alpha cos ell), so the
+    roots are u = phi -+ acos(cos(beta) / R) (mod 2*pi), kept inside
+    (1e-9, pi - 1e-9) and returned in ascending order.  There is none when
+    |cos beta| > R.
     """
     cos_beta = math.cos(beta)
-    cos_ell = math.cos(ell)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-
-    def g(s: float) -> float:
-        u = s - alpha
-        return -ca * math.cos(u) + sa * math.sin(u) * cos_ell - cos_beta
-
-    lo = alpha + 1e-9
-    hi = alpha + PI - 1e-9
-    nodes = [lo + (hi - lo) * k / subintervals for k in range(subintervals + 1)]
-    vals = [g(s) for s in nodes]
-    roots = []
-    for k in range(subintervals):
-        f0, f1 = vals[k], vals[k + 1]
-        if f0 == 0.0:
-            roots.append(nodes[k])
-            continue
-        if f0 * f1 < 0.0:
-            a, b = nodes[k], nodes[k + 1]
-            fa = f0
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = g(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    return roots
+    x, y = -math.cos(alpha), math.sin(alpha) * math.cos(ell)
+    r = math.hypot(x, y)
+    if r == 0.0 or abs(cos_beta) > r:
+        return []
+    phi = math.atan2(y, x)
+    half = clamped_acos(cos_beta / r)
+    us = sorted((phi + sign * half) % TWO_PI for sign in (-1.0, 1.0))
+    return [alpha + u for u in us if 1e-9 < u < PI - 1e-9]
 
 
 def lemma3_sweep(ell: float, beta: float, n: int = 241) -> Lemma3Result:

@@ -16,7 +16,11 @@ from . import __version__
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective knobs of a run; echoed verbatim into every report."""
+    """Settings a caller can set; echoed verbatim into every report.
+
+    The solver's tolerances and multistart sizes, and the eigen check's
+    grid (``eigen --n/--delta``).  Suite grids are constants in ``suites``.
+    """
 
     res_tol: float = 1e-11
     rank_tol: float = 1e-6
@@ -26,38 +30,16 @@ class RunConfig:
     radius: float = 0.05
     samples: int = 500
     seed: int = 7
-    # Suite grids.  The slit-defect windows sit inside the feasibility
-    # region of every eps in lemma2_eps.
-    lemma1_grid: int = 1000
-    lemma2_eps: tuple[float, ...] = (0.01, 0.05, 0.1)
-    lemma2_grid: int = 5
-    lemma2_below: tuple[float, float] = (2.0, 2.6)
-    lemma2_above: tuple[float, float] = (0.5, 1.04)
-    step1_below: tuple[float, float] = (2.11, 2.82)
-    step1_above: tuple[float, float] = (0.2, 1.06)
-    lemma3_n: int = 241
     eigen_n: int = 1001
     eigen_delta: float = 0.1
-    eigen_residual_bound: float = 1e-4
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key, val in out.items():
-            if isinstance(val, tuple):
-                out[key] = list(val)
-        return out
 
     def merged(self, overrides: dict) -> "RunConfig":
         """New config with overrides applied; unknown keys are an error."""
-        known = {f.name: f for f in dataclasses.fields(self)}
-        clean = {}
-        for key, val in overrides.items():
+        known = {f.name for f in dataclasses.fields(self)}
+        for key in overrides:
             if key not in known:
                 raise KeyError(f"unknown config field {key!r}")
-            if isinstance(getattr(self, key), tuple):
-                val = tuple(val)
-            clean[key] = val
-        return dataclasses.replace(self, **clean)
+        return dataclasses.replace(self, **overrides)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -73,7 +55,7 @@ def build_report(command: str, config: RunConfig, results: dict) -> dict:
         "artifact": "conesphere",
         "version": __version__,
         "command": command,
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "results": results,
     }
 

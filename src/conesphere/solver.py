@@ -229,12 +229,17 @@ def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, 
     """Closest glued football: (s_star, Euclidean distance over the six lengths).
 
     A 200-point coarse scan over the slit parameter is refined by
-    golden-section search; scan ties resolve toward smaller s.
+    golden-section search; scan ties resolve toward smaller s.  A slit
+    parameter whose football degenerates (alpha or beta near pi, at the ends
+    of the window) counts as infinitely far.
     """
     target = np.array(m.lengths())
 
     def dist(s: float) -> float:
-        fam = glued_football(GluedFootballParams(spec, s))
+        try:
+            fam = glued_football(GluedFootballParams(spec, float(s)))
+        except OFF_DOMAIN:
+            return math.inf
         return float(np.linalg.norm(np.array(fam.lengths()) - target))
 
     grid = np.linspace(FAMILY_T_MIN, FAMILY_T_MAX, 200)

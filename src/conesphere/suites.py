@@ -2,12 +2,13 @@
 
 Each runner returns (report_dict, ok).  lemma2_suite and step1_suite are
 two entries into one uneven-split defect runner; lemma2 is step1 with
-alpha = beta.  The slit-defect suites (lemma2, step1, scan) assert the classical sign convention for the corner-angle
-defect: corner total below 4*pi when l1, l2 < pi/2 and above 4*pi in the
-mirror regime.  The computed geometry consistently yields the opposite
-signs (see the test suite for the corrected sign law verified against
-independent embeddings), so those suites report FAIL; the reports carry
-both the expected and the computed sign per node.
+alpha = beta.  The slit-defect suites (lemma2, step1, scan) assert the
+classical sign convention for the corner-angle defect: corner total below
+4*pi when l1, l2 < pi/2 and above 4*pi in the mirror regime.  The computed
+geometry consistently yields the opposite signs (see the test suite for the
+corrected sign law verified against independent embeddings), so those
+suites report FAIL; the reports carry both the expected and the computed
+sign per node.
 """
 
 from __future__ import annotations
@@ -50,15 +51,23 @@ def _stated_sign(regime: str) -> int:
     return -1 if regime == "below" else 1
 
 
+# Uneven-split defect grids.  Every window sits inside the feasibility
+# region of every eps in LEMMA2_EPS.
+LEMMA2_EPS = (0.01, 0.05, 0.1)
+LEMMA2_GRID = 5
+LEMMA2_WINDOWS = {"below": (2.0, 2.6), "above": (0.5, 1.04)}
+STEP1_WINDOWS = {"below": (2.11, 2.82), "above": (0.2, 1.06)}
+
+
 def _defect_suite(command: str, config: RunConfig, alpha: float, beta: float,
                   windows: dict, results: dict) -> tuple[dict, bool]:
     """Uneven-split defect sweeps over every eps and regime window."""
     results["sweeps"] = []
     ok = True
     margin = 1e-9
-    for eps in config.lemma2_eps:
+    for eps in LEMMA2_EPS:
         for regime, (lo, hi) in windows.items():
-            grid = np.linspace(lo, hi, config.lemma2_grid)
+            grid = np.linspace(lo, hi, LEMMA2_GRID)
             sweep = lemmas.step1_asymmetric_exclusion(alpha, beta, eps, grid, regime)
             expected = _stated_sign(regime)
             rows = _defect_rows_json(sweep, expected)
@@ -76,21 +85,18 @@ def _defect_suite(command: str, config: RunConfig, alpha: float, beta: float,
     return build_report(command, config, results), ok
 
 
-def lemma2_suite(config: RunConfig, beta: float = PI / 2.0) -> tuple[dict, bool]:
-    windows = {"below": config.lemma2_below, "above": config.lemma2_above}
-    return _defect_suite("lemmas --suite lemma2", config, beta, beta, windows,
-                         {"beta": beta})
+def lemma2_suite(config: RunConfig, beta: float) -> tuple[dict, bool]:
+    return _defect_suite("lemmas --suite lemma2", config, beta, beta,
+                         LEMMA2_WINDOWS, {"beta": beta})
 
 
-def step1_suite(config: RunConfig, alpha: float = 1.0,
-                beta: float = 2.0) -> tuple[dict, bool]:
-    windows = {"below": config.step1_below, "above": config.step1_above}
-    return _defect_suite("lemmas --suite step1", config, alpha, beta, windows,
-                         {"alpha": alpha, "beta": beta})
+def step1_suite(config: RunConfig, alpha: float, beta: float) -> tuple[dict, bool]:
+    return _defect_suite("lemmas --suite step1", config, alpha, beta,
+                         STEP1_WINDOWS, {"alpha": alpha, "beta": beta})
 
 
 def lemma3_suite(config: RunConfig, ell: float, beta: float) -> tuple[dict, bool]:
-    res = lemmas.lemma3_sweep(ell, beta, n=config.lemma3_n)
+    res = lemmas.lemma3_sweep(ell, beta)
     rows = [{"alpha_crit": e.alpha_crit, "s_crit": e.s_crit, "kind": e.kind,
              "iso_gap": abs(e.alpha_crit - 0.5 * e.s_crit)}
             for e in res.extrema]
@@ -109,13 +115,14 @@ def lemma3_suite(config: RunConfig, ell: float, beta: float) -> tuple[dict, bool
     return build_report("lemmas --suite lemma3", config, results), ok
 
 
-def lemma1_suite(config: RunConfig,
-                 betas: tuple[float, ...] = (0.5, 1.0, 2.0, 3.0)) -> tuple[dict, bool]:
+LEMMA1_GRID = 1000
+
+
+def lemma1_suite(config: RunConfig, betas: tuple[float, ...]) -> tuple[dict, bool]:
     ok = True
     per_beta = []
-    n = config.lemma1_grid
     # Grid over (0, pi) omitting the excluded midpoint l1 = pi/2.
-    grid = [v for v in np.linspace(0.01, PI - 0.01, n)
+    grid = [v for v in np.linspace(0.01, PI - 0.01, LEMMA1_GRID)
             if abs(v - PI / 2.0) > 1e-6]
     for beta in betas:
         rep = lemmas.lemma1_caseb_exclusion(beta, grid)
@@ -132,19 +139,22 @@ def lemma1_suite(config: RunConfig,
     return build_report("lemmas --suite lemma1", config, results), ok
 
 
-def eigen_suite(config: RunConfig, alpha: float = PI / 2.0,
-                beta: float = PI / 2.0, t: float = PI / 3.0) -> tuple[dict, bool]:
+EIGEN_RESIDUAL_BOUND = 1e-4
+
+
+def eigen_suite(config: RunConfig, alpha: float, beta: float,
+                t: float) -> tuple[dict, bool]:
     grid = RadialGrid(config.eigen_n, config.eigen_delta)
     residual = radial_residual(grid)
     orders = convergence_orders(config.eigen_n, config.eigen_delta, refinements=2)
     mismatch = slit_continuity(alpha, beta, t, n=100)
-    ok = (residual < config.eigen_residual_bound
+    ok = (residual < EIGEN_RESIDUAL_BOUND
           and all(1.9 <= o <= 2.1 for o in orders)
           and mismatch == 0.0)
     results = {
         "n": config.eigen_n, "delta": config.eigen_delta,
         "max_residual": residual,
-        "residual_bound": config.eigen_residual_bound,
+        "residual_bound": EIGEN_RESIDUAL_BOUND,
         "convergence_orders": orders,
         "slit_mismatch": mismatch,
         "slit_value_at_D": slit_value(0.0),

@@ -267,7 +267,7 @@ def test_c9_determinism():
     config = RunConfig(samples=30)
     pairs = []
     for runner, args in ((rigidity_suite, (PI / 2, PI / 2, PI / 3)),
-                         (lemma2_suite, ()),
+                         (lemma2_suite, (PI / 2,)),
                          (admissible_suite, (1.0, 2.0))):
         first, _ = runner(config, *args)
         second, _ = runner(config, *args)

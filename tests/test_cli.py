@@ -94,6 +94,18 @@ class TestRigidity:
         assert code == 2
         assert "max feasible radius" in err
 
+    def test_angle_near_pi_passes(self, tmp_path, capsys):
+        # The footballs at the ends of the slit window degenerate here; the
+        # family search must step over them, not end the command.
+        out = tmp_path / "rigidity.json"
+        code, _, err = run(capsys, "rigidity", "--alpha", "3.1405",
+                           "--beta", "1.0", "--t", "1.2", "--radius", "1e-8",
+                           "--samples", "3", "--out", str(out))
+        assert code == 0, err
+        results = json.loads(out.read_text())["results"]
+        assert results["converged"] == 3
+        assert results["max_family_distance"] < 1e-6
+
     def test_reports_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -207,9 +219,11 @@ class TestConfigFile:
         assert report["results"]["starts"] == 9
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        # "workers" and "fd_step" were fields once; old config files naming
-        # them must fail loudly rather than be half-applied.
-        for overrides in ({"nonsense": 1}, {"workers": 2}, {"fd_step": 1e-6}):
+        # "workers", "fd_step" and the suite grids were fields once; old
+        # config files naming them must fail loudly rather than be
+        # half-applied.
+        for overrides in ({"nonsense": 1}, {"workers": 2}, {"fd_step": 1e-6},
+                          {"lemma2_grid": 5}, {"eigen_residual_bound": 1e-4}):
             cfg = tmp_path / "config.json"
             cfg.write_text(json.dumps(overrides))
             code, _, err = run(capsys, "--config", str(cfg), "eigen")

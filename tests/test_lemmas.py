@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conesphere.lemmas import (
     HalfPieceConfig,
@@ -14,7 +15,7 @@ from conesphere.lemmas import (
     step1_asymmetric_exclusion,
     _angle_sum_roots,
 )
-from conesphere.sphtrig import PI, NoTriangleError
+from conesphere.sphtrig import PI, NoTriangleError, dual_cosine_angle
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -314,6 +315,26 @@ def golden_extremize(ell, beta, lo, hi, kind):
             x2 = lo + GOLDEN * (hi - lo)
             f2 = f(x2)
     return 0.5 * (lo + hi)
+
+
+class TestAngleSumRoots:
+    def test_two_roots_near_the_fold(self):
+        # Near the fold (cos(beta) just below R) the two roots sit 0.0106
+        # apart, inside one cell of a coarse sign-change scan.
+        r = math.hypot(math.cos(1.0), math.sin(1.0) * math.cos(1.0))
+        beta = math.acos(r - 1e-5)
+        roots = _angle_sum_roots(1.0, 1.0, beta)
+        assert len(roots) == 2
+        assert roots[1] - roots[0] == pytest.approx(0.0106, abs=1e-4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(0.01, PI - 0.01), st.floats(0.01, PI - 0.01),
+           st.floats(0.01, PI - 0.01))
+    def test_roots_solve_the_dual_cosine_law(self, alpha, ell, beta):
+        for s in _angle_sum_roots(alpha, ell, beta):
+            assert alpha < s < alpha + PI
+            assert dual_cosine_angle(alpha, s - alpha, ell) == pytest.approx(
+                beta, abs=1e-12)
 
 
 class TestLemma3:

@@ -316,6 +316,14 @@ class TestFamilyDistance:
         assert abs(s - PI / 3) < 5e-4
         assert 1e-3 / math.sqrt(6) < dist < 1e-3
 
+    def test_angle_near_pi(self):
+        # With alpha within 2e-3 of pi the footballs at the ends of the slit
+        # window degenerate; those probes count as infinitely far.
+        spec = ConeAngleSpec(3.1405, 1.0)
+        s, dist = family_distance(base_metric(t=1.2, spec=spec), spec)
+        assert s == pytest.approx(1.2, abs=1e-9)
+        assert dist < 1e-12
+
 
 class TestRigidityScan:
     def test_small_scan_converges_onto_family(self):
