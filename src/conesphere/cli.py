@@ -94,11 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report path (default: stdout)")
 
     p = sub.add_parser("eigen", help="radial eigenfunction residual check")
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--alpha", type=float, default=PI / 2.0)
-    p.add_argument("--beta", type=float, default=PI / 2.0)
-    p.add_argument("--t", type=float, default=PI / 3.0)
     p.add_argument("--out", help="report path (default: stdout)")
 
     p = sub.add_parser("admissible", help="angle-data admissibility checks")
@@ -109,9 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_report(report: dict, out_path: str | None) -> None:
-    if out_path:
-        write_report(out_path, report)
+def _write_report(args, report: dict) -> None:
+    if args.out:
+        write_report(args.out, report)
     else:
         sys.stdout.write(render_report(report))
 
@@ -170,38 +165,42 @@ def _cmd_check(args, config: RunConfig) -> int:
         }
         results["residual"] = list(res.r)
         results["residual_norm"] = res.norm
-    _emit_report(build_report("check", config, results), args.out)
+    _write_report(args, build_report("check", config, results))
     return EXIT_PASS if report.is_valid else EXIT_FAIL
 
 
-def _cmd_rigidity(args, config: RunConfig) -> int:
-    overrides = {}
-    if args.radius is not None:
-        overrides["radius"] = args.radius
-    if args.samples is not None:
-        overrides["samples"] = args.samples
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = config.merged(overrides)
-    try:
-        report, ok = suites.rigidity_suite(config, args.alpha, args.beta, args.t)
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit_report(report, args.out)
-    return EXIT_PASS if ok else EXIT_FAIL
+def _rigidity(args, config: RunConfig):
+    overrides = {key: value for key in ("radius", "samples", "seed")
+                 if (value := getattr(args, key)) is not None}
+    return suites.rigidity_suite(config.merged(overrides),
+                                 args.alpha, args.beta, args.t)
 
 
-def _cmd_scan(args, config: RunConfig) -> int:
-    try:
-        l3_grid = np.linspace(args.l3_min, args.l3_max, args.grid)
-        l4_grid = np.linspace(args.l4_min, args.l4_max, args.grid)
-        report, rows, ok = suites.scan_suite(
-            config, args.alpha, args.beta, args.eps, args.branch,
-            l3_grid, l4_grid)
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+def _scan(args, config: RunConfig):
+    l3_grid = np.linspace(args.l3_min, args.l3_max, args.grid)
+    l4_grid = np.linspace(args.l4_min, args.l4_max, args.grid)
+    report, rows, ok = suites.scan_suite(
+        config, args.alpha, args.beta, args.eps, args.branch, l3_grid, l4_grid)
+    return (report, rows), ok
+
+
+def _lemmas(args, config: RunConfig):
+    if args.suite == "lemma1":
+        betas = ((args.beta_angle,) if args.beta_angle is not None
+                 else (0.5, 1.0, 2.0, 3.0))
+        return suites.lemma1_suite(config, betas)
+    if args.suite == "lemma2":
+        beta = args.beta_angle if args.beta_angle is not None else PI / 2.0
+        return suites.lemma2_suite(config, beta)
+    if args.suite == "lemma3":
+        if args.ell is None or args.beta_angle is None:
+            raise ValueError("lemma3 needs --ell and --beta-angle")
+        return suites.lemma3_suite(config, args.ell, args.beta_angle)
+    return suites.step1_suite(config, args.alpha, args.beta)
+
+
+def _write_scan(args, output) -> None:
+    report, rows = output
     csv_rows = scan_rows_to_csv(rows)
     if args.out:
         write_csv(args.out, SCAN_CSV_HEADER, csv_rows)
@@ -209,67 +208,34 @@ def _cmd_scan(args, config: RunConfig) -> int:
         sys.stdout.write(render_csv(SCAN_CSV_HEADER, csv_rows))
     if args.report:
         write_report(args.report, report)
-    return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _cmd_lemmas(args, config: RunConfig) -> int:
-    try:
-        if args.suite == "lemma1":
-            betas = ((args.beta_angle,) if args.beta_angle is not None
-                     else (0.5, 1.0, 2.0, 3.0))
-            report, ok = suites.lemma1_suite(config, betas)
-        elif args.suite == "lemma2":
-            beta = args.beta_angle if args.beta_angle is not None else PI / 2.0
-            report, ok = suites.lemma2_suite(config, beta)
-        elif args.suite == "lemma3":
-            if args.ell is None or args.beta_angle is None:
-                print("usage error: lemma3 needs --ell and --beta-angle",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            report, ok = suites.lemma3_suite(config, args.ell, args.beta_angle)
-        else:
-            report, ok = suites.step1_suite(config, args.alpha, args.beta)
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit_report(report, args.out)
-    return EXIT_PASS if ok else EXIT_FAIL
+def _suite_command(run, write=_write_report):
+    """The verdict rule of every suite command.
 
-
-def _cmd_eigen(args, config: RunConfig) -> int:
-    overrides = {}
-    if args.n is not None:
-        overrides["eigen_n"] = args.n
-    if args.delta is not None:
-        overrides["eigen_delta"] = args.delta
-    config = config.merged(overrides)
-    try:
-        report, ok = suites.eigen_suite(config, args.alpha, args.beta, args.t)
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit_report(report, args.out)
-    return EXIT_PASS if ok else EXIT_FAIL
-
-
-def _cmd_admissible(args, config: RunConfig) -> int:
-    try:
-        report, ok = suites.admissible_suite(config, args.alpha, args.beta)
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit_report(report, args.out)
-    return EXIT_PASS if ok else EXIT_FAIL
+    A suite's ValueError is a usage error (exit 2); otherwise its output is
+    written and the exit code is 0 on pass, 1 on fail.
+    """
+    def handler(args, config: RunConfig) -> int:
+        try:
+            output, ok = run(args, config)
+        except ValueError as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        write(args, output)
+        return EXIT_PASS if ok else EXIT_FAIL
+    return handler
 
 
 _HANDLERS = {
     "construct": _cmd_construct,
     "check": _cmd_check,
-    "rigidity": _cmd_rigidity,
-    "scan": _cmd_scan,
-    "lemmas": _cmd_lemmas,
-    "eigen": _cmd_eigen,
-    "admissible": _cmd_admissible,
+    "rigidity": _suite_command(_rigidity),
+    "scan": _suite_command(_scan, _write_scan),
+    "lemmas": _suite_command(_lemmas),
+    "eigen": _suite_command(lambda args, config: suites.eigen_suite(config)),
+    "admissible": _suite_command(
+        lambda args, config: suites.admissible_suite(config, args.alpha, args.beta)),
 }
 
 

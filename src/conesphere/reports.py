@@ -16,10 +16,11 @@ from . import __version__
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings a caller can set; echoed verbatim into every report.
+    """The solver's eight settings, the only ones a caller can set.
 
-    The solver's tolerances and multistart sizes, and the eigen check's
-    grid (``eigen --n/--delta``).  Suite grids are constants in ``suites``.
+    Tolerances, the Gauss-Newton iteration cap and damping, and the
+    multistart sizes; echoed verbatim into every report.  Suite grids and
+    bounds are constants in ``suites``.
     """
 
     res_tol: float = 1e-11
@@ -30,15 +31,22 @@ class RunConfig:
     radius: float = 0.05
     samples: int = 500
     seed: int = 7
-    eigen_n: int = 1001
-    eigen_delta: float = 0.1
 
     def merged(self, overrides: dict) -> "RunConfig":
-        """New config with overrides applied; unknown keys are an error."""
-        known = {f.name for f in dataclasses.fields(self)}
-        for key in overrides:
-            if key not in known:
+        """New config with overrides applied.
+
+        An unknown key is a KeyError.  A value whose type does not fit its
+        field is a ValueError: int fields take ints, float fields ints or
+        floats, and no field takes a bool.
+        """
+        types = {f.name: f.type for f in dataclasses.fields(self)}
+        for key, value in overrides.items():
+            if key not in types:
                 raise KeyError(f"unknown config field {key!r}")
+            allowed = (int,) if types[key] == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(
+                    f"config field {key!r} takes {types[key]}, got {value!r}")
         return dataclasses.replace(self, **overrides)
 
     @classmethod

@@ -293,8 +293,13 @@ def rigidity_scan(p: GluedFootballParams,
     config.radius, projects each with gauss_newton and reports the Jacobian
     spectrum at the base point, convergence counts and the largest family
     distance among converged solutions.  Deterministic for a fixed seed.
+    An empty probe (radius not positive, no samples) is a ValueError.
     """
     radius = config.radius
+    if not radius > 0.0:  # also rejects nan
+        raise ValueError(f"radius must be positive, got {radius!r}")
+    if config.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {config.samples!r}")
     base = glued_football(p)
     if not _ball_corners_valid(base, radius):
         feasible = max_feasible_radius(base)
@@ -361,6 +366,9 @@ def defect_scan(spec: ConeAngleSpec, l3_grid, l4_grid,
     Rows appear in lexicographic (l3, l4) order; infeasible nodes are
     emitted with feasible=False rather than dropped.
     """
+    if len(l3_grid) == 0 or len(l4_grid) == 0:
+        raise ValueError(f"scan grid needs at least 1 node per axis, "
+                         f"got {len(l3_grid)} x {len(l4_grid)}")
     closure = closure or ScanClosure()
     alpha, beta = spec.alpha, spec.beta
     d1 = alpha - 2.0 * closure.eps

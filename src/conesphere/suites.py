@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lemmas
 from .admissibility import AngleVector, chi, mp_distance, mp_distance_bruteforce
-from .eigencheck import RadialGrid, convergence_orders, radial_residual, slit_continuity, slit_value
+from .eigencheck import RadialGrid, convergence_orders, radial_residual
 from .metric import ConeAngleSpec, GluedFootballParams, glued_football, total_area
 from .reports import RunConfig, build_report
 from .solver import ScanClosure, defect_scan, rigidity_scan
@@ -139,26 +139,22 @@ def lemma1_suite(config: RunConfig, betas: tuple[float, ...]) -> tuple[dict, boo
     return build_report("lemmas --suite lemma1", config, results), ok
 
 
+# The eigen check's grid and its residual gate.
+EIGEN_N = 1001
+EIGEN_DELTA = 0.1
 EIGEN_RESIDUAL_BOUND = 1e-4
 
 
-def eigen_suite(config: RunConfig, alpha: float, beta: float,
-                t: float) -> tuple[dict, bool]:
-    grid = RadialGrid(config.eigen_n, config.eigen_delta)
-    residual = radial_residual(grid)
-    orders = convergence_orders(config.eigen_n, config.eigen_delta, refinements=2)
-    mismatch = slit_continuity(alpha, beta, t, n=100)
+def eigen_suite(config: RunConfig) -> tuple[dict, bool]:
+    residual = radial_residual(RadialGrid(EIGEN_N, EIGEN_DELTA))
+    orders = convergence_orders(EIGEN_N, EIGEN_DELTA, refinements=2)
     ok = (residual < EIGEN_RESIDUAL_BOUND
-          and all(1.9 <= o <= 2.1 for o in orders)
-          and mismatch == 0.0)
+          and all(1.9 <= o <= 2.1 for o in orders))
     results = {
-        "n": config.eigen_n, "delta": config.eigen_delta,
+        "n": EIGEN_N, "delta": EIGEN_DELTA,
         "max_residual": residual,
         "residual_bound": EIGEN_RESIDUAL_BOUND,
         "convergence_orders": orders,
-        "slit_mismatch": mismatch,
-        "slit_value_at_D": slit_value(0.0),
-        "slit_value_at_C": slit_value(t),
         "pass": ok,
     }
     return build_report("eigen", config, results), ok

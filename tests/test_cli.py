@@ -94,6 +94,15 @@ class TestRigidity:
         assert code == 2
         assert "max feasible radius" in err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--radius", "0"), ("--radius", "-0.01"), ("--samples", "0")])
+    def test_empty_probe_usage_error(self, capsys, option, value):
+        # A probe with no ball or no starts has nothing to give a verdict on.
+        code, _, err = run(capsys, "rigidity", "--alpha", ALPHA,
+                           "--beta", BETA, "--t", T, option, value)
+        assert code == 2
+        assert f"usage error: {option[2:]} must be" in err
+
     def test_angle_near_pi_passes(self, tmp_path, capsys):
         # The footballs at the ends of the slit window degenerate here; the
         # family search must step over them, not end the command.
@@ -157,6 +166,15 @@ class TestScan:
                            "--l4-min", "2.0", "--l4-max", "2.4", "--grid", "3")
         assert code == 1
 
+    def test_empty_grid_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--alpha", ALPHA, "--beta", BETA,
+                             "--l3-min", "1.0", "--l3-max", "1.1",
+                             "--l4-min", "1.0", "--l4-max", "1.1",
+                             "--grid", "0")
+        assert code == 2
+        assert out == ""
+        assert "usage error: scan grid needs at least 1 node" in err
+
 
 class TestLemmasCommand:
     def test_lemma3_exits_zero(self, capsys):
@@ -189,10 +207,18 @@ class TestLemmasCommand:
 
 class TestEigenAdmissible:
     def test_eigen_passes(self, capsys):
-        code, stdout, _ = run(capsys, "eigen", "--n", "501", "--delta", "0.1")
+        code, stdout, _ = run(capsys, "eigen")
         assert code == 0
-        report = json.loads(stdout)
-        assert report["results"]["slit_mismatch"] == 0.0
+        results = json.loads(stdout)["results"]
+        assert results["max_residual"] < results["residual_bound"]
+        assert not [key for key in results if key.startswith("slit_")]
+
+    @pytest.mark.parametrize("option", ["--n", "--delta", "--alpha", "--beta",
+                                        "--t"])
+    def test_eigen_takes_no_inputs(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", option, "501"])
+        assert exc.value.code == 2
 
     def test_admissible_example(self, capsys):
         code, stdout, _ = run(capsys, "admissible", "--alpha", ALPHA,
@@ -219,13 +245,38 @@ class TestConfigFile:
         assert report["results"]["starts"] == 9
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        # "workers", "fd_step" and the suite grids were fields once; old
-        # config files naming them must fail loudly rather than be
-        # half-applied.
+        # "workers", "fd_step", the suite grids and the eigen grid were
+        # fields once; old config files naming them must fail loudly rather
+        # than be half-applied.
         for overrides in ({"nonsense": 1}, {"workers": 2}, {"fd_step": 1e-6},
-                          {"lemma2_grid": 5}, {"eigen_residual_bound": 1e-4}):
+                          {"lemma2_grid": 5}, {"eigen_residual_bound": 1e-4},
+                          {"eigen_n": 501}, {"eigen_delta": 0.1}):
             cfg = tmp_path / "config.json"
             cfg.write_text(json.dumps(overrides))
             code, _, err = run(capsys, "--config", str(cfg), "eigen")
             assert code == 2
             assert next(iter(overrides)) in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"seed": 1.5}, {"res_tol": "x"}, {"samples": True}, {"dist_tol": None}],
+        ids=["float-seed", "str-res_tol", "bool-samples", "null-dist_tol"])
+    @pytest.mark.parametrize("command", [
+        ("rigidity", "--alpha", ALPHA, "--beta", BETA, "--t", T,
+         "--samples", "3"),
+        ("lemmas", "--suite", "lemma1", "--beta-angle", "1.0")],
+        ids=["rigidity", "lemma1"])
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, overrides,
+                                            command):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(overrides))
+        code, out, err = run(capsys, "--config", str(cfg), *command)
+        assert code == 2
+        assert out == ""
+        assert f"config error: config field {next(iter(overrides))!r}" in err
+
+    def test_int_fits_float_field(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dist_tol": 1}))
+        code, stdout, _ = run(capsys, "--config", str(cfg), "eigen")
+        assert code == 0
+        assert json.loads(stdout)["config"]["dist_tol"] == 1

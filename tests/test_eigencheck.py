@@ -2,13 +2,7 @@ import math
 
 import pytest
 
-from conesphere.eigencheck import (
-    RadialGrid,
-    convergence_orders,
-    radial_residual,
-    slit_continuity,
-    slit_value,
-)
+from conesphere.eigencheck import RadialGrid, convergence_orders, radial_residual
 from conesphere.sphtrig import PI
 
 
@@ -46,23 +40,3 @@ class TestRadialResidual:
         with pytest.raises(ValueError):
             RadialGrid(100, PI / 2)
 
-
-class TestSlitContinuity:
-    def test_mismatch_is_exactly_zero(self):
-        for alpha, beta, t in ((PI / 2, PI / 2, PI / 3), (0.5, 2.5, 1.9),
-                               (1.0, 1.0, PI / 2)):
-            assert slit_continuity(alpha, beta, t) == 0.0
-
-    def test_endpoint_values(self):
-        t = 0.7
-        assert slit_value(0.0) == pytest.approx(-1.0)
-        assert slit_value(t) == pytest.approx(-math.cos(t))
-
-    def test_independent_of_angles(self):
-        vals = {slit_continuity(a, b, 1.1)
-                for a in (0.5, 1.0, 2.5) for b in (0.5, 1.0, 2.5)}
-        assert vals == {0.0}
-
-    def test_range_guard(self):
-        with pytest.raises(ValueError):
-            slit_continuity(1.0, 1.0, 0.0)
