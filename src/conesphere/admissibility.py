@@ -32,9 +32,9 @@ class AngleVector:
         return cls(spec.normalized())
 
 
-def chi(v: AngleVector, euler_base: int = 2) -> float:
-    """Conic Euler characteristic: euler_base + sum(beta_j - 1)."""
-    return euler_base + sum(b - 1.0 for b in v.beta_vec)
+def chi(v: AngleVector) -> float:
+    """Conic Euler characteristic of the sphere: 2 + sum(beta_j - 1)."""
+    return 2 + sum(b - 1.0 for b in v.beta_vec)
 
 
 def mp_distance(v: AngleVector, parity: str = "sum") -> float:
@@ -71,22 +71,20 @@ def mp_distance(v: AngleVector, parity: str = "sum") -> float:
     return math.fsum(abs(xi - mi) for xi, mi in zip(x, rounded))
 
 
-def mp_distance_bruteforce(v: AngleVector, parity: str = "sum",
-                           radius: int = 2) -> float:
+def mp_distance_bruteforce(v: AngleVector, parity: str = "sum") -> float:
     """Exhaustive-search oracle for mp_distance over a bounded integer box.
 
-    Enumerates every integer vector within ``radius`` of the rounded
-    coordinates (the L1 minimizer never strays further than one flip) and
+    Enumerates every integer vector whose coordinates lie within 2 of the
+    rounded ones (the L1 minimizer never strays further than one flip) and
     keeps the admissible minimum.  Exponential in the dimension; intended
-    for cross-checks at small k.
+    for cross-checks in few dimensions.
     """
     if parity not in ("sum", "all"):
         raise ValueError(f"parity must be 'sum' or 'all', got {parity!r}")
     x = [b - 1.0 for b in v.beta_vec]
-    k = len(x)
     centers = [round(xi) for xi in x]
     best = None
-    ranges = [range(c - radius, c + radius + 1) for c in centers]
+    ranges = [range(c - 2, c + 3) for c in centers]
     for m in itertools.product(*ranges):
         if parity == "sum" and sum(m) % 2 == 0:
             continue

@@ -10,8 +10,8 @@ numerical sweep:
   isosceles triangles so every intermediate step stays in classical range.
 * lemma2_defect measures how far the corner total of two such pieces with an
   unevenly split D-angle misses 4*pi.
-* lemma3_sweep locates the extrema of the base-angle sum of triangles with a
-  fixed base and fixed opposite angle, which occur at the isosceles shapes.
+* lemma3_sweep gives the extrema of the base-angle sum of triangles with a
+  fixed base and fixed opposite angle in closed form: the isosceles shapes.
 * lemma1_caseb_exclusion certifies that two non-identical triangles over the
   chord can never piece together into a bigon.
 * step1_asymmetric_exclusion sweeps that defect over the slit length for
@@ -94,8 +94,6 @@ class ExtremalityResult:
 class Lemma3Result:
     degenerate: bool
     extrema: tuple[ExtremalityResult, ...]
-    feasible_nodes: int
-    infeasible_nodes: int
 
 
 @dataclass(frozen=True)
@@ -246,95 +244,49 @@ def _angle_sum_roots(alpha: float, ell: float, beta: float) -> list[float]:
     return [alpha + u for u in us if 1e-9 < u < PI - 1e-9]
 
 
-def lemma3_sweep(ell: float, beta: float, n: int = 241) -> Lemma3Result:
-    """Locate the interior extrema of the base-angle sum s(alpha).
+def lemma3_sweep(ell: float, beta: float) -> Lemma3Result:
+    """The interior extrema of the base-angle sum s(alpha).
 
-    For triangles with fixed base ell and fixed opposite angle beta, s is
-    swept over a grid of base angles alpha; interior extrema satisfy
-    alpha = s/2 (the isosceles shapes), so they are located by bisecting
-    s(alpha) - 2*alpha along each solution branch and classified by the
-    local second difference.  cos(ell) = cos(beta) is the degenerate case:
-    the critical shape sits in a flat family and is reported as such.
+    For triangles with fixed base ell and fixed opposite angle beta, the
+    extrema sit at the isosceles shapes alpha = s/2, where the dual cosine
+    law reads cos^2(alpha) = (cos(ell) - cos(beta))/(1 + cos(ell)).  So there
+    are two, alpha = acos(+-sqrt of that ratio), when cos(ell) > cos(beta),
+    and none when cos(ell) < cos(beta).  At each, s is solved back from the
+    law (the root nearest 2*alpha), so |alpha - s/2| tests the formula, and
+    the kind comes from the second difference of s along that root branch.
+    cos(ell) = cos(beta) is the degenerate case: the critical shape sits in
+    a flat family and is reported as such.
     """
+    for name, value in (("ell", ell), ("beta", beta)):
+        if not (0.0 < value < PI):
+            raise ValueError(f"{name} = {value!r} outside (0, pi)")
     if abs(math.sin(ell)) < 1e-12:
         raise ValueError(f"ell = {ell!r} too close to a multiple of pi")
-    if abs(math.cos(ell) - math.cos(beta)) < 1e-9:
+    cos_ell, cos_beta = math.cos(ell), math.cos(beta)
+    if abs(cos_ell - cos_beta) < 1e-9:
         return Lemma3Result(
             degenerate=True,
-            extrema=(ExtremalityResult(PI / 2.0, PI, "degenerate"),),
-            feasible_nodes=0, infeasible_nodes=0)
+            extrema=(ExtremalityResult(PI / 2.0, PI, "degenerate"),))
+    if cos_ell < cos_beta:
+        return Lemma3Result(degenerate=False, extrema=())
 
-    margin = 1e-3
-    alphas = [margin + (PI - 2 * margin) * k / (n - 1) for k in range(n)]
-    feasible = 0
-    infeasible = 0
-    # Lower and upper solution branches, indexed by grid node so that
-    # bisection brackets never straddle a feasibility gap.
-    branch_points: dict[str, list[tuple[int, float, float]]] = {"low": [], "high": []}
-    for idx, a in enumerate(alphas):
+    def s_near(a: float, target: float) -> float:
         roots = _angle_sum_roots(a, ell, beta)
         if not roots:
-            infeasible += 1
-            continue
-        feasible += 1
-        branch_points["low"].append((idx, a, min(roots)))
-        branch_points["high"].append((idx, a, max(roots)))
-    if feasible == 0:
-        raise NoTriangleError(
-            f"no feasible base angle for ell = {ell!r}, beta = {beta!r}")
+            raise NoTriangleError(
+                f"no triangle with base angle {a!r} for ell = {ell!r}, "
+                f"beta = {beta!r}")
+        return min(roots, key=lambda s: abs(s - target))
 
-    extrema: list[ExtremalityResult] = []
-    for name, points in branch_points.items():
-        pick = min if name == "low" else max
-
-        def s_of(a: float) -> float | None:
-            roots = _angle_sum_roots(a, ell, beta)
-            return pick(roots) if roots else None
-
-        for (i0, a0, s0), (i1, a1, s1) in zip(points, points[1:]):
-            if i1 != i0 + 1:
-                continue
-            g0, g1 = s0 - 2.0 * a0, s1 - 2.0 * a1
-            if g0 == 0.0:
-                a_star, s_star = a0, s0
-            elif g0 * g1 < 0.0:
-                lo_a, hi_a, g_lo = a0, a1, g0
-                failed = False
-                while hi_a - lo_a > 1e-11:
-                    mid = 0.5 * (lo_a + hi_a)
-                    s_mid = s_of(mid)
-                    if s_mid is None:
-                        failed = True
-                        break
-                    g_mid = s_mid - 2.0 * mid
-                    if g_lo * g_mid <= 0.0:
-                        hi_a = mid
-                    else:
-                        lo_a, g_lo = mid, g_mid
-                if failed:
-                    continue
-                a_star = 0.5 * (lo_a + hi_a)
-                s_val = s_of(a_star)
-                if s_val is None:
-                    continue
-                s_star = s_val
-            else:
-                continue
-            # Root-count folds can fake a sign change across branches;
-            # accept only genuine isosceles points.
-            if abs(s_star - 2.0 * a_star) > 1e-8:
-                continue
-            delta = 1e-4
-            s_m, s_p = s_of(a_star - delta), s_of(a_star + delta)
-            if s_m is None or s_p is None:
-                continue
-            curvature = s_m + s_p - 2.0 * s_star
-            kind = "minimum" if curvature > 0.0 else "maximum"
-            if not any(abs(e.alpha_crit - a_star) < 1e-6 for e in extrema):
-                extrema.append(ExtremalityResult(a_star, s_star, kind))
-    extrema.sort(key=lambda e: e.alpha_crit)
-    return Lemma3Result(degenerate=False, extrema=tuple(extrema),
-                        feasible_nodes=feasible, infeasible_nodes=infeasible)
+    x = math.sqrt((cos_ell - cos_beta) / (1.0 + cos_ell))
+    delta = 1e-4
+    extrema = []
+    for a in (clamped_acos(x), clamped_acos(-x)):
+        s = s_near(a, 2.0 * a)
+        curvature = s_near(a - delta, s) + s_near(a + delta, s) - 2.0 * s
+        kind = "minimum" if curvature > 0.0 else "maximum"
+        extrema.append(ExtremalityResult(a, s, kind))
+    return Lemma3Result(degenerate=False, extrema=tuple(extrema))
 
 
 def lemma1_caseb_exclusion(beta: float, l1_grid) -> CaseBReport:

@@ -109,8 +109,6 @@ def lemma3_suite(config: RunConfig, ell: float, beta: float) -> tuple[dict, bool
               and all(r["iso_gap"] < 1e-6 for r in rows)
               and {e.kind for e in res.extrema} == {"minimum", "maximum"})
     results = {"ell": ell, "beta": beta, "degenerate": res.degenerate,
-               "feasible_nodes": res.feasible_nodes,
-               "infeasible_nodes": res.infeasible_nodes,
                "extrema": rows, "pass": ok}
     return build_report("lemmas --suite lemma3", config, results), ok
 
@@ -219,22 +217,20 @@ def rigidity_suite(config: RunConfig, alpha: float, beta: float,
 
 def scan_suite(config: RunConfig, alpha: float, beta: float, eps: float,
                branch: str, l3_grid, l4_grid) -> tuple[dict, list, bool]:
-    """Defect scan plus the stated per-node sign assertion (eps != 0 only)."""
+    """Defect scan plus the stated per-node sign assertion (eps != 0 only).
+
+    A verdict needs at least one checked node: a scan at eps = 0, or one
+    whose nodes are all infeasible, fails.
+    """
     spec = ConeAngleSpec(alpha, beta)
     rows = defect_scan(spec, l3_grid, l4_grid, ScanClosure(eps=eps, branch=branch))
     regime = "below" if branch == "acute" else "above"
     expected = _stated_sign(regime)
-    ok = True
-    checked = 0
-    if eps != 0.0:
-        for row in rows:
-            if not row.feasible:
-                continue
-            checked += 1
-            sign = int(math.copysign(1.0, row.r_C)) if row.r_C else 0
-            if sign != expected:
-                ok = False
     feasible = sum(1 for r in rows if r.feasible)
+    signs = [int(math.copysign(1.0, r.r_C)) if r.r_C else 0
+             for r in rows if r.feasible] if eps != 0.0 else []
+    checked = len(signs)
+    ok = checked > 0 and all(sign == expected for sign in signs)
     results = {
         "alpha": alpha, "beta": beta, "eps": eps, "branch": branch,
         "nodes": len(rows), "feasible_nodes": feasible,

@@ -133,7 +133,8 @@ class TestScan:
                          "--l4-min", "1.0", "--l4-max", "1.1",
                          "--grid", "2", "--branch", "obtuse",
                          "--out", str(out))
-        assert code == 0
+        # At eps = 0 no node is checked, so there is no verdict to pass.
+        assert code == 1
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "l1,l2,l3,l4,l5,l6,rA,rB,rD,rC,feasible"
         assert len(lines) == 5
@@ -165,6 +166,20 @@ class TestScan:
                            "--l3-min", "2.0", "--l3-max", "2.4",
                            "--l4-min", "2.0", "--l4-max", "2.4", "--grid", "3")
         assert code == 1
+
+    def test_all_infeasible_window_fails(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        report = tmp_path / "scan.json"
+        code, _, _ = run(capsys, "scan", "--alpha", "1.0", "--beta", "2.0",
+                         "--eps", "0.05", "--l3-min", "0.3", "--l3-max", "0.4",
+                         "--l4-min", "2.6", "--l4-max", "2.7", "--grid", "3",
+                         "--out", str(out), "--report", str(report))
+        assert code == 1
+        results = json.loads(report.read_text())["results"]
+        assert results["feasible_nodes"] == 0
+        assert results["checked_nodes"] == 0
+        assert results["pass"] is False
+        assert len(out.read_text().strip().splitlines()) == 10
 
     def test_empty_grid_usage_error(self, capsys):
         code, out, err = run(capsys, "scan", "--alpha", ALPHA, "--beta", BETA,
@@ -203,6 +218,16 @@ class TestLemmasCommand:
     def test_lemma3_requires_inputs(self, capsys):
         code, _, err = run(capsys, "lemmas", "--suite", "lemma3")
         assert code == 2
+
+    @pytest.mark.parametrize("ell, beta", [
+        ("-1.0", "1.5"), ("7.0", "1.5"), ("1.0", "4.0"), ("1.0", "-1"),
+        ("1.0", "0.0")])
+    def test_lemma3_outside_zero_pi_usage_error(self, capsys, ell, beta):
+        code, out, err = run(capsys, "lemmas", "--suite", "lemma3",
+                             "--ell", ell, "--beta-angle", beta)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
 
 
 class TestEigenAdmissible:

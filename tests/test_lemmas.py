@@ -360,11 +360,10 @@ class TestLemma3:
             done += 1
             res = lemma3_sweep(ell, beta)
             assert len(res.extrema) == 2
-            x = math.sqrt((math.cos(ell) - math.cos(beta))
-                          / (1.0 + math.cos(ell)))
-            expected = sorted((math.acos(x), math.acos(-x)))
-            for ext, exp in zip(res.extrema, expected):
-                assert ext.alpha_crit == pytest.approx(exp, abs=1e-8)
+            for ext in res.extrema:
+                located = golden_extremize(ell, beta, ext.alpha_crit - 0.05,
+                                           ext.alpha_crit + 0.05, ext.kind)
+                assert ext.alpha_crit == pytest.approx(located, abs=1e-6)
                 assert abs(ext.alpha_crit - ext.s_crit / 2) < 1e-6
 
     def test_kind_vs_halfpi_truth(self):
@@ -409,6 +408,21 @@ class TestLemma3:
         # the sweep reports no interior extrema.
         res = lemma3_sweep(2.5, 0.5)
         assert res.extrema == ()
+
+    @pytest.mark.parametrize("ell, beta", [
+        (-1.0, 1.5), (0.0, 1.5), (PI, 1.5), (7.0, 1.5),
+        (1.0, -1.0), (1.0, 0.0), (1.0, PI), (1.0, 4.0)])
+    def test_lengths_and_angles_outside_zero_pi_rejected(self, ell, beta):
+        # No triangle has them; beta = -1 would otherwise pass as the
+        # degenerate case, since cos(-1) = cos(1).
+        with pytest.raises(ValueError, match="outside"):
+            lemma3_sweep(ell, beta)
+
+    def test_no_root_at_the_isosceles_angle_is_no_triangle(self, monkeypatch):
+        monkeypatch.setattr("conesphere.lemmas._angle_sum_roots",
+                            lambda alpha, ell, beta: [])
+        with pytest.raises(NoTriangleError, match="no triangle"):
+            lemma3_sweep(PI / 3, PI / 2)
 
 
 # ---------------------------------------------------------------------------
