@@ -37,22 +37,14 @@ def chi(v: AngleVector) -> float:
     return 2 + sum(b - 1.0 for b in v.beta_vec)
 
 
-def mp_distance(v: AngleVector, parity: str = "sum") -> float:
+def mp_distance(v: AngleVector) -> float:
     """L1 distance from beta_vec - 1 to the odd integer lattice.
 
-    parity="sum" (the cited convention) uses integer vectors with odd
-    coordinate sum: round each coordinate, then if the rounded sum is even
-    flip the single coordinate whose flip costs least, ties broken at the
-    lowest index.  parity="all" uses vectors with every coordinate odd and
-    is provided for comparison only.
+    The lattice is the integer vectors with odd coordinate sum: round each
+    coordinate, then if the rounded sum is even flip the single coordinate
+    whose flip costs least, ties broken at the lowest index.
     """
     x = [b - 1.0 for b in v.beta_vec]
-    if parity == "all":
-        # Nearest odd integer, coordinate by coordinate.
-        return math.fsum(abs(xi - (round((xi - 1.0) / 2.0) * 2 + 1))
-                         for xi in x)
-    if parity != "sum":
-        raise ValueError(f"parity must be 'sum' or 'all', got {parity!r}")
     rounded = [round(xi) for xi in x]
     if sum(rounded) % 2 != 0:
         return math.fsum(abs(xi - mi) for xi, mi in zip(x, rounded))
@@ -71,7 +63,7 @@ def mp_distance(v: AngleVector, parity: str = "sum") -> float:
     return math.fsum(abs(xi - mi) for xi, mi in zip(x, rounded))
 
 
-def mp_distance_bruteforce(v: AngleVector, parity: str = "sum") -> float:
+def mp_distance_bruteforce(v: AngleVector) -> float:
     """Exhaustive-search oracle for mp_distance over a bounded integer box.
 
     Enumerates every integer vector whose coordinates lie within 2 of the
@@ -79,16 +71,12 @@ def mp_distance_bruteforce(v: AngleVector, parity: str = "sum") -> float:
     keeps the admissible minimum.  Exponential in the dimension; intended
     for cross-checks in few dimensions.
     """
-    if parity not in ("sum", "all"):
-        raise ValueError(f"parity must be 'sum' or 'all', got {parity!r}")
     x = [b - 1.0 for b in v.beta_vec]
     centers = [round(xi) for xi in x]
     best = None
     ranges = [range(c - 2, c + 3) for c in centers]
     for m in itertools.product(*ranges):
-        if parity == "sum" and sum(m) % 2 == 0:
-            continue
-        if parity == "all" and any(mi % 2 == 0 for mi in m):
+        if sum(m) % 2 == 0:
             continue
         cost = math.fsum(abs(xi - mi) for xi, mi in zip(x, m))
         if best is None or cost < best:

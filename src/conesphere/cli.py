@@ -26,7 +26,6 @@ from .metric import (
 )
 from .reports import (
     SCAN_CSV_HEADER,
-    RunConfig,
     build_report,
     render_csv,
     render_report,
@@ -48,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="conesphere",
         description="Spherical conical metrics from glued footballs: "
                     "construction, validation and rigidity suites.")
-    parser.add_argument("--config", help="JSON file with RunConfig overrides")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a glued-football metric document")
@@ -65,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--radius", type=float, default=0.05)
+    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", help="report path (default: stdout)")
 
     p = sub.add_parser("scan", help="C-defect scan over an (l3, l4) grid")
@@ -111,7 +109,7 @@ def _write_report(args, report: dict) -> None:
         sys.stdout.write(render_report(report))
 
 
-def _cmd_construct(args, config: RunConfig) -> int:
+def _cmd_construct(args) -> int:
     try:
         spec = ConeAngleSpec(args.alpha, args.beta)
         metric = glued_football(GluedFootballParams(spec, args.t))
@@ -130,7 +128,7 @@ def _cmd_construct(args, config: RunConfig) -> int:
     return EXIT_PASS
 
 
-def _cmd_check(args, config: RunConfig) -> int:
+def _cmd_check(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -165,38 +163,36 @@ def _cmd_check(args, config: RunConfig) -> int:
         }
         results["residual"] = list(res.r)
         results["residual_norm"] = res.norm
-    _write_report(args, build_report("check", config, results))
+    _write_report(args, build_report("check", results))
     return EXIT_PASS if report.is_valid else EXIT_FAIL
 
 
-def _rigidity(args, config: RunConfig):
-    overrides = {key: value for key in ("radius", "samples", "seed")
-                 if (value := getattr(args, key)) is not None}
-    return suites.rigidity_suite(config.merged(overrides),
-                                 args.alpha, args.beta, args.t)
+def _rigidity(args):
+    return suites.rigidity_suite(args.alpha, args.beta, args.t,
+                                 args.radius, args.samples, args.seed)
 
 
-def _scan(args, config: RunConfig):
+def _scan(args):
     l3_grid = np.linspace(args.l3_min, args.l3_max, args.grid)
     l4_grid = np.linspace(args.l4_min, args.l4_max, args.grid)
     report, rows, ok = suites.scan_suite(
-        config, args.alpha, args.beta, args.eps, args.branch, l3_grid, l4_grid)
+        args.alpha, args.beta, args.eps, args.branch, l3_grid, l4_grid)
     return (report, rows), ok
 
 
-def _lemmas(args, config: RunConfig):
+def _lemmas(args):
     if args.suite == "lemma1":
         betas = ((args.beta_angle,) if args.beta_angle is not None
                  else (0.5, 1.0, 2.0, 3.0))
-        return suites.lemma1_suite(config, betas)
+        return suites.lemma1_suite(betas)
     if args.suite == "lemma2":
         beta = args.beta_angle if args.beta_angle is not None else PI / 2.0
-        return suites.lemma2_suite(config, beta)
+        return suites.lemma2_suite(beta)
     if args.suite == "lemma3":
         if args.ell is None or args.beta_angle is None:
             raise ValueError("lemma3 needs --ell and --beta-angle")
-        return suites.lemma3_suite(config, args.ell, args.beta_angle)
-    return suites.step1_suite(config, args.alpha, args.beta)
+        return suites.lemma3_suite(args.ell, args.beta_angle)
+    return suites.step1_suite(args.alpha, args.beta)
 
 
 def _write_scan(args, output) -> None:
@@ -216,9 +212,9 @@ def _suite_command(run, write=_write_report):
     A suite's ValueError is a usage error (exit 2); otherwise its output is
     written and the exit code is 0 on pass, 1 on fail.
     """
-    def handler(args, config: RunConfig) -> int:
+    def handler(args) -> int:
         try:
-            output, ok = run(args, config)
+            output, ok = run(args)
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return EXIT_USAGE
@@ -233,27 +229,15 @@ _HANDLERS = {
     "rigidity": _suite_command(_rigidity),
     "scan": _suite_command(_scan, _write_scan),
     "lemmas": _suite_command(_lemmas),
-    "eigen": _suite_command(lambda args, config: suites.eigen_suite(config)),
+    "eigen": _suite_command(lambda args: suites.eigen_suite()),
     "admissible": _suite_command(
-        lambda args, config: suites.admissible_suite(config, args.alpha, args.beta)),
+        lambda args: suites.admissible_suite(args.alpha, args.beta)),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        try:
-            config = RunConfig.from_file(args.config)
-        except OSError as err:
-            print(f"io error: {err}", file=sys.stderr)
-            return EXIT_IO
-        except (ValueError, KeyError) as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        config = RunConfig()
-    return _HANDLERS[args.command](args, config)
+    args = _build_parser().parse_args(argv)
+    return _HANDLERS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ numerical sweep:
   unevenly split D-angle misses 4*pi.
 * lemma3_sweep gives the extrema of the base-angle sum of triangles with a
   fixed base and fixed opposite angle in closed form: the isosceles shapes.
+  Where there are none, angle_sum_branches shows the sum is monotone.
 * lemma1_caseb_exclusion certifies that two non-identical triangles over the
   chord can never piece together into a bigon.
 * step1_asymmetric_exclusion sweeps that defect over the slit length for
@@ -94,6 +95,16 @@ class ExtremalityResult:
 class Lemma3Result:
     degenerate: bool
     extrema: tuple[ExtremalityResult, ...]
+
+
+@dataclass(frozen=True)
+class AngleSumBranch:
+    """The base-angle sum along one root branch over a run of base angles."""
+
+    alpha_min: float
+    alpha_max: float
+    samples: int
+    trend: str  # "increasing" | "decreasing" | "not monotone" | "unresolved"
 
 
 @dataclass(frozen=True)
@@ -289,6 +300,40 @@ def lemma3_sweep(ell: float, beta: float) -> Lemma3Result:
     return Lemma3Result(degenerate=False, extrema=tuple(extrema))
 
 
+def angle_sum_branches(ell: float, beta: float,
+                       alpha_grid) -> tuple[AngleSumBranch, ...]:
+    """Trend of the base-angle sum s along every branch of triangles.
+
+    alpha_grid samples the first base angle in ascending order.  Consecutive
+    nodes with the same nonzero number of _angle_sum_roots form one
+    connected root interval, and each root index on it is one branch of s.
+    A branch of one node has no trend ("unresolved"); a longer one is
+    increasing or decreasing if s moves strictly one way between every pair
+    of neighbours, and "not monotone" otherwise.  One-node branches occur
+    where two roots meet at a fold narrower than the grid step.
+    """
+    runs: list[tuple[list[float], list[list[float]]]] = []
+    count = 0
+    for a in map(float, alpha_grid):
+        roots = _angle_sum_roots(a, ell, beta)
+        if roots and len(roots) != count:
+            runs.append(([], []))
+        if roots:
+            runs[-1][0].append(a)
+            runs[-1][1].append(roots)
+        count = len(roots)
+    branches = []
+    for alphas, root_sets in runs:
+        for s in zip(*root_sets):
+            steps = [right - left for left, right in zip(s, s[1:])]
+            trend = ("unresolved" if not steps
+                     else "increasing" if all(d > 0.0 for d in steps)
+                     else "decreasing" if all(d < 0.0 for d in steps)
+                     else "not monotone")
+            branches.append(AngleSumBranch(alphas[0], alphas[-1], len(s), trend))
+    return tuple(branches)
+
+
 def lemma1_caseb_exclusion(beta: float, l1_grid) -> CaseBReport:
     """Certify that the non-identical (bigon) case closes for no l1.
 
@@ -296,7 +341,7 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> CaseBReport:
     so (cos l5 - 1)/(cos beta - 1) = sin^2 l1 < 1 away from l1 = pi/2, while
     closing the slit triangle over the same chord would need
     sin^2 alpha = (cos beta - 1)/(cos l5 - 1) > 1.  Each grid node is checked
-    both ways, including a direct scan over alpha.
+    both ways, and by the smallest closure gap over all alpha.
     """
     if not (0.0 < beta < PI):
         raise ValueError(f"beta = {beta!r} outside (0, pi)")
@@ -312,10 +357,10 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> CaseBReport:
         cos_l5 = 1.0 + (math.cos(beta) - 1.0) * sin2
         bigon_ratio = (cos_l5 - 1.0) / (math.cos(beta) - 1.0)
         required = (math.cos(beta) - 1.0) / (cos_l5 - 1.0)
-        # Direct evidence: no alpha satisfies the slit-triangle closure.
-        scan_min = min(
-            abs(1.0 + (cos_l5 - 1.0) * math.sin(a) ** 2 - math.cos(beta))
-            for a in (1e-2 + (PI - 2e-2) * k / 180.0 for k in range(181)))
+        # Direct evidence: no alpha satisfies the slit-triangle closure.  The
+        # closure gap |1 + (cos l5 - 1) sin^2 alpha - cos beta| equals
+        # (1 - cos beta)(1 - sin^2 l1 sin^2 alpha), smallest at alpha = pi/2.
+        scan_min = abs(cos_l5 - math.cos(beta))
         rows.append(CaseBRow(
             l1=l1, cos_l5=cos_l5, bigon_ratio=bigon_ratio,
             required_sin2_alpha=required,

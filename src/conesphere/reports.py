@@ -1,71 +1,22 @@
-"""Run configuration and deterministic report/CSV rendering.
+"""Deterministic report/CSV rendering.
 
-Every report embeds the artifact version and the full effective RunConfig,
-and serialization is canonical (sorted keys, shortest round-trip floats), so
-two runs with identical configuration produce byte-identical files.
+Every report embeds the artifact version and the command; the rigidity
+report also carries a config block: the solver's tolerance constants and
+the probe's radius, sample count and seed.  Serialization is canonical (sorted keys, shortest
+round-trip floats), so two runs with identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
 
 from . import __version__
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The solver's eight settings, the only ones a caller can set.
-
-    Tolerances, the Gauss-Newton iteration cap and damping, and the
-    multistart sizes; echoed verbatim into every report.  Suite grids and
-    bounds are constants in ``suites``.
-    """
-
-    res_tol: float = 1e-11
-    rank_tol: float = 1e-6
-    dist_tol: float = 1e-6
-    max_iter: int = 50
-    damping0: float = 1e-3
-    radius: float = 0.05
-    samples: int = 500
-    seed: int = 7
-
-    def merged(self, overrides: dict) -> "RunConfig":
-        """New config with overrides applied.
-
-        An unknown key is a KeyError.  A value whose type does not fit its
-        field is a ValueError: int fields take ints, float fields ints or
-        floats, and no field takes a bool.
-        """
-        types = {f.name: f.type for f in dataclasses.fields(self)}
-        for key, value in overrides.items():
-            if key not in types:
-                raise KeyError(f"unknown config field {key!r}")
-            allowed = (int,) if types[key] == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(
-                    f"config field {key!r} takes {types[key]}, got {value!r}")
-        return dataclasses.replace(self, **overrides)
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        return cls().merged(data)
-
-
-def build_report(command: str, config: RunConfig, results: dict) -> dict:
-    return {
-        "artifact": "conesphere",
-        "version": __version__,
-        "command": command,
-        "config": dataclasses.asdict(config),
-        "results": results,
-    }
+def build_report(command: str, results: dict) -> dict:
+    return {"artifact": "conesphere", "version": __version__,
+            "command": command, "results": results}
 
 
 def render_report(report: dict) -> str:

@@ -32,7 +32,6 @@ from .metric import (
     solve_triangle,
     validate,
 )
-from .reports import RunConfig
 from .sphtrig import (
     PI,
     InvalidTriangleError,
@@ -51,11 +50,20 @@ OFF_DOMAIN = (InvalidTriangleError, NumericalCorruptionError)
 FAMILY_T_MIN = 1e-4
 FAMILY_T_MAX = PI - 1e-4
 
-# Bounds of the Levenberg damping.  Along the family tangent sigma_4 is
-# about 1e-16 sigma_1, so an undamped minimum-norm step would blow up.
+# Gauss-Newton converges below RES_TOL within MAX_ITER steps; singular
+# values under RANK_TOL times the largest count as zero; rigidity holds
+# when every converged start lands within DIST_TOL of the glued family.
+RES_TOL = 1e-11
+MAX_ITER = 50
+RANK_TOL = 1e-6
+DIST_TOL = 1e-6
+# Start and bounds of the Levenberg damping.  Along the family tangent
+# sigma_4 is about 1e-16 sigma_1, so an undamped minimum-norm step would
+# blow up.
+DAMPING0 = 1e-3
 DAMPING_FLOOR = 1e-8
 DAMPING_MAX = 1e3
-# Once res_tol is met, polish until steps stall: the quadratically flat
+# Once RES_TOL is met, polish until steps stall: the quadratically flat
 # kernel directions need the extra steps to pull tight onto the solution set.
 STEP_TOL = 1e-10
 POLISH_LIMIT = 15
@@ -114,13 +122,12 @@ class RigidityReport:
     boundary_failures: int
     nonconverged: int
     max_family_distance: float
-    dist_tol: float
     # One row per converged start: (lengths, residual norm, s_star, distance).
     solutions: tuple[tuple[tuple[float, ...], float, float, float], ...]
 
     @property
     def rigidity_holds(self) -> bool:
-        return self.converged > 0 and self.max_family_distance < self.dist_tol
+        return self.converged > 0 and self.max_family_distance < DIST_TOL
 
 
 def _residual_vector(lengths, spec: ConeAngleSpec) -> np.ndarray:
@@ -156,7 +163,7 @@ def jacobian(m: TriangulatedMetric) -> np.ndarray:
     return np.array(J)
 
 
-def numerical_rank(J: np.ndarray, rel_tol: float = 1e-6) -> tuple[int, np.ndarray]:
+def numerical_rank(J: np.ndarray, rel_tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
     """Count of singular values at or above rel_tol times the largest."""
     svals = np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
@@ -172,13 +179,12 @@ def _damped_min_norm_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarra
     return -(Vt.T @ (factors * (U.T @ r)))
 
 
-def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec,
-                 config: RunConfig = RunConfig()) -> GaussNewtonResult:
+def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonResult:
     """Project a metric onto the cone-angle constraint set.
 
     Steps are damped minimum-norm least-squares solutions from the SVD of
     the exact Jacobian, backtracked to stay inside the validity region.
-    Success requires the residual norm below config.res_tol; the iteration
+    Success requires the residual norm below RES_TOL; the iteration
     then polishes until the step size stalls so that the quadratically flat
     directions are fully resolved.
     """
@@ -188,12 +194,12 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec,
     except OFF_DOMAIN:
         return GaussNewtonResult("boundary", None, math.inf, 0)
     rnorm = float(np.linalg.norm(r))
-    lam = config.damping0
+    lam = DAMPING0
     last_step = math.inf
     polish = 0
     iterations = 0
-    for _ in range(config.max_iter):
-        if rnorm < config.res_tol:
+    for _ in range(MAX_ITER):
+        if rnorm < RES_TOL:
             if last_step < STEP_TOL or polish >= POLISH_LIMIT:
                 break
             polish += 1
@@ -213,13 +219,13 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec,
                     return GaussNewtonResult("boundary", TriangulatedMetric(*x),
                                              rnorm, iterations)
         rnorm_new = float(np.linalg.norm(r_new))
-        if rnorm_new <= rnorm or rnorm_new < config.res_tol:
+        if rnorm_new <= rnorm or rnorm_new < RES_TOL:
             last_step = float(np.linalg.norm(step))
             x, r, rnorm = x_new, r_new, rnorm_new
             lam = max(lam / 3.0, DAMPING_FLOOR)
         else:
             lam = min(lam * 10.0, DAMPING_MAX)
-    if rnorm < config.res_tol:
+    if rnorm < RES_TOL:
         return GaussNewtonResult("converged", TriangulatedMetric(*x),
                                  rnorm, iterations)
     return GaussNewtonResult("max_iter", TriangulatedMetric(*x), rnorm, iterations)
@@ -285,33 +291,32 @@ def _ball_corners_valid(base: TriangulatedMetric, radius: float) -> bool:
     return True
 
 
-def rigidity_scan(p: GluedFootballParams,
-                  config: RunConfig = RunConfig()) -> RigidityReport:
+def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
+                  seed: int) -> RigidityReport:
     """Multistart probe of local rigidity around one glued football.
 
-    Draws config.samples starts uniformly in the max-norm ball of radius
-    config.radius, projects each with gauss_newton and reports the Jacobian
+    Draws samples starts uniformly in the max-norm ball of the given
+    radius, projects each with gauss_newton and reports the Jacobian
     spectrum at the base point, convergence counts and the largest family
     distance among converged solutions.  Deterministic for a fixed seed.
     An empty probe (radius not positive, no samples) is a ValueError.
     """
-    radius = config.radius
     if not radius > 0.0:  # also rejects nan
         raise ValueError(f"radius must be positive, got {radius!r}")
-    if config.samples < 1:
-        raise ValueError(f"samples must be at least 1, got {config.samples!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     base = glued_football(p)
     if not _ball_corners_valid(base, radius):
         feasible = max_feasible_radius(base)
         raise ValueError(
             f"radius {radius!r} leaves the validity region; "
             f"max feasible radius here is {feasible:.6f}")
-    rank, svals = numerical_rank(jacobian(base), config.rank_tol)
-    rng = np.random.default_rng(config.seed)
-    offsets = rng.uniform(-radius, radius, size=(config.samples, 6))
+    rank, svals = numerical_rank(jacobian(base))
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(-radius, radius, size=(samples, 6))
     starts = [TriangulatedMetric(*(np.array(base.lengths()) + off))
               for off in offsets]
-    results = [gauss_newton(s, p.spec, config) for s in starts]
+    results = [gauss_newton(s, p.spec) for s in starts]
     solutions = []
     boundary = 0
     nonconv = 0
@@ -327,15 +332,14 @@ def rigidity_scan(p: GluedFootballParams,
         else:
             nonconv += 1
     return RigidityReport(
-        spec=p.spec, t=p.t, radius=radius, seed=config.seed,
+        spec=p.spec, t=p.t, radius=radius, seed=seed,
         singular_values=tuple(float(s) for s in svals),
         kernel_dim=6 - rank,
-        starts=config.samples,
+        starts=samples,
         converged=len(solutions),
         boundary_failures=boundary,
         nonconverged=nonconv,
         max_family_distance=max_dist,
-        dist_tol=config.dist_tol,
         solutions=tuple(solutions),
     )
 

@@ -13,6 +13,7 @@ sign per node.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,8 +22,17 @@ from . import lemmas
 from .admissibility import AngleVector, chi, mp_distance, mp_distance_bruteforce
 from .eigencheck import RadialGrid, convergence_orders, radial_residual
 from .metric import ConeAngleSpec, GluedFootballParams, glued_football, total_area
-from .reports import RunConfig, build_report
-from .solver import ScanClosure, defect_scan, rigidity_scan
+from .reports import build_report
+from .solver import (
+    DAMPING0,
+    DIST_TOL,
+    MAX_ITER,
+    RANK_TOL,
+    RES_TOL,
+    ScanClosure,
+    defect_scan,
+    rigidity_scan,
+)
 from .sphtrig import PI
 
 
@@ -59,8 +69,8 @@ LEMMA2_WINDOWS = {"below": (2.0, 2.6), "above": (0.5, 1.04)}
 STEP1_WINDOWS = {"below": (2.11, 2.82), "above": (0.2, 1.06)}
 
 
-def _defect_suite(command: str, config: RunConfig, alpha: float, beta: float,
-                  windows: dict, results: dict) -> tuple[dict, bool]:
+def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
+                  results: dict) -> tuple[dict, bool]:
     """Uneven-split defect sweeps over every eps and regime window."""
     results["sweeps"] = []
     ok = True
@@ -82,41 +92,56 @@ def _defect_suite(command: str, config: RunConfig, alpha: float, beta: float,
                 "rows": rows, "pass": node_ok,
             })
     results["pass"] = ok
-    return build_report(command, config, results), ok
+    return build_report(command, results), ok
 
 
-def lemma2_suite(config: RunConfig, beta: float) -> tuple[dict, bool]:
-    return _defect_suite("lemmas --suite lemma2", config, beta, beta,
+def lemma2_suite(beta: float) -> tuple[dict, bool]:
+    return _defect_suite("lemmas --suite lemma2", beta, beta,
                          LEMMA2_WINDOWS, {"beta": beta})
 
 
-def step1_suite(config: RunConfig, alpha: float, beta: float) -> tuple[dict, bool]:
-    return _defect_suite("lemmas --suite step1", config, alpha, beta,
+def step1_suite(alpha: float, beta: float) -> tuple[dict, bool]:
+    return _defect_suite("lemmas --suite step1", alpha, beta,
                          STEP1_WINDOWS, {"alpha": alpha, "beta": beta})
 
 
-def lemma3_suite(config: RunConfig, ell: float, beta: float) -> tuple[dict, bool]:
+# Base angles at which lemma3 samples the angle sum when there is no
+# isosceles extremum: 1-degree steps inside (0, pi).
+LEMMA3_GRID = np.linspace(0.0, PI, 181)[1:-1]
+
+
+def lemma3_suite(ell: float, beta: float) -> tuple[dict, bool]:
     res = lemmas.lemma3_sweep(ell, beta)
     rows = [{"alpha_crit": e.alpha_crit, "s_crit": e.s_crit, "kind": e.kind,
              "iso_gap": abs(e.alpha_crit - 0.5 * e.s_crit)}
             for e in res.extrema]
+    results = {"ell": ell, "beta": beta, "degenerate": res.degenerate,
+               "extrema": rows}
     if res.degenerate:
         ok = len(res.extrema) == 1 and res.extrema[0].kind == "degenerate"
-    else:
+    elif res.extrema:
         # Node assertions: both isosceles extrema located, each a genuine
         # critical point of the angle sum.
         ok = (len(res.extrema) == 2
               and all(r["iso_gap"] < 1e-6 for r in rows)
               and {e.kind for e in res.extrema} == {"minimum", "maximum"})
-    results = {"ell": ell, "beta": beta, "degenerate": res.degenerate,
-               "extrema": rows, "pass": ok}
-    return build_report("lemmas --suite lemma3", config, results), ok
+    else:
+        # No isosceles shape (cos l < cos beta): the sum must have no
+        # interior critical point, so it is strictly monotone on every branch
+        # the grid resolves, and at least one branch must be resolved.
+        branches = lemmas.angle_sum_branches(ell, beta, LEMMA3_GRID)
+        trends = {b.trend for b in branches}
+        ok = (bool(trends & {"increasing", "decreasing"})
+              and "not monotone" not in trends)
+        results["branches"] = [dataclasses.asdict(b) for b in branches]
+    results["pass"] = ok
+    return build_report("lemmas --suite lemma3", results), ok
 
 
 LEMMA1_GRID = 1000
 
 
-def lemma1_suite(config: RunConfig, betas: tuple[float, ...]) -> tuple[dict, bool]:
+def lemma1_suite(betas: tuple[float, ...]) -> tuple[dict, bool]:
     ok = True
     per_beta = []
     # Grid over (0, pi) omitting the excluded midpoint l1 = pi/2.
@@ -134,7 +159,7 @@ def lemma1_suite(config: RunConfig, betas: tuple[float, ...]) -> tuple[dict, boo
             "pass": feasible_caseb == 0,
         })
     results = {"betas": list(betas), "per_beta": per_beta, "pass": ok}
-    return build_report("lemmas --suite lemma1", config, results), ok
+    return build_report("lemmas --suite lemma1", results), ok
 
 
 # The eigen check's grid and its residual gate.
@@ -143,7 +168,7 @@ EIGEN_DELTA = 0.1
 EIGEN_RESIDUAL_BOUND = 1e-4
 
 
-def eigen_suite(config: RunConfig) -> tuple[dict, bool]:
+def eigen_suite() -> tuple[dict, bool]:
     residual = radial_residual(RadialGrid(EIGEN_N, EIGEN_DELTA))
     orders = convergence_orders(EIGEN_N, EIGEN_DELTA, refinements=2)
     ok = (residual < EIGEN_RESIDUAL_BOUND
@@ -155,10 +180,10 @@ def eigen_suite(config: RunConfig) -> tuple[dict, bool]:
         "convergence_orders": orders,
         "pass": ok,
     }
-    return build_report("eigen", config, results), ok
+    return build_report("eigen", results), ok
 
 
-def admissible_suite(config: RunConfig, alpha: float, beta: float) -> tuple[dict, bool]:
+def admissible_suite(alpha: float, beta: float) -> tuple[dict, bool]:
     spec = ConeAngleSpec(alpha, beta)
     vec = AngleVector.from_spec(spec)
     mp = mp_distance(vec)
@@ -179,19 +204,18 @@ def admissible_suite(config: RunConfig, alpha: float, beta: float) -> tuple[dict
         "beta_vec": list(vec.beta_vec),
         "mp_distance": mp,
         "mp_distance_bruteforce": mp_brute,
-        "mp_distance_all_odd": mp_distance(vec, parity="all"),
         "chi": chi_val,
         "chi_closed_form": chi_closed,
         "area_checks": area_checks,
         "pass": ok,
     }
-    return build_report("admissible", config, results), ok
+    return build_report("admissible", results), ok
 
 
-def rigidity_suite(config: RunConfig, alpha: float, beta: float,
-                   t: float) -> tuple[dict, bool]:
+def rigidity_suite(alpha: float, beta: float, t: float, radius: float,
+                   samples: int, seed: int) -> tuple[dict, bool]:
     report = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
-                           config)
+                           radius, samples, seed)
     ok = report.rigidity_holds
     results = {
         "alpha": alpha, "beta": beta, "t": t,
@@ -203,7 +227,7 @@ def rigidity_suite(config: RunConfig, alpha: float, beta: float,
         "boundary_failures": report.boundary_failures,
         "nonconverged": report.nonconverged,
         "max_family_distance": report.max_family_distance,
-        "dist_tol": report.dist_tol,
+        "dist_tol": DIST_TOL,
         "rigidity_holds": report.rigidity_holds,
         "solutions": [
             {"lengths": list(lengths), "residual_norm": rn,
@@ -212,10 +236,13 @@ def rigidity_suite(config: RunConfig, alpha: float, beta: float,
         ],
         "pass": ok,
     }
-    return build_report("rigidity", config, results), ok
+    config = {"res_tol": RES_TOL, "rank_tol": RANK_TOL, "dist_tol": DIST_TOL,
+              "max_iter": MAX_ITER, "damping0": DAMPING0,
+              "radius": radius, "samples": samples, "seed": seed}
+    return {**build_report("rigidity", results), "config": config}, ok
 
 
-def scan_suite(config: RunConfig, alpha: float, beta: float, eps: float,
+def scan_suite(alpha: float, beta: float, eps: float,
                branch: str, l3_grid, l4_grid) -> tuple[dict, list, bool]:
     """Defect scan plus the stated per-node sign assertion (eps != 0 only).
 
@@ -238,4 +265,4 @@ def scan_suite(config: RunConfig, alpha: float, beta: float, eps: float,
         "expected_sign": expected if eps != 0.0 else 0,
         "pass": ok,
     }
-    return build_report("scan", config, results), rows, ok
+    return build_report("scan", results), rows, ok

@@ -24,7 +24,7 @@ from conesphere.lemmas import (
     step1_asymmetric_exclusion,
 )
 from conesphere.metric import ConeAngleSpec, GluedFootballParams, cone_angles, glued_football, total_area
-from conesphere.reports import RunConfig, render_report
+from conesphere.reports import render_report
 from conesphere.solver import ScanClosure, defect_scan, jacobian, numerical_rank, rigidity_scan
 from conesphere.sphtrig import PI
 
@@ -64,7 +64,7 @@ def test_c1_family_realization():
 ])
 def test_c2_rigidity(alpha, beta, t):
     rep = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
-                        RunConfig(radius=0.05, samples=500, seed=7))
+                        radius=0.05, samples=500, seed=7)
     frac = rep.converged / rep.starts
     ok = frac >= 0.95 and rep.max_family_distance < 1e-6
     report(f"2 rigidity ({alpha:.4f},{beta:.4f},{t:.4f})", ok,
@@ -257,13 +257,12 @@ def test_c8_eigencheck():
 def test_c9_determinism():
     from conesphere.suites import admissible_suite, lemma2_suite, rigidity_suite
 
-    config = RunConfig(samples=30)
     pairs = []
-    for runner, args in ((rigidity_suite, (PI / 2, PI / 2, PI / 3)),
+    for runner, args in ((rigidity_suite, (PI / 2, PI / 2, PI / 3, 0.05, 30, 7)),
                          (lemma2_suite, (PI / 2,)),
                          (admissible_suite, (1.0, 2.0))):
-        first, _ = runner(config, *args)
-        second, _ = runner(config, *args)
+        first, _ = runner(*args)
+        second, _ = runner(*args)
         pairs.append(render_report(first) == render_report(second))
     ok = all(pairs)
     report("9 determinism", ok, f"byte-identical: {pairs}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,20 +58,16 @@ class TestMpDistance:
         vec = AngleVector(tuple(entries))
         assert mp_distance(vec) == mp_distance_bruteforce(vec)
 
-    @given(st.lists(st.floats(0.01, 3.99), min_size=1, max_size=4))
-    @settings(max_examples=100)
-    def test_all_odd_variant_matches_bruteforce(self, entries):
-        vec = AngleVector(tuple(entries))
-        assert mp_distance(vec, parity="all") == pytest.approx(
-            mp_distance_bruteforce(vec, parity="all"), abs=1e-12)
-
     def test_all_odd_variant_on_family_is_not_unit(self):
-        # With every coordinate forced odd the family distance is
-        # (alpha + beta)/pi, not 1; the sum-parity convention is the one
-        # that puts the family on the unit boundary.
+        # With every coordinate forced odd (nearest odd integer, coordinate
+        # by coordinate) the family distance is (alpha + beta)/pi, not 1;
+        # the odd-sum lattice of mp_distance is the one that puts the family
+        # on the unit boundary.
         vec = AngleVector.from_spec(ConeAngleSpec(0.3, 0.3))
-        assert mp_distance(vec, parity="all") == pytest.approx(0.6 / PI,
-                                                               abs=1e-12)
+        all_odd = math.fsum(abs(x - (2 * round((x - 1.0) / 2.0) + 1))
+                            for x in (b - 1.0 for b in vec.beta_vec))
+        assert all_odd == pytest.approx(0.6 / PI, abs=1e-12)
+        assert mp_distance(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_break_is_deterministic(self):
         vec = AngleVector((1.5, 1.5))
@@ -77,5 +75,6 @@ class TestMpDistance:
         assert mp_distance(vec) == pytest.approx(1.0)
 
     def test_unknown_parity_rejected(self):
-        with pytest.raises(ValueError):
-            mp_distance(AngleVector((1.0,)), parity="weird")
+        # The odd-sum lattice is the only convention; there is no parity knob.
+        with pytest.raises(TypeError):
+            mp_distance(AngleVector((1.0,)), parity="all")

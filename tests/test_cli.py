@@ -115,6 +115,22 @@ class TestRigidity:
         assert results["converged"] == 3
         assert results["max_family_distance"] < 1e-6
 
+    def test_config_block_is_constants_plus_probe(self, tmp_path, capsys):
+        # The rigidity report is the only one with a config block: the five
+        # solver constants and the probe options as given on the command line.
+        out = tmp_path / "rigidity.json"
+        code, _, _ = run(capsys, "rigidity", "--alpha", ALPHA, "--beta", BETA,
+                         "--t", T, "--samples", "9", "--seed", "11",
+                         "--out", str(out))
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["config"] == {
+            "res_tol": 1e-11, "rank_tol": 1e-6, "dist_tol": 1e-6,
+            "max_iter": 50, "damping0": 1e-3,
+            "radius": 0.05, "samples": 9, "seed": 11}
+        assert report["results"]["starts"] == 9
+        assert report["results"]["seed"] == 11
+
     def test_reports_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -200,6 +216,17 @@ class TestLemmasCommand:
         kinds = {e["kind"] for e in report["results"]["extrema"]}
         assert kinds == {"minimum", "maximum"}
 
+    def test_lemma3_without_extrema_exits_zero(self, capsys):
+        # cos(l) < cos(beta): no isosceles shape, and the angle sum rises
+        # along both root intervals.
+        code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
+                              "--ell", "2.5", "--beta-angle", "0.5")
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        assert results["extrema"] == []
+        assert [b["trend"] for b in results["branches"]] == [
+            "increasing", "increasing"]
+
     def test_lemma1_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma1",
                               "--beta-angle", "1.0")
@@ -245,63 +272,23 @@ class TestEigenAdmissible:
             main(["eigen", option, "501"])
         assert exc.value.code == 2
 
+    def test_suite_reports_carry_no_config(self, capsys):
+        for argv in (("eigen",), ("admissible", "--alpha", ALPHA, "--beta", BETA)):
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0
+            assert "config" not in json.loads(stdout)
+
+    def test_config_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", "x.json", "eigen"])
+        assert exc.value.code == 2
+
     def test_admissible_example(self, capsys):
         code, stdout, _ = run(capsys, "admissible", "--alpha", ALPHA,
                               "--beta", BETA)
         assert code == 0
         results = json.loads(stdout)["results"]
         assert results["mp_distance"] == pytest.approx(1.0, abs=1e-12)
+        assert "mp_distance_all_odd" not in results
         assert results["chi"] == pytest.approx(
             (float(ALPHA) + float(BETA)) / PI, abs=1e-14)
-
-
-class TestConfigFile:
-    def test_config_overrides_and_echo(self, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"samples": 9, "seed": 11}))
-        out = tmp_path / "report.json"
-        code, _, _ = run(capsys, "--config", str(cfg), "rigidity",
-                         "--alpha", ALPHA, "--beta", BETA, "--t", T,
-                         "--out", str(out))
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["config"]["samples"] == 9
-        assert report["config"]["seed"] == 11
-        assert report["results"]["starts"] == 9
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        # "workers", "fd_step", the suite grids and the eigen grid were
-        # fields once; old config files naming them must fail loudly rather
-        # than be half-applied.
-        for overrides in ({"nonsense": 1}, {"workers": 2}, {"fd_step": 1e-6},
-                          {"lemma2_grid": 5}, {"eigen_residual_bound": 1e-4},
-                          {"eigen_n": 501}, {"eigen_delta": 0.1}):
-            cfg = tmp_path / "config.json"
-            cfg.write_text(json.dumps(overrides))
-            code, _, err = run(capsys, "--config", str(cfg), "eigen")
-            assert code == 2
-            assert next(iter(overrides)) in err
-
-    @pytest.mark.parametrize("overrides", [
-        {"seed": 1.5}, {"res_tol": "x"}, {"samples": True}, {"dist_tol": None}],
-        ids=["float-seed", "str-res_tol", "bool-samples", "null-dist_tol"])
-    @pytest.mark.parametrize("command", [
-        ("rigidity", "--alpha", ALPHA, "--beta", BETA, "--t", T,
-         "--samples", "3"),
-        ("lemmas", "--suite", "lemma1", "--beta-angle", "1.0")],
-        ids=["rigidity", "lemma1"])
-    def test_mistyped_config_value_rejected(self, tmp_path, capsys, overrides,
-                                            command):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(overrides))
-        code, out, err = run(capsys, "--config", str(cfg), *command)
-        assert code == 2
-        assert out == ""
-        assert f"config error: config field {next(iter(overrides))!r}" in err
-
-    def test_int_fits_float_field(self, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"dist_tol": 1}))
-        code, stdout, _ = run(capsys, "--config", str(cfg), "eigen")
-        assert code == 0
-        assert json.loads(stdout)["config"]["dist_tol"] == 1

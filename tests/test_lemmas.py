@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conesphere import suites
 from conesphere.lemmas import (
     HalfPieceConfig,
+    Lemma3Result,
+    angle_sum_branches,
     half_piece_solve,
     inequality_sign,
     lemma1_caseb_exclusion,
@@ -409,6 +412,35 @@ class TestLemma3:
         res = lemma3_sweep(2.5, 0.5)
         assert res.extrema == ()
 
+    def test_angle_sum_monotone_without_extrema(self):
+        # Triangles exist for small and for large base angles only, and the
+        # sum rises along both root intervals.
+        branches = angle_sum_branches(2.5, 0.5, suites.LEMMA3_GRID)
+        assert [b.trend for b in branches] == ["increasing", "increasing"]
+        assert branches[0].alpha_max < 0.5 < 2.6 < branches[1].alpha_min
+        report, ok = suites.lemma3_suite(2.5, 0.5)
+        assert ok and report["results"]["pass"]
+
+    @pytest.mark.parametrize("ell, beta, trends", [
+        (PI / 3, PI / 2, ["not monotone"] * 2),
+        (0.5, 1.0, ["increasing", "not monotone", "not monotone",
+                    "increasing"])])
+    def test_monotonicity_check_fails_where_extrema_exist(
+            self, monkeypatch, ell, beta, trends):
+        # Negative control: here the sum has a maximum and a minimum, so the
+        # branches through them are not monotone, and a sweep that missed
+        # both extrema would fail the suite, even beside monotone branches.
+        branches = angle_sum_branches(ell, beta, suites.LEMMA3_GRID)
+        assert [b.trend for b in branches] == trends
+        monkeypatch.setattr("conesphere.lemmas.lemma3_sweep",
+                            lambda ell, beta: Lemma3Result(False, ()))
+        report, ok = suites.lemma3_suite(ell, beta)
+        assert not ok and not report["results"]["pass"]
+
+    def test_one_node_branch_is_unresolved(self):
+        branches = angle_sum_branches(2.5, 0.5, [0.3])
+        assert [(b.samples, b.trend) for b in branches] == [(1, "unresolved")]
+
     @pytest.mark.parametrize("ell, beta", [
         (-1.0, 1.5), (0.0, 1.5), (PI, 1.5), (7.0, 1.5),
         (1.0, -1.0), (1.0, 0.0), (1.0, PI), (1.0, 4.0)])
@@ -437,6 +469,19 @@ class TestLemma1CaseB:
             rep = lemma1_caseb_exclusion(beta, grid)
             assert rep.all_excluded
             assert min(r.alpha_scan_min for r in rep.rows) > 0.0
+
+    def test_alpha_scan_min_matches_a_direct_scan(self):
+        # The closed form |cos l5 - cos beta| against the closure gap
+        # scanned over 181 alphas in [0.01, pi - 0.01], which include pi/2.
+        grid = np.linspace(0.05, PI - 0.05, 40)
+        for beta in (0.5, 1.0, 2.0, 3.0):
+            for row in lemma1_caseb_exclusion(beta, grid).rows:
+                scanned = min(
+                    abs(1.0 + (row.cos_l5 - 1.0) * math.sin(a) ** 2
+                        - math.cos(beta))
+                    for a in (1e-2 + (PI - 2e-2) * k / 180.0
+                              for k in range(181)))
+                assert row.alpha_scan_min == pytest.approx(scanned, abs=1e-15)
 
     def test_spec_point(self):
         rep = lemma1_caseb_exclusion(PI / 2, [PI / 3])

@@ -11,7 +11,6 @@ from conesphere.metric import (
     glued_football,
     validate,
 )
-from conesphere.reports import RunConfig
 from conesphere.solver import (
     ScanClosure,
     defect_scan,
@@ -328,7 +327,7 @@ class TestFamilyDistance:
 class TestRigidityScan:
     def test_small_scan_converges_onto_family(self):
         report = rigidity_scan(GluedFootballParams(SPEC, PI / 3),
-                               RunConfig(radius=0.05, samples=40, seed=7))
+                               radius=0.05, samples=40, seed=7)
         assert report.converged == 40
         assert report.max_family_distance < 1e-6
         assert report.rigidity_holds
@@ -338,22 +337,21 @@ class TestRigidityScan:
         from conesphere.suites import rigidity_suite
         from conesphere.reports import render_report
 
-        config = RunConfig(samples=15)
-        rep1, _ = rigidity_suite(config, PI / 2, PI / 2, PI / 3)
-        rep2, _ = rigidity_suite(config, PI / 2, PI / 2, PI / 3)
+        rep1, _ = rigidity_suite(PI / 2, PI / 2, PI / 3, 0.05, 15, 7)
+        rep2, _ = rigidity_suite(PI / 2, PI / 2, PI / 3, 0.05, 15, 7)
         assert render_report(rep1) == render_report(rep2)
 
     def test_seed_changes_details_not_verdict(self):
         p = GluedFootballParams(SPEC, PI / 3)
-        rep1 = rigidity_scan(p, RunConfig(radius=0.05, samples=25, seed=7))
-        rep2 = rigidity_scan(p, RunConfig(radius=0.05, samples=25, seed=8))
+        rep1 = rigidity_scan(p, radius=0.05, samples=25, seed=7)
+        rep2 = rigidity_scan(p, radius=0.05, samples=25, seed=8)
         assert rep1.rigidity_holds == rep2.rigidity_holds
         assert rep1.solutions != rep2.solutions
 
     def test_oversized_radius_names_feasible_bound(self):
         p = GluedFootballParams(SPEC, 0.1)
         with pytest.raises(ValueError) as err:
-            rigidity_scan(p, RunConfig(radius=0.5, samples=5))
+            rigidity_scan(p, radius=0.5, samples=5, seed=7)
         feasible = max_feasible_radius(glued_football(p))
         assert f"{feasible:.6f}" in str(err.value)
 
