@@ -8,15 +8,17 @@ numerical sweep:
   length, and report the total corner angle collected at the 4*pi cone
   point.  Corner totals may exceed pi; they are assembled from two proper
   isosceles triangles so every intermediate step stays in classical range.
-* lemma2_defect measures how far the corner total of two such pieces with an
-  unevenly split D-angle misses 4*pi.
+* defect_node measures how far the corner total of two such pieces, with
+  football angles (alpha, beta) and the D-angle split unevenly as
+  (alpha - 2*eps, beta + 2*eps), misses 4*pi; step1_asymmetric_exclusion
+  sweeps it over the slit length.  Lemma 2 is the case alpha = beta.
 * lemma3_sweep gives the extrema of the base-angle sum of triangles with a
   fixed base and fixed opposite angle in closed form: the isosceles shapes.
-  Where there are none, angle_sum_branches shows the sum is monotone.
+  Where there are none, angle_sum_branches shows the sum is monotone on
+  every interval of base angles between the closed-form points where the
+  number of triangles changes.
 * lemma1_caseb_exclusion certifies that two non-identical triangles over the
   chord can never piece together into a bigon.
-* step1_asymmetric_exclusion sweeps that defect over the slit length for
-  football angles (alpha, beta); lemma2_sweep is its case alpha = beta.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class AngleSumBranch:
     alpha_min: float
     alpha_max: float
     samples: int
-    trend: str  # "increasing" | "decreasing" | "not monotone" | "unresolved"
+    trend: str  # "increasing" | "decreasing" | "not monotone"
 
 
 @dataclass(frozen=True)
@@ -186,30 +188,22 @@ def half_piece_solve(cfg: HalfPieceConfig) -> HalfPieceSolution:
     return HalfPieceSolution(side=side, corner=corner)
 
 
-def lemma2_defect(beta: float, eps: float, ell: float, regime: str) -> Lemma2Defect:
-    """Corner-total defect for the equal-angle surface with D-split beta -+ 2*eps.
+def defect_node(alpha: float, beta: float, eps: float, ell: float,
+                regime: str) -> Lemma2Defect:
+    """Corner-total defect for the D-split (alpha - 2*eps, beta + 2*eps).
 
-    regime "below" is the perturbation branch with l1, l2 < pi/2 (slit
-    length above pi/2); "above" is the mirror branch.
+    Each piece pairs a football angle with its share of the D-angle; both
+    shares must lie in (0, pi).  regime "below" is the perturbation branch
+    with l1, l2 < pi/2 (slit length ell above pi/2); "above" is the mirror
+    branch.
     """
-    return _defect_node(beta, beta, _d_split(beta, beta, eps), ell, regime)
-
-
-def _d_split(alpha: float, beta: float, eps: float) -> tuple[float, float]:
-    """The uneven D-split (alpha - 2*eps, beta + 2*eps), checked to lie in (0, pi)."""
-    b1, b2 = alpha - 2.0 * eps, beta + 2.0 * eps
-    if not (0.0 < b1 < PI and 0.0 < b2 < PI):
-        raise ValueError(f"D-split {b1!r}, {b2!r} leaves (0, pi)")
-    return b1, b2
-
-
-def _defect_node(alpha: float, beta: float, split: tuple[float, float],
-                 ell: float, regime: str) -> Lemma2Defect:
-    """Defect of the pieces (alpha, split[0]) and (beta, split[1]) at slit ell."""
+    d1, d2 = alpha - 2.0 * eps, beta + 2.0 * eps
+    if not (0.0 < d1 < PI and 0.0 < d2 < PI):
+        raise ValueError(f"D-split {d1!r}, {d2!r} leaves (0, pi)")
     _check_regime(ell, regime)
     branch = "acute" if regime == "below" else "obtuse"
-    p1 = half_piece_solve(HalfPieceConfig(0.5 * alpha, 0.5 * split[0], ell, branch))
-    p2 = half_piece_solve(HalfPieceConfig(0.5 * beta, 0.5 * split[1], ell, branch))
+    p1 = half_piece_solve(HalfPieceConfig(0.5 * alpha, 0.5 * d1, ell, branch))
+    p2 = half_piece_solve(HalfPieceConfig(0.5 * beta, 0.5 * d2, ell, branch))
     return Lemma2Defect(l1=p1.side, l2=p2.side,
                         alpha1=p1.corner, alpha2=p2.corner,
                         defect=2.0 * (p1.corner + p2.corner) - 4.0 * PI)
@@ -300,34 +294,45 @@ def lemma3_sweep(ell: float, beta: float) -> Lemma3Result:
     return Lemma3Result(degenerate=False, extrema=tuple(extrema))
 
 
-def angle_sum_branches(ell: float, beta: float,
-                       alpha_grid) -> tuple[AngleSumBranch, ...]:
+# Evenly spaced base angles angle_sum_branches samples inside each interval;
+# an interval narrower than SLIVER lies within the roundoff of its ends and
+# of the 1e-9 margin of _angle_sum_roots, and is skipped.
+BRANCH_NODES = 32
+SLIVER = 1e-8
+
+
+def angle_sum_branches(ell: float, beta: float) -> tuple[AngleSumBranch, ...]:
     """Trend of the base-angle sum s along every branch of triangles.
 
-    alpha_grid samples the first base angle in ascending order.  Consecutive
-    nodes with the same nonzero number of _angle_sum_roots form one
-    connected root interval, and each root index on it is one branch of s.
-    A branch of one node has no trend ("unresolved"); a longer one is
-    increasing or decreasing if s moves strictly one way between every pair
-    of neighbours, and "not monotone" otherwise.  One-node branches occur
-    where two roots meet at a fold narrower than the grid step.
+    The number of _angle_sum_roots changes only where a root leaves
+    (alpha, alpha + pi), at alpha = beta or pi - beta, or where the two
+    roots meet, at sin(alpha) = sin(beta)/sin(ell).  Those points cut (0, pi)
+    into intervals.  Each one wider than SLIVER is sampled at BRANCH_NODES
+    nodes strictly inside it, which must all have the same root count
+    (AssertionError otherwise), and each root index there is one branch of
+    s: increasing or decreasing if s moves strictly one way between every
+    pair of neighbours, and "not monotone" otherwise.
     """
-    runs: list[tuple[list[float], list[list[float]]]] = []
-    count = 0
-    for a in map(float, alpha_grid):
-        roots = _angle_sum_roots(a, ell, beta)
-        if roots and len(roots) != count:
-            runs.append(([], []))
-        if roots:
-            runs[-1][0].append(a)
-            runs[-1][1].append(roots)
-        count = len(roots)
+    cuts = {beta, PI - beta}
+    ratio = math.sin(beta) / math.sin(ell)
+    if ratio < 1.0:
+        meet = math.asin(ratio)
+        cuts |= {meet, PI - meet}
+    ends = sorted({0.0, PI} | {c for c in cuts if 0.0 < c < PI})
     branches = []
-    for alphas, root_sets in runs:
+    for lo, hi in zip(ends, ends[1:]):
+        if hi - lo < SLIVER:
+            continue
+        alphas = [lo + (hi - lo) * k / (BRANCH_NODES + 1)
+                  for k in range(1, BRANCH_NODES + 1)]
+        root_sets = [_angle_sum_roots(a, ell, beta) for a in alphas]
+        counts = {len(roots) for roots in root_sets}
+        if len(counts) != 1:
+            raise AssertionError(f"root count changes inside ({lo!r}, {hi!r}): "
+                                 f"{sorted(counts)}")
         for s in zip(*root_sets):
             steps = [right - left for left, right in zip(s, s[1:])]
-            trend = ("unresolved" if not steps
-                     else "increasing" if all(d > 0.0 for d in steps)
+            trend = ("increasing" if all(d > 0.0 for d in steps)
                      else "decreasing" if all(d < 0.0 for d in steps)
                      else "not monotone")
             branches.append(AngleSumBranch(alphas[0], alphas[-1], len(s), trend))
@@ -372,19 +377,13 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> CaseBReport:
 
 def step1_asymmetric_exclusion(alpha: float, beta: float, eps: float,
                                ell_grid, regime: str) -> DefectSweepReport:
-    """Defect sweep for unequal football angles with D-split (alpha-2e, beta+2e)."""
-    split = _d_split(alpha, beta, eps)
+    """defect_node over a grid of slit lengths, infeasible nodes flagged."""
     rows = []
     for ell in ell_grid:
         ell = float(ell)
         try:
-            result = _defect_node(alpha, beta, split, ell, regime)
+            result = defect_node(alpha, beta, eps, ell, regime)
         except NoTriangleError:
             result = None
         rows.append(DefectRow(ell=ell, result=result))
     return DefectSweepReport(rows=tuple(rows))
-
-
-def lemma2_sweep(beta: float, eps: float, ell_grid, regime: str) -> DefectSweepReport:
-    """lemma2_defect over a grid, infeasible nodes flagged (step 1 with alpha = beta)."""
-    return step1_asymmetric_exclusion(beta, beta, eps, ell_grid, regime)

@@ -136,19 +136,6 @@ def solve_triangle(idx: int, solve, a: float, b: float, c: float):
 
 
 @dataclass(frozen=True)
-class ConeAngles:
-    """Total angles collected at the four cone points."""
-
-    theta_A: float
-    theta_B: float
-    theta_D: float
-    theta_C: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.theta_A, self.theta_B, self.theta_D, self.theta_C)
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     """Every violated invariant of a metric, with margins; empty means valid."""
 
@@ -209,11 +196,6 @@ def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
         theta[q] += B
         theta[r] += C
     return tuple(theta)
-
-
-def cone_angles(m: TriangulatedMetric) -> ConeAngles:
-    """Total angle at each cone point, from SSS solves of the four triangles."""
-    return ConeAngles(*cone_angle_tuple(m.lengths()))
 
 
 def total_area(m: TriangulatedMetric) -> float:

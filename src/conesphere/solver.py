@@ -7,12 +7,14 @@ deficient, damped minimum-norm Gauss-Newton projects perturbed metrics back
 onto the zero set, and the rigidity scan measures how far multistart
 solutions land from the one-parameter glued family.
 
+residual(lengths, spec) and jacobian(lengths) take the six lengths l1..l6.
 The cone angles and the validity rule come from metric.cone_angle_tuple,
 which checks every triangle as it solves it; the Jacobian sums
 sphtrig.sss_differentials over the same layout.  The solver loops evaluate
 the residual once per point and treat its InvalidTriangleError (or an
 inverse-trig argument beyond the roundoff clamp) as "outside the validity
-region".
+region".  That region is a convex polytope in l1..l6, so the largest probe
+ball that fits in it (max_feasible_radius) is closed form.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from .metric import (
     cone_angle_tuple,
     glued_football,
     solve_triangle,
-    validate,
 )
 from .sphtrig import (
     PI,
+    TWO_PI,
+    VALIDITY_MARGIN,
     InvalidTriangleError,
     NumericalCorruptionError,
     clamped_asin,
@@ -67,17 +70,6 @@ DAMPING_MAX = 1e3
 # kernel directions need the extra steps to pull tight onto the solution set.
 STEP_TOL = 1e-10
 POLISH_LIMIT = 15
-
-
-@dataclass(frozen=True)
-class ConstraintResidual:
-    """The four cone-angle defects (r_A, r_B, r_D, r_C), radians."""
-
-    r: tuple[float, float, float, float]
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.r))
 
 
 @dataclass(frozen=True)
@@ -130,30 +122,22 @@ class RigidityReport:
         return self.converged > 0 and self.max_family_distance < DIST_TOL
 
 
-def _residual_vector(lengths, spec: ConeAngleSpec) -> np.ndarray:
-    theta = cone_angle_tuple(lengths)
-    target = spec.cone_vector()
-    return np.array([theta[0] - target[0], theta[1] - target[1],
-                     theta[2] - target[2], theta[3] - target[3]])
+def residual(lengths, spec: ConeAngleSpec) -> np.ndarray:
+    """The cone-angle defects (r_A, r_B, r_D, r_C) of l1..l6 against spec.
 
-
-def residual(m: TriangulatedMetric, spec: ConeAngleSpec) -> ConstraintResidual:
-    """Cone-angle defects of a valid metric against the target spec.
-
-    An invalid metric raises InvalidTriangleError naming the triangle.
+    Invalid lengths raise InvalidTriangleError naming the triangle.
     """
-    vec = _residual_vector(np.array(m.lengths()), spec)
-    return ConstraintResidual(tuple(float(v) for v in vec))
+    return np.subtract(cone_angle_tuple(lengths), spec.cone_vector())
 
 
-def jacobian(m: TriangulatedMetric) -> np.ndarray:
+def jacobian(lengths) -> np.ndarray:
     """Exact 4x6 Jacobian of the residual (the cone angles) in l1..l6.
 
     Each triangle's sss_differentials go to the cone-point rows and side
-    columns TRIANGLE_LAYOUT assigns them; the target does not enter.  An
-    invalid metric raises InvalidTriangleError naming the triangle.
+    columns TRIANGLE_LAYOUT assigns them; the target does not enter.
+    Invalid lengths raise InvalidTriangleError naming the triangle.
     """
-    x = m.lengths()
+    x = [float(v) for v in lengths]
     J = [[0.0] * 6 for _ in range(4)]
     for idx, (sides, points) in enumerate(TRIANGLE_LAYOUT, start=1):
         dangs = solve_triangle(idx, sss_differentials, *(x[s] for s in sides))
@@ -190,7 +174,7 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
     """
     x = np.array(start.lengths())
     try:
-        r = _residual_vector(x, spec)
+        r = residual(x, spec)
     except OFF_DOMAIN:
         return GaussNewtonResult("boundary", None, math.inf, 0)
     rnorm = float(np.linalg.norm(r))
@@ -204,13 +188,13 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
                 break
             polish += 1
         iterations += 1
-        step = _damped_min_norm_step(jacobian(TriangulatedMetric(*x)), r, lam)
+        step = _damped_min_norm_step(jacobian(x), r, lam)
         # Backtrack into the validity region.
         shrink = 0
         while True:
             x_new = x + step
             try:
-                r_new = _residual_vector(x_new, spec)
+                r_new = residual(x_new, spec)
                 break
             except OFF_DOMAIN:
                 step = 0.5 * step
@@ -270,25 +254,39 @@ def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, 
     return float(s_star), float(dist(s_star))
 
 
+def _validity_rows() -> tuple[np.ndarray, np.ndarray]:
+    """The validity region as rows c . (l1..l6) < b.
+
+    Each triangle of TRIANGLE_LAYOUT contributes the inequalities of
+    sphtrig.triangle_violations on its sides (a, b, c): every side in
+    (margin, pi - margin), a - b - c < -margin and its two cyclic
+    versions, and a + b + c < 2*pi - margin.  A length that is two sides
+    of one triangle (T1 and T3 are isosceles) gets the sum of both
+    coefficients.
+    """
+    eye = np.eye(3)
+    tri = np.vstack([-eye, eye, 2.0 * eye - 1.0, np.ones((1, 3))])
+    m = VALIDITY_MARGIN
+    bound = [-m] * 3 + [PI - m] * 3 + [-m] * 3 + [TWO_PI - m]
+    rows = np.zeros((len(TRIANGLE_LAYOUT), len(tri), 6))
+    for t, (sides, _) in enumerate(TRIANGLE_LAYOUT):
+        for k, side in enumerate(sides):
+            rows[t, :, side] += tri[:, k]
+    return rows.reshape(-1, 6), np.tile(bound, len(TRIANGLE_LAYOUT))
+
+
+VALIDITY_ROWS, VALIDITY_BOUNDS = _validity_rows()
+
+
 def max_feasible_radius(base: TriangulatedMetric) -> float:
-    """Largest max-norm ball radius around base whose corners stay valid."""
-    lo, hi = 0.0, PI
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _ball_corners_valid(base, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Supremum of the radii whose max-norm ball around base stays valid.
 
-
-def _ball_corners_valid(base: TriangulatedMetric, radius: float) -> bool:
-    x = np.array(base.lengths())
-    for mask in range(64):
-        signs = np.array([1.0 if mask & (1 << i) else -1.0 for i in range(6)])
-        if not validate(TriangulatedMetric(*(x + radius * signs))).is_valid:
-            return False
-    return True
+    Over the ball of radius r the largest value of c . x is c . base plus
+    r |c|_1, so the ball is inside the polytope iff r < (b - c . base)/|c|_1
+    for every validity row: the bound is the least of those ratios.
+    """
+    slack = VALIDITY_BOUNDS - VALIDITY_ROWS @ np.array(base.lengths())
+    return float(np.min(slack / np.abs(VALIDITY_ROWS).sum(axis=1)))
 
 
 def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
@@ -306,12 +304,12 @@ def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     base = glued_football(p)
-    if not _ball_corners_valid(base, radius):
-        feasible = max_feasible_radius(base)
+    feasible = max_feasible_radius(base)
+    if not radius < feasible:
         raise ValueError(
             f"radius {radius!r} leaves the validity region; "
             f"max feasible radius here is {feasible:.6f}")
-    rank, svals = numerical_rank(jacobian(base))
+    rank, svals = numerical_rank(jacobian(base.lengths()))
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-radius, radius, size=(samples, 6))
     starts = [TriangulatedMetric(*(np.array(base.lengths()) + off))
@@ -403,7 +401,7 @@ def _scan_node(spec, l3, l4, d1, d2, branch) -> ScanRow:
     if branch == "obtuse":
         l1, l2 = PI - l1, PI - l2
     try:
-        r = _residual_vector((l1, l2, l3, l4, l5, l6), spec)
+        r = residual((l1, l2, l3, l4, l5, l6), spec)
     except OFF_DOMAIN:
         return infeasible
     return ScanRow(l1, l2, l3, l4, l5, l6,

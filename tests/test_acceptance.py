@@ -19,11 +19,16 @@ from conesphere.admissibility import AngleVector, chi, mp_distance, mp_distance_
 from conesphere.eigencheck import RadialGrid, convergence_orders, radial_residual
 from conesphere.lemmas import (
     lemma1_caseb_exclusion,
-    lemma2_sweep,
     lemma3_sweep,
     step1_asymmetric_exclusion,
 )
-from conesphere.metric import ConeAngleSpec, GluedFootballParams, cone_angles, glued_football, total_area
+from conesphere.metric import (
+    ConeAngleSpec,
+    GluedFootballParams,
+    cone_angle_tuple,
+    glued_football,
+    total_area,
+)
 from conesphere.reports import render_report
 from conesphere.solver import ScanClosure, defect_scan, jacobian, numerical_rank, rigidity_scan
 from conesphere.sphtrig import PI
@@ -46,7 +51,7 @@ def test_c1_family_realization():
             target = spec.cone_vector()
             for t in T_GRID:
                 m = glued_football(GluedFootballParams(spec, t))
-                theta = cone_angles(m).as_tuple()
+                theta = cone_angle_tuple(m.lengths())
                 diffs = [th - tg for th, tg in zip(theta, target)]
                 worst_res = max(worst_res, math.sqrt(sum(d * d for d in diffs)))
                 worst_angle = max(worst_angle, max(abs(d) for d in diffs))
@@ -82,7 +87,7 @@ def test_c3_jacobian_degeneracy():
             spec = ConeAngleSpec(alpha, beta)
             for t in T_GRID:
                 m = glued_football(GluedFootballParams(spec, t))
-                rank, svals = numerical_rank(jacobian(m), rel_tol=1e-6)
+                rank, svals = numerical_rank(jacobian(m.lengths()), rel_tol=1e-6)
                 ratio = svals[3] / svals[0]
                 worst = max(worst, ratio)
                 assert rank <= 3, (alpha, beta, t, svals)
@@ -130,9 +135,11 @@ def test_c4_lemma2_sign_structure():
     equal = ConeAngleSpec(PI / 2, PI / 2)
     unequal = ConeAngleSpec(1.0, 2.0)
     for eps in (0.01, 0.05, 0.1):
-        check(lemma2_sweep(PI / 2, eps, np.linspace(2.0, 2.6, 5), "below"),
+        check(step1_asymmetric_exclusion(PI / 2, PI / 2, eps,
+                                         np.linspace(2.0, 2.6, 5), "below"),
               equal, eps, "below", f"lemma2 eps={eps} below")
-        check(lemma2_sweep(PI / 2, eps, np.linspace(0.5, 1.04, 5), "above"),
+        check(step1_asymmetric_exclusion(PI / 2, PI / 2, eps,
+                                         np.linspace(0.5, 1.04, 5), "above"),
               equal, eps, "above", f"lemma2 eps={eps} above")
         check(step1_asymmetric_exclusion(1.0, 2.0, eps,
                                          np.linspace(2.11, 2.82, 5), "below"),

@@ -170,8 +170,8 @@ class TestScan:
 
         m = TriangulatedMetric(*(float(row[k]) for k in
                                  ("l1", "l2", "l3", "l4", "l5", "l6")))
-        res = residual(m, ConeAngleSpec(float(ALPHA), float(BETA)))
-        assert res.r[3] == pytest.approx(float(row["rC"]), abs=1e-15)
+        res = residual(m.lengths(), ConeAngleSpec(float(ALPHA), float(BETA)))
+        assert res[3] == pytest.approx(float(row["rC"]), abs=1e-15)
 
     def test_uneven_split_scan_reports_sign_mismatch(self, capsys):
         # The scan suite reports against the classical sign convention,
@@ -226,6 +226,15 @@ class TestLemmasCommand:
         assert results["extrema"] == []
         assert [b["trend"] for b in results["branches"]] == [
             "increasing", "increasing"]
+
+    def test_lemma3_narrow_root_intervals_exit_zero(self, capsys):
+        # beta = 0.01: every root interval is narrower than one degree.
+        code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
+                              "--ell", "1.0", "--beta-angle", "0.01")
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        assert results["extrema"] == [] and results["pass"] is True
+        assert len(results["branches"]) == 6
 
     def test_lemma1_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma1",

@@ -9,11 +9,10 @@ from conesphere.lemmas import (
     HalfPieceConfig,
     Lemma3Result,
     angle_sum_branches,
+    defect_node,
     half_piece_solve,
     inequality_sign,
     lemma1_caseb_exclusion,
-    lemma2_defect,
-    lemma2_sweep,
     lemma3_sweep,
     step1_asymmetric_exclusion,
     _angle_sum_roots,
@@ -179,17 +178,17 @@ class TestHalfPiece:
 
 
 # ---------------------------------------------------------------------------
-# lemma2_defect
+# defect_node with alpha = beta (lemma 2)
 # ---------------------------------------------------------------------------
 
 class TestLemma2Defect:
     def test_zero_split_is_family(self):
         for ell, regime in ((2.0, "below"), (1.1, "above")):
-            d = lemma2_defect(PI / 2, 0.0, ell, regime)
+            d = defect_node(PI / 2, PI / 2, 0.0, ell, regime)
             assert abs(d.defect) < 1e-10
 
     def test_frozen_below_case(self):
-        d = lemma2_defect(PI / 2, 0.05, 2 * PI / 3, "below")
+        d = defect_node(PI / 2, PI / 2, 0.05, 2 * PI / 3, "below")
         assert d.l1 == pytest.approx(0.9643170952927866, abs=1e-12)
         assert d.l2 == pytest.approx(1.1390259991704181, abs=1e-12)
         assert d.alpha1 == pytest.approx(3.0483413960624732, abs=1e-11)
@@ -197,7 +196,7 @@ class TestLemma2Defect:
         assert d.defect == pytest.approx(0.030621773287128562, abs=1e-11)
 
     def test_frozen_above_case(self):
-        d = lemma2_defect(PI / 2, 0.05, PI / 3, "above")
+        d = defect_node(PI / 2, PI / 2, 0.05, PI / 3, "above")
         assert d.defect == pytest.approx(-0.030621773287128562, abs=1e-11)
 
     def test_true_sign_structure(self):
@@ -207,16 +206,18 @@ class TestLemma2Defect:
         # law over both suites.
         for eps in (0.01, 0.05, 0.1):
             for ell in np.linspace(2.0, 2.6, 5):
-                assert lemma2_defect(PI / 2, eps, float(ell), "below").defect > 1e-9
+                d = defect_node(PI / 2, PI / 2, eps, float(ell), "below")
+                assert d.defect > 1e-9
             for ell in np.linspace(0.5, 1.04, 5):
-                assert lemma2_defect(PI / 2, eps, float(ell), "above").defect < -1e-9
+                d = defect_node(PI / 2, PI / 2, eps, float(ell), "above")
+                assert d.defect < -1e-9
 
     def test_matches_closure_path(self):
         # Same configuration through the six-length machinery.
         from conesphere.metric import ConeAngleSpec
         from conesphere.solver import ScanClosure, defect_scan
 
-        d = lemma2_defect(PI / 2, 0.05, 2.2, "below")
+        d = defect_node(PI / 2, PI / 2, 0.05, 2.2, "below")
         rows = defect_scan(ConeAngleSpec(PI / 2, PI / 2), [2.2], [2.2],
                            ScanClosure(eps=0.05, branch="acute"))
         assert rows[0].feasible
@@ -226,25 +227,25 @@ class TestLemma2Defect:
 
     def test_matches_embedded_geometry(self):
         beta, eps, ell = PI / 2, 0.05, 2 * PI / 3
-        d = lemma2_defect(beta, eps, ell, "below")
+        d = defect_node(beta, beta, eps, ell, "below")
         a1 = embedded_half_piece_corner(beta / 2, (beta - 2 * eps) / 2, ell, "acute")
         a2 = embedded_half_piece_corner(beta / 2, (beta + 2 * eps) / 2, ell, "acute")
         assert d.defect == pytest.approx(2 * (a1 + a2) - 4 * PI, abs=1e-9)
 
     def test_even_in_eps(self):
         for ell in (2.1, 2.5):
-            plus = lemma2_defect(PI / 2, 0.05, ell, "below").defect
-            minus = lemma2_defect(PI / 2, -0.05, ell, "below").defect
+            plus = defect_node(PI / 2, PI / 2, 0.05, ell, "below").defect
+            minus = defect_node(PI / 2, PI / 2, -0.05, ell, "below").defect
             assert plus == minus  # pieces swap roles exactly
         # Quadratic smallness: defect(eps/2) ~ defect(eps)/4.
-        d1 = lemma2_defect(PI / 2, 0.04, 2.2, "below").defect
-        d2 = lemma2_defect(PI / 2, 0.02, 2.2, "below").defect
+        d1 = defect_node(PI / 2, PI / 2, 0.04, 2.2, "below").defect
+        d2 = defect_node(PI / 2, PI / 2, 0.02, 2.2, "below").defect
         assert d1 / d2 == pytest.approx(4.0, rel=0.05)
 
     def test_first_order_cancellation(self):
         for eps in (0.01, 0.02):
-            d = lemma2_defect(PI / 2, eps, 2.3, "below").defect
-            dm = lemma2_defect(PI / 2, -eps, 2.3, "below").defect
+            d = defect_node(PI / 2, PI / 2, eps, 2.3, "below").defect
+            dm = defect_node(PI / 2, PI / 2, -eps, 2.3, "below").defect
             assert abs(d + dm) < 10.0 * eps ** 2
 
     def test_corrected_sign_law(self):
@@ -256,19 +257,19 @@ class TestLemma2Defect:
         cases = [(0.03, ell, "below") for ell in np.linspace(2.05, 2.55, 4)]
         cases += [(0.03, ell, "above") for ell in np.linspace(0.6, 1.0, 4)]
         for eps, ell, regime in cases:
-            d = lemma2_defect(PI / 2, eps, float(ell), regime)
+            d = defect_node(PI / 2, PI / 2, eps, float(ell), regime)
             r1 = math.sin(0.5 * (ell + d.l1)) / math.sin(0.5 * (ell - d.l1))
             r2 = math.sin(0.5 * (ell + d.l2)) / math.sin(0.5 * (ell - d.l2))
             assert (d.defect < 0.0) == (r1 > r2)
 
     def test_regime_guard(self):
         with pytest.raises(ValueError):
-            lemma2_defect(PI / 2, 0.05, 1.0, "below")
+            defect_node(PI / 2, PI / 2, 0.05, 1.0, "below")
         with pytest.raises(ValueError):
-            lemma2_defect(PI / 2, 0.05, 2.0, "above")
+            defect_node(PI / 2, PI / 2, 0.05, 2.0, "above")
 
     def test_sweep_flags_infeasible(self):
-        rep = lemma2_sweep(PI / 2, 0.1, [1.7, 2.2], "below")
+        rep = step1_asymmetric_exclusion(PI / 2, PI / 2, 0.1, [1.7, 2.2], "below")
         assert not rep.rows[0].feasible
         assert rep.rows[1].feasible
 
@@ -415,7 +416,7 @@ class TestLemma3:
     def test_angle_sum_monotone_without_extrema(self):
         # Triangles exist for small and for large base angles only, and the
         # sum rises along both root intervals.
-        branches = angle_sum_branches(2.5, 0.5, suites.LEMMA3_GRID)
+        branches = angle_sum_branches(2.5, 0.5)
         assert [b.trend for b in branches] == ["increasing", "increasing"]
         assert branches[0].alpha_max < 0.5 < 2.6 < branches[1].alpha_min
         report, ok = suites.lemma3_suite(2.5, 0.5)
@@ -430,16 +431,42 @@ class TestLemma3:
         # Negative control: here the sum has a maximum and a minimum, so the
         # branches through them are not monotone, and a sweep that missed
         # both extrema would fail the suite, even beside monotone branches.
-        branches = angle_sum_branches(ell, beta, suites.LEMMA3_GRID)
+        branches = angle_sum_branches(ell, beta)
         assert [b.trend for b in branches] == trends
         monkeypatch.setattr("conesphere.lemmas.lemma3_sweep",
                             lambda ell, beta: Lemma3Result(False, ()))
         report, ok = suites.lemma3_suite(ell, beta)
         assert not ok and not report["results"]["pass"]
 
-    def test_one_node_branch_is_unresolved(self):
-        branches = angle_sum_branches(2.5, 0.5, [0.3])
-        assert [(b.samples, b.trend) for b in branches] == [(1, "unresolved")]
+    @pytest.mark.parametrize("ell", [1.0, 0.4])
+    def test_narrow_root_intervals_are_sampled(self, ell):
+        # beta = 0.01: every root interval is narrower than one degree, yet
+        # each is sampled inside, and the sum is monotone on all of them.
+        branches = angle_sum_branches(ell, 0.01)
+        assert len(branches) == 6
+        assert all(b.samples == 32 and b.alpha_max - b.alpha_min < 0.02
+                   for b in branches)
+        assert {b.trend for b in branches} == {"increasing", "decreasing"}
+        report, ok = suites.lemma3_suite(ell, 0.01)
+        assert ok and report["results"]["pass"]
+
+    def test_sub_roundoff_interval_is_skipped(self):
+        # At ell = pi/2 the cuts beta and asin(sin(beta)/sin(ell)) coincide,
+        # but in floats they differ by an ulp; the sliver between them holds
+        # no branch.
+        branches = angle_sum_branches(PI / 2, 1.2)
+        assert [b.trend for b in branches] == ["increasing", "increasing"]
+
+    def test_interval_cuts_are_where_the_root_count_changes(self, monkeypatch):
+        # Negative control: roots that vanish inside an interval (here at
+        # alpha = 0.25, which is no cut for (2.5, 0.5)) break the premise of
+        # the sampling, and the sampler refuses to classify them.
+        roots = _angle_sum_roots
+        monkeypatch.setattr(
+            "conesphere.lemmas._angle_sum_roots",
+            lambda alpha, ell, beta: roots(alpha, ell, beta) if alpha < 0.25 else [])
+        with pytest.raises(AssertionError, match="root count changes inside"):
+            angle_sum_branches(2.5, 0.5)
 
     @pytest.mark.parametrize("ell, beta", [
         (-1.0, 1.5), (0.0, 1.5), (PI, 1.5), (7.0, 1.5),

@@ -8,7 +8,7 @@ from conesphere.metric import (
     MetricDocumentError,
     MetricRangeError,
     TriangulatedMetric,
-    cone_angles,
+    cone_angle_tuple,
     deserialize,
     glued_football,
     serialize,
@@ -64,18 +64,19 @@ class TestGluedFootball:
                 spec = ConeAngleSpec(alpha, beta)
                 for t in np.linspace(0.15, PI - 0.15, 5):
                     m = glued_football(GluedFootballParams(spec, t))
-                    theta = cone_angles(m).as_tuple()
+                    theta = cone_angle_tuple(m.lengths())
                     target = spec.cone_vector()
                     assert max(abs(a - b) for a, b in zip(theta, target)) < 1e-12
 
 
 class TestConeAngles:
     def test_family_point_angles(self):
-        theta = cone_angles(family(PI / 2, PI / 2, PI / 3))
-        assert theta.theta_A == pytest.approx(PI / 2, abs=1e-12)
-        assert theta.theta_B == pytest.approx(PI / 2, abs=1e-12)
-        assert theta.theta_D == pytest.approx(PI, abs=1e-12)
-        assert theta.theta_C == pytest.approx(TARGET, abs=1e-12)
+        theta_A, theta_B, theta_D, theta_C = cone_angle_tuple(
+            family(PI / 2, PI / 2, PI / 3).lengths())
+        assert theta_A == pytest.approx(PI / 2, abs=1e-12)
+        assert theta_B == pytest.approx(PI / 2, abs=1e-12)
+        assert theta_D == pytest.approx(PI, abs=1e-12)
+        assert theta_C == pytest.approx(TARGET, abs=1e-12)
 
     def test_family_per_vertex_totals_are_flat(self):
         # Each of C1..C4 collects exactly pi at a glued football.
@@ -91,9 +92,9 @@ class TestConeAngles:
     def test_perturbed_l3_breaks_c_constraint(self):
         m = family(PI / 2, PI / 2, PI / 3)
         bumped = TriangulatedMetric(m.l1, m.l2, m.l3 + 0.01, m.l4, m.l5, m.l6)
-        theta = cone_angles(bumped)
-        assert theta.theta_C - TARGET == pytest.approx(0.023027851247796605,
-                                                       abs=1e-12)
+        theta_C = cone_angle_tuple(bumped.lengths())[3]
+        assert theta_C - TARGET == pytest.approx(0.023027851247796605,
+                                                 abs=1e-12)
 
     @given(st.floats(0.3, PI - 0.3), st.floats(0.3, PI - 0.3),
            st.floats(0.2, PI - 0.2))
@@ -101,19 +102,19 @@ class TestConeAngles:
     def test_football_swap_relabeling(self, alpha, beta, t):
         m = family(alpha, beta, t)
         swapped = TriangulatedMetric(m.l2, m.l1, m.l3, m.l4, m.l6, m.l5)
-        theta = cone_angles(m)
-        theta_s = cone_angles(swapped)
-        assert theta_s.theta_A == pytest.approx(theta.theta_B, abs=1e-12)
-        assert theta_s.theta_B == pytest.approx(theta.theta_A, abs=1e-12)
-        assert theta_s.theta_D == pytest.approx(theta.theta_D, abs=1e-12)
-        assert theta_s.theta_C == pytest.approx(theta.theta_C, abs=1e-12)
+        theta = cone_angle_tuple(m.lengths())
+        theta_s = cone_angle_tuple(swapped.lengths())
+        assert theta_s[0] == pytest.approx(theta[1], abs=1e-12)
+        assert theta_s[1] == pytest.approx(theta[0], abs=1e-12)
+        assert theta_s[2] == pytest.approx(theta[2], abs=1e-12)
+        assert theta_s[3] == pytest.approx(theta[3], abs=1e-12)
 
     def test_slit_swap_invariance(self):
         # Swapping l3 and l4 relabels corners without moving any cone angle.
         m = TriangulatedMetric(1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
         swapped = TriangulatedMetric(1.9, 2.0, 1.2, 1.0, 1.3, 1.25)
-        assert cone_angles(m).as_tuple() == pytest.approx(
-            cone_angles(swapped).as_tuple(), abs=1e-14)
+        assert cone_angle_tuple(m.lengths()) == pytest.approx(
+            cone_angle_tuple(swapped.lengths()), abs=1e-14)
 
 
 class TestValidate:
@@ -138,11 +139,11 @@ class TestValidate:
 
         bad = TriangulatedMetric(1.5, 1.5, 0.5, 0.5, 1.2, 1.4)
         with pytest.raises(InvalidTriangleError) as err:
-            cone_angles(bad)
+            cone_angle_tuple(bad.lengths())
         assert "T2" in str(err.value)
         # The solver's residual evaluates through the same path.
         with pytest.raises(InvalidTriangleError) as err:
-            residual(bad, ConeAngleSpec(1.0, 1.0))
+            residual(bad.lengths(), ConeAngleSpec(1.0, 1.0))
         assert "T2" in str(err.value)
 
 

@@ -123,28 +123,28 @@ def embedded_jacobian(x, spec, layout=LAYOUT):
 
 class TestResidual:
     def test_family_point_is_zero(self):
-        res = residual(base_metric(), SPEC)
-        assert res.norm < 1e-12
+        res = residual(base_metric().lengths(), SPEC)
+        assert np.linalg.norm(res) < 1e-12
 
     def test_target_offset_is_linear(self):
         shifted = ConeAngleSpec(PI / 2 + 0.1, PI / 2)
-        res = residual(base_metric(), shifted)
-        assert res.r[0] == pytest.approx(-0.1, abs=1e-13)
+        res = residual(base_metric().lengths(), shifted)
+        assert res[0] == pytest.approx(-0.1, abs=1e-13)
         # theta_D also chases alpha + beta.
-        assert res.r[2] == pytest.approx(-0.1, abs=1e-13)
+        assert res[2] == pytest.approx(-0.1, abs=1e-13)
 
     def test_matches_cone_angles_path(self):
-        # The residual is computed by metric.cone_angles itself, so the
-        # reference is the embedding oracle.
+        # The residual is computed by metric.cone_angle_tuple itself, so
+        # the reference is the embedding oracle.
         m = TriangulatedMetric(1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
-        res = residual(m, SPEC)
-        assert res.r == pytest.approx(embedded_residual(m.lengths(), SPEC),
-                                      abs=1e-12)
+        res = residual(m.lengths(), SPEC)
+        assert tuple(res) == pytest.approx(
+            embedded_residual(m.lengths(), SPEC), abs=1e-12)
         # Negative control: the oracle tells layouts apart.  Swapping the D
         # corner of T2 with one of its C corners moves r_D and r_C.
         swapped = (LAYOUT[0], ((2, 3, 4), ("C", "D", "C")), LAYOUT[2], LAYOUT[3])
         wrong = embedded_residual(m.lengths(), SPEC, swapped)
-        assert max(abs(a - b) for a, b in zip(res.r, wrong)) > 1e-2
+        assert max(abs(a - b) for a, b in zip(res, wrong)) > 1e-2
 
     @given(st.floats(0.3, PI - 0.3), st.floats(0.3, PI - 0.3),
            st.floats(0.4, PI - 0.4),
@@ -155,7 +155,7 @@ class TestResidual:
         base = glued_football(GluedFootballParams(spec, t))
         m = TriangulatedMetric(*(np.array(base.lengths()) + np.array(offset)))
         assume(validate(m).is_valid)
-        assert residual(m, spec).r == pytest.approx(
+        assert tuple(residual(m.lengths(), spec)) == pytest.approx(
             embedded_residual(m.lengths(), spec), abs=1e-10)
 
     def test_antisymmetric_reclosed_perturbation(self):
@@ -181,7 +181,7 @@ class TestJacobian:
     def test_family_tangent_in_kernel(self):
         for spec, t in ((SPEC, PI / 3), (ConeAngleSpec(1.0, 2.0), 1.2)):
             m = glued_football(GluedFootballParams(spec, t))
-            J = jacobian(m)
+            J = jacobian(m.lengths())
             v = family_tangent(spec, t)
             assert np.linalg.norm(J @ v) / np.linalg.norm(v) < 1e-6
 
@@ -189,7 +189,7 @@ class TestJacobian:
         # Swapping the two footballs (l1<->l2, l5<->l6) permutes the A and
         # B residuals when alpha = beta.
         m = base_metric()
-        J = jacobian(m)
+        J = jacobian(m.lengths())
         S = np.zeros((6, 6))
         for i, j in ((0, 1), (1, 0), (2, 2), (3, 3), (4, 5), (5, 4)):
             S[i, j] = 1.0
@@ -201,7 +201,7 @@ class TestJacobian:
     def test_slit_swap_direction_in_kernel(self):
         # r is invariant under l3 <-> l4, so the antisymmetric direction
         # is flat at any symmetric point.
-        J = jacobian(base_metric())
+        J = jacobian(base_metric().lengths())
         v = np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
         assert np.linalg.norm(J @ v) < 1e-8
 
@@ -214,7 +214,7 @@ class TestJacobian:
         base = glued_football(GluedFootballParams(spec, t))
         x = np.array(base.lengths()) + np.array(offset)
         assume(embedded_margin(x) > 1e-3)
-        J = jacobian(TriangulatedMetric(*x))
+        J = jacobian(x)
         scale = max(1.0, float(np.max(np.abs(J))))
         assert np.max(np.abs(J - embedded_jacobian(x, spec))) < 1e-6 * scale
 
@@ -225,9 +225,9 @@ class TestJacobian:
         swapped = (LAYOUT[0], ((2, 3, 4), ("C", "D", "C")), LAYOUT[2], LAYOUT[3])
         m = TriangulatedMetric(1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
         x = np.array(m.lengths())
-        assert np.max(np.abs(jacobian(m) - embedded_jacobian(x, SPEC))) < 1e-6
-        assert np.max(np.abs(jacobian(m)
-                             - embedded_jacobian(x, SPEC, swapped))) > 1e-1
+        J = jacobian(x)
+        assert np.max(np.abs(J - embedded_jacobian(x, SPEC))) < 1e-6
+        assert np.max(np.abs(J - embedded_jacobian(x, SPEC, swapped))) > 1e-1
 
     def test_finite_at_thin_validity_margin(self):
         # T2 within 5e-9 of degenerate (T1 is near its perimeter bound too).
@@ -237,7 +237,7 @@ class TestJacobian:
         closer = TriangulatedMetric(m.l1, m.l2, m.l3, m.l4,
                                     m.l3 + m.l4 - 5e-9, m.l6)
         assert validate(closer).is_valid
-        assert np.all(np.isfinite(jacobian(closer)))
+        assert np.all(np.isfinite(jacobian(closer.lengths())))
 
 
 class TestNumericalRank:
@@ -255,7 +255,7 @@ class TestNumericalRank:
         for spec, t in ((SPEC, PI / 3), (ConeAngleSpec(1.0, 2.0), 1.2),
                         (SPEC, PI / 2)):
             m = glued_football(GluedFootballParams(spec, t))
-            rank, svals = numerical_rank(jacobian(m))
+            rank, svals = numerical_rank(jacobian(m.lengths()))
             assert rank <= 3
             assert svals[3] / svals[0] < 1e-13
 
@@ -348,12 +348,47 @@ class TestRigidityScan:
         assert rep1.rigidity_holds == rep2.rigidity_holds
         assert rep1.solutions != rep2.solutions
 
+    def test_radius_bound_is_strict_at_the_closed_form(self):
+        p = GluedFootballParams(ConeAngleSpec(1.0, 2.0), 0.2)
+        r = max_feasible_radius(glued_football(p))
+        rigidity_scan(p, radius=r * (1 - 1e-9), samples=1, seed=7)
+        for radius in (r, r * (1 + 1e-9)):
+            with pytest.raises(ValueError, match="leaves the validity region"):
+                rigidity_scan(p, radius=radius, samples=1, seed=7)
+
     def test_oversized_radius_names_feasible_bound(self):
         p = GluedFootballParams(SPEC, 0.1)
         with pytest.raises(ValueError) as err:
             rigidity_scan(p, radius=0.5, samples=5, seed=7)
         feasible = max_feasible_radius(glued_football(p))
         assert f"{feasible:.6f}" in str(err.value)
+
+
+def ball_corners_valid(base, radius):
+    """Oracle: all 64 corners of the max-norm ball pass metric.validate."""
+    x = np.array(base.lengths())
+    for mask in range(64):
+        signs = np.array([1.0 if mask & (1 << i) else -1.0 for i in range(6)])
+        if not validate(TriangulatedMetric(*(x + radius * signs))).is_valid:
+            return False
+    return True
+
+
+class TestMaxFeasibleRadius:
+    @pytest.mark.parametrize("alpha, beta, t", [
+        (1.0, 2.0, 0.2), (1.0, 2.0, 1.2), (PI / 2, PI / 2, PI / 3),
+        (PI / 2, PI / 2, 0.1), (0.3, 2.8, 0.4), (2.8, 0.3, 2.9),
+        (0.3, 0.3, PI / 2), (2.8, 2.8, 1.0), (1.5, 0.7, 2.5)])
+    def test_matches_corner_enumeration(self, alpha, beta, t):
+        base = glued_football(GluedFootballParams(ConeAngleSpec(alpha, beta), t))
+        r = max_feasible_radius(base)
+        assert 0.0 < r < PI
+        assert ball_corners_valid(base, r * (1 - 1e-9))
+        assert not ball_corners_valid(base, r * (1 + 1e-9))
+
+    def test_rigidity_edge_base(self):
+        base = glued_football(GluedFootballParams(ConeAngleSpec(1.0, 2.0), 0.2))
+        assert max_feasible_radius(base) == pytest.approx(0.0213579, abs=5e-8)
 
 
 class TestDefectScan:
