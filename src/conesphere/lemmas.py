@@ -6,8 +6,7 @@ numerical sweep:
 * slit-piece solves (half_piece_solve) reconstruct one Z2-symmetric half of a
   glued piece from its apex half-angle, its D-side half-angle and the slit
   length, and report the total corner angle collected at the 4*pi cone
-  point.  Corner totals may exceed pi; they are assembled from two proper
-  isosceles triangles so every intermediate step stays in classical range.
+  point, in closed form by Napier's rule.  Corner totals may exceed pi.
 * defect_node measures how far the corner total of two such pieces, with
   football angles (alpha, beta) and the D-angle split unevenly as
   (alpha - 2*eps, beta + 2*eps), misses 4*pi; step1_asymmetric_exclusion
@@ -29,13 +28,8 @@ from dataclasses import dataclass
 from .sphtrig import (
     PI,
     TWO_PI,
-    InconsistentDataError,
     NoTriangleError,
-    SphericalTriangle,
-    angles_from_sss,
     clamped_acos,
-    napier_corner,
-    side_from_sas,
     sine_rule_side,
 )
 
@@ -160,31 +154,20 @@ class DefectSweepReport:
 
 
 def half_piece_solve(cfg: HalfPieceConfig) -> HalfPieceSolution:
-    """Solve one half piece; the corner comes from the SSS oracle path.
+    """Solve one half piece: its outer side and its corner, in closed form.
 
-    The outer side follows from the sine rule with the requested branch.
-    The corner angle is assembled by doubling the half piece across its
-    symmetry axis and splitting the quadrilateral along the chord between
-    the two corner copies: one isosceles triangle carries the apex, the
-    other carries the D-angle, and the corner is the sum of one base angle
-    of each.  The same corner recomputed through the half-angle analogy
-    must agree; a disagreement means corrupted input and raises.
+    The outer side follows from the sine rule with the requested branch; a
+    ratio above 1 raises NoTriangleError.  Doubled across its symmetry
+    axis, the half piece is a kite whose chord between the two corner
+    copies splits it into two isosceles triangles: legs side with apex
+    angle 2*apex_half, and legs ell with apex angle 2*d_half.  The corner
+    is the sum of one base angle of each, and the axis cuts each isosceles
+    triangle into two right triangles, so Napier's rule gives every base
+    angle B directly: cot B = cos(leg) * tan(half apex).
     """
     side = sine_rule_side(cfg.apex_half, cfg.ell, cfg.d_half, cfg.branch)
-    diag = side_from_sas(side, side, 2.0 * cfg.apex_half)
-    up = angles_from_sss(SphericalTriangle(side, side, diag))
-    low = angles_from_sss(SphericalTriangle(cfg.ell, cfg.ell, diag))
-    # The lower apex must reproduce the doubled D-half-angle.
-    if abs(low.C - 2.0 * cfg.d_half) > 1e-8:
-        raise NoTriangleError(
-            f"half piece does not close: lower apex {low.C!r} "
-            f"vs expected {2.0 * cfg.d_half!r}")
-    corner = up.A + low.A
-    corner_analogy = napier_corner(cfg.apex_half, cfg.d_half, cfg.ell, side)
-    if abs(corner - corner_analogy) > 1e-8:
-        raise InconsistentDataError(
-            f"corner angle mismatch: SSS path {corner!r} vs analogy "
-            f"{corner_analogy!r}")
+    corner = (math.atan2(1.0, math.cos(side) * math.tan(cfg.apex_half))
+              + math.atan2(1.0, math.cos(cfg.ell) * math.tan(cfg.d_half)))
     return HalfPieceSolution(side=side, corner=corner)
 
 

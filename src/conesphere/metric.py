@@ -135,31 +135,16 @@ def solve_triangle(idx: int, solve, a: float, b: float, c: float):
         ) from err
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Every violated invariant of a metric, with margins; empty means valid."""
+def validate(m: TriangulatedMetric) -> list[str]:
+    """Every violated invariant of T1..T4, each named by its triangle.
 
-    issues: tuple[str, ...]
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.issues
-
-    def __str__(self):
-        if self.is_valid:
-            return "valid"
-        return "; ".join(self.issues)
-
-
-def validate(m: TriangulatedMetric) -> ValidityReport:
-    """Total validity check: range of every length plus all four triangles."""
-    lengths = m.lengths()
-    issues = [f"{name} = {v!r} outside (0, pi)"
-              for name, v in zip(LENGTH_FIELDS, lengths) if not (0.0 < v < PI)]
-    if not issues:
-        for idx, sides in enumerate(_triangle_sides(lengths), start=1):
-            issues.extend(f"T{idx}: {bad}" for bad in triangle_violations(*sides))
-    return ValidityReport(tuple(issues))
+    Empty means valid.  Every length is a side of some triangle, so a
+    length outside (0, pi) is flagged there.
+    """
+    issues = []
+    for idx, sides in enumerate(_triangle_sides(m.lengths()), start=1):
+        issues.extend(f"T{idx}: {bad}" for bad in triangle_violations(*sides))
+    return issues
 
 
 def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
@@ -173,11 +158,11 @@ def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
     l5 = 2.0 * clamped_asin(math.sin(t) * math.sin(0.5 * alpha))
     l6 = 2.0 * clamped_asin(math.sin(t) * math.sin(0.5 * beta))
     m = TriangulatedMetric(PI - t, PI - t, t, t, l5, l6)
-    report = validate(m)
-    if not report.is_valid:
+    issues = validate(m)
+    if issues:
         raise InvalidTriangleError(
-            f"glued football at t = {t!r} degenerates: {report}",
-            violation=report.issues[0])
+            f"glued football at t = {t!r} degenerates: {'; '.join(issues)}",
+            violation=issues[0])
     return m
 
 

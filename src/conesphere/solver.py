@@ -156,9 +156,9 @@ def numerical_rank(J: np.ndarray, rel_tol: float = RANK_TOL) -> tuple[int, np.nd
     return rank, svals
 
 
-def _damped_min_norm_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
-    """Minimum-norm Levenberg step -V diag(s/(s^2+lam^2)) U^T r."""
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+def _damped_min_norm_step(U: np.ndarray, s: np.ndarray, Vt: np.ndarray,
+                          r: np.ndarray, lam: float) -> np.ndarray:
+    """Minimum-norm Levenberg step -V diag(s/(s^2+lam^2)) U^T r from J's SVD."""
     factors = s / (s * s + lam * lam)
     return -(Vt.T @ (factors * (U.T @ r)))
 
@@ -170,7 +170,9 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
     the exact Jacobian, backtracked to stay inside the validity region.
     Success requires the residual norm below RES_TOL; the iteration
     then polishes until the step size stalls so that the quadratically flat
-    directions are fully resolved.
+    directions are fully resolved.  A rejected step changes only the
+    damping, so the SVD is kept until a step is accepted and computed only
+    when an iteration needs it.
     """
     x = np.array(start.lengths())
     try:
@@ -182,13 +184,16 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
     last_step = math.inf
     polish = 0
     iterations = 0
+    svd = None
     for _ in range(MAX_ITER):
         if rnorm < RES_TOL:
             if last_step < STEP_TOL or polish >= POLISH_LIMIT:
                 break
             polish += 1
         iterations += 1
-        step = _damped_min_norm_step(jacobian(x), r, lam)
+        if svd is None:
+            svd = np.linalg.svd(jacobian(x), full_matrices=False)
+        step = _damped_min_norm_step(*svd, r, lam)
         # Backtrack into the validity region.
         shrink = 0
         while True:
@@ -206,6 +211,7 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
         if rnorm_new <= rnorm or rnorm_new < RES_TOL:
             last_step = float(np.linalg.norm(step))
             x, r, rnorm = x_new, r_new, rnorm_new
+            svd = None
             lam = max(lam / 3.0, DAMPING_FLOOR)
         else:
             lam = min(lam * 10.0, DAMPING_MAX)

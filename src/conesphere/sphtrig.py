@@ -42,14 +42,6 @@ class InvalidTriangleError(SphericalGeometryError):
         self.violation = violation
 
 
-class InconsistentDataError(SphericalGeometryError):
-    """Mutually contradictory data, e.g. equal sides with unequal angles."""
-
-
-class DegenerateConfigurationError(SphericalGeometryError):
-    """Data too close to a degenerate configuration to resolve."""
-
-
 def clamped_acos(x: float) -> float:
     """acos with a CLAMP_TOL guard band outside [-1, 1]."""
     if x > 1.0:
@@ -204,36 +196,6 @@ def dual_cosine_angle(A: float, B: float, c: float) -> float:
         raise NoTriangleError(
             f"no triangle with angles ({A!r}, {B!r}) across side {c!r}")
     return clamped_acos(arg)
-
-
-def napier_corner(A: float, B: float, a: float, b: float) -> float:
-    """Remaining angle from two angles and their opposite sides.
-
-    Evaluates cot(C/2) = tan((A - B)/2) * sin((a + b)/2) / sin((a - b)/2)
-    and inverts the cotangent onto (0, 2*pi), so corner totals beyond pi
-    (reflex corners of glued pieces) are representable.  Proper triangles
-    always land in (0, pi).
-    """
-    _require_range("angle A", A)
-    _require_range("angle B", B)
-    _require_range("side a", a)
-    _require_range("side b", b)
-    half_diff = 0.5 * (a - b)
-    if abs(math.sin(half_diff)) < 1e-14:
-        if abs(A - B) > 1e-12:
-            if a == b:
-                raise InconsistentDataError(
-                    f"sides {a!r} and {b!r} equal but opposite angles "
-                    f"{A!r} and {B!r} differ")
-            raise DegenerateConfigurationError(
-                f"sides {a!r}, {b!r} too close to resolve unequal angles "
-                f"{A!r}, {B!r}")
-        # Equal sides and equal angles leave the closure underdetermined;
-        # fall back to the isosceles completion with base (a + b)/2.
-        return dual_cosine_angle(A, B, 0.5 * (a + b))
-    cot_half = (math.tan(0.5 * (A - B)) * math.sin(0.5 * (a + b))
-                / math.sin(half_diff))
-    return 2.0 * math.atan2(1.0, cot_half)
 
 
 def sine_rule_side(A: float, a: float, B: float, branch: str) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conesphere import suites
 from conesphere.lemmas import (
@@ -172,6 +172,22 @@ class TestHalfPiece:
         (1.0, 1.08, 1.1, "obtuse"),
     ])
     def test_matches_embedded_geometry(self, apex_half, d_half, ell, branch):
+        sol = half_piece_solve(HalfPieceConfig(apex_half, d_half, ell, branch))
+        oracle = embedded_half_piece_corner(apex_half, d_half, ell, branch)
+        assert sol.corner == pytest.approx(oracle, abs=1e-9)
+
+    @given(apex_half=st.floats(0.01, PI / 2 - 0.01),
+           d_half=st.floats(0.01, PI / 2 - 0.01),
+           frac=st.floats(0.01, 0.99),
+           branch=st.sampled_from(["acute", "obtuse"]))
+    @settings(max_examples=200, deadline=None)
+    def test_corner_matches_embedding_in_both_regimes(
+            self, apex_half, d_half, frac, branch):
+        # Acute pieces have their slit in (pi/2, pi), obtuse ones in
+        # (0, pi/2), as defect_node builds them.
+        ell = 0.5 * PI * (1.0 + frac if branch == "acute" else frac)
+        ratio = math.sin(d_half) * math.sin(ell) / math.sin(apex_half)
+        assume(ratio < 1.0 - 1e-6)
         sol = half_piece_solve(HalfPieceConfig(apex_half, d_half, ell, branch))
         oracle = embedded_half_piece_corner(apex_half, d_half, ell, branch)
         assert sol.corner == pytest.approx(oracle, abs=1e-9)

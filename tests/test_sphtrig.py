@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from conesphere.sphtrig import (
     PI,
-    DegenerateConfigurationError,
-    InconsistentDataError,
     InvalidTriangleError,
     NoTriangleError,
     NumericalCorruptionError,
@@ -15,7 +13,6 @@ from conesphere.sphtrig import (
     angles_from_sss,
     clamped_acos,
     dual_cosine_angle,
-    napier_corner,
     side_from_sas,
     sine_rule_side,
     sss_angles,
@@ -175,41 +172,6 @@ class TestDualCosine:
         ang = angles_from_sss(tri)
         assert dual_cosine_angle(ang.A, ang.B, tri.c) == pytest.approx(
             ang.C, abs=1e-10)
-
-
-class TestNapierCorner:
-    def test_octant_isosceles_fallback(self):
-        assert napier_corner(PI / 2, PI / 2, PI / 2, PI / 2) == pytest.approx(PI / 2)
-
-    def test_equilateral_isosceles_fallback(self):
-        tri = SphericalTriangle(1.0, 1.0, 1.0)
-        ang = angles_from_sss(tri)
-        assert napier_corner(ang.A, ang.B, 1.0, 1.0) == pytest.approx(
-            ang.C, abs=1e-10)
-
-    @given(valid_triangles())
-    @settings(max_examples=100)
-    def test_agrees_with_sss_on_closed_triangles(self, tri):
-        ang = angles_from_sss(tri)
-        if abs(math.sin(0.5 * (tri.a - tri.b))) < 1e-7:
-            return  # too close to the underdetermined isosceles case
-        assert napier_corner(ang.A, ang.B, tri.a, tri.b) == pytest.approx(
-            ang.C, abs=1e-9)
-
-    def test_equal_sides_unequal_angles_inconsistent(self):
-        with pytest.raises(InconsistentDataError):
-            napier_corner(0.5, 1.0, 0.8, 0.8)
-
-    def test_near_equal_sides_unequal_angles_degenerate(self):
-        with pytest.raises(DegenerateConfigurationError):
-            napier_corner(0.5, 1.0, 0.8, 0.8 + 1e-15)
-
-    def test_reflex_output_for_glued_corner_totals(self):
-        # The slit-piece suites need corner totals beyond pi; see
-        # tests/test_lemmas.py for the geometric cross-check.
-        corner = napier_corner(PI / 4, (PI / 2 + 0.1) / 2, 2 * PI / 3,
-                               1.1390259991704181)
-        assert corner > PI
 
 
 class TestSineRuleSide:
