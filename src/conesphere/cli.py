@@ -27,11 +27,9 @@ from .metric import (
     validate,
 )
 from .reports import (
-    SCAN_CSV_HEADER,
     build_report,
     render_csv,
     render_report,
-    scan_rows_to_csv,
     write_csv,
     write_report,
 )
@@ -126,8 +124,12 @@ def _cmd_construct(args) -> int:
     doc = serialize(metric, spec)
     norm = _norm(residual(metric.lengths(), spec))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as err:
+            print(f"io error: {err}", file=sys.stderr)
+            return EXIT_IO
         print(f"residual_norm = {norm:.17g}")
     else:
         sys.stdout.write(doc)
@@ -179,9 +181,9 @@ def _rigidity(args):
 def _scan(args):
     l3_grid = np.linspace(args.l3_min, args.l3_max, args.grid)
     l4_grid = np.linspace(args.l4_min, args.l4_max, args.grid)
-    report, rows, ok = suites.scan_suite(
+    report, grid, ok = suites.scan_suite(
         args.alpha, args.beta, args.eps, args.branch, l3_grid, l4_grid)
-    return (report, rows), ok
+    return (report, grid), ok
 
 
 def _lemmas(args):
@@ -200,12 +202,11 @@ def _lemmas(args):
 
 
 def _write_scan(args, output) -> None:
-    report, rows = output
-    csv_rows = scan_rows_to_csv(rows)
+    report, grid = output
     if args.out:
-        write_csv(args.out, SCAN_CSV_HEADER, csv_rows)
+        write_csv(args.out, grid)
     else:
-        sys.stdout.write(render_csv(SCAN_CSV_HEADER, csv_rows))
+        sys.stdout.write(render_csv(grid))
     if args.report:
         write_report(args.report, report)
 
@@ -214,7 +215,8 @@ def _suite_command(run, write=_write_report):
     """The verdict rule of every suite command.
 
     A suite's ValueError is a usage error (exit 2); otherwise its output is
-    written and the exit code is 0 on pass, 1 on fail.
+    written and the exit code is 0 on pass, 1 on fail.  An output that
+    cannot be written is an I/O error (exit 3).
     """
     def handler(args) -> int:
         try:
@@ -222,7 +224,11 @@ def _suite_command(run, write=_write_report):
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return EXIT_USAGE
-        write(args, output)
+        try:
+            write(args, output)
+        except OSError as err:
+            print(f"io error: {err}", file=sys.stderr)
+            return EXIT_IO
         return EXIT_PASS if ok else EXIT_FAIL
     return handler
 

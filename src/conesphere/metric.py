@@ -17,11 +17,15 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sphtrig import (
     PI,
     TWO_PI,
+    VALIDITY_MARGIN,
     SphericalTriangle,
     InvalidTriangleError,
+    clamp_rows,
     clamped_asin,
     sss_angles,
     triangle_excess,
@@ -119,6 +123,30 @@ TRIANGLE_LAYOUT = (
 )
 
 
+def _validity_rows() -> tuple[np.ndarray, np.ndarray]:
+    """The validity region as rows c . (l1..l6) < b.
+
+    Each triangle of TRIANGLE_LAYOUT contributes the inequalities of
+    sphtrig.triangle_violations on its sides (a, b, c): every side in
+    (margin, pi - margin), a - b - c < -margin and its two cyclic
+    versions, and a + b + c < 2*pi - margin.  A length that is two sides
+    of one triangle (T1 and T3 are isosceles) gets the sum of both
+    coefficients.
+    """
+    eye = np.eye(3)
+    tri = np.vstack([-eye, eye, 2.0 * eye - 1.0, np.ones((1, 3))])
+    m = VALIDITY_MARGIN
+    bound = [-m] * 3 + [PI - m] * 3 + [-m] * 3 + [TWO_PI - m]
+    rows = np.zeros((len(TRIANGLE_LAYOUT), len(tri), 6))
+    for t, (sides, _) in enumerate(TRIANGLE_LAYOUT):
+        for k, side in enumerate(sides):
+            rows[t, :, side] += tri[:, k]
+    return rows.reshape(-1, 6), np.tile(bound, len(TRIANGLE_LAYOUT))
+
+
+VALIDITY_ROWS, VALIDITY_BOUNDS = _validity_rows()
+
+
 def _triangle_sides(lengths) -> list[tuple[float, float, float]]:
     """Sides (a, b, c) of T1..T4 from l1..l6."""
     return [(lengths[i], lengths[j], lengths[k])
@@ -181,6 +209,34 @@ def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
         theta[q] += B
         theta[r] += C
     return tuple(theta)
+
+
+def cone_angle_rows(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Cone angles of many length rows at once: ((n, 4), valid (n,)).
+
+    lengths has shape (n, 6).  A row is valid when it lies inside the
+    validity polytope (VALIDITY_ROWS) and every inverse-cosine argument is
+    inside the clamp's guard band, the two ways cone_angle_tuple can raise;
+    an invalid row's angles are nan.  The angles come from the same
+    inverse cosine law as sss_angles and are summed into the cone points
+    in cone_angle_tuple's order.
+    """
+    x = np.asarray(lengths, dtype=float)
+    valid = np.all(x @ VALIDITY_ROWS.T < VALIDITY_BOUNDS, axis=1)
+    theta = np.zeros((len(x), 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos, sin = np.cos(x), np.sin(x)
+        for sides, points in TRIANGLE_LAYOUT:
+            ca, cb, cc = (cos[:, s] for s in sides)
+            sa, sb, sc = (sin[:, s] for s in sides)
+            for p, arg in zip(points, ((ca - cb * cc) / (sb * sc),
+                                       (cb - ca * cc) / (sa * sc),
+                                       (cc - ca * cb) / (sa * sb))):
+                arg, inside = clamp_rows(arg)
+                valid &= inside
+                theta[:, p] += np.arccos(arg)
+    theta[~valid] = np.nan
+    return theta, valid
 
 
 def total_area(m: TriangulatedMetric) -> float:

@@ -2,14 +2,17 @@
 
 Every report embeds the artifact version and the command; the rigidity
 report also carries a config block: the solver's tolerance constants and
-the probe's radius, sample count and seed.  Serialization is canonical (sorted keys, shortest
-round-trip floats), so two runs with identical inputs produce
+the probe's radius, sample count and seed.  Serialization is canonical
+(sorted keys, shortest round-trip floats; the scan CSV, the only CSV,
+writes every float at .17g), so two runs with identical inputs produce
 byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
 
 from . import __version__
 
@@ -28,33 +31,25 @@ def write_report(path: str, report: dict) -> None:
         fh.write(render_report(report))
 
 
-def format_number(value) -> str:
-    """Lossless decimal rendering used in CSV cells."""
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
+SCAN_CSV_HEADER = ("l1", "l2", "l3", "l4", "l5", "l6",
+                   "rA", "rB", "rD", "rC", "feasible")
+# One scan row: ten lossless floats (nan for an infeasible cell), then the
+# feasible flag as 0 or 1.
+_SCAN_ROW = ",".join(["%.17g"] * 10 + ["%d"])
+# Rows converted to Python floats at a time, to bound the list's memory.
+_CSV_CHUNK = 4096
 
 
-def render_csv(header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
+def render_csv(grid) -> str:
+    """The scan CSV of a solver.ScanGrid: the header, then its rows in order."""
+    table = np.column_stack([grid.lengths, grid.residuals, grid.feasible])
+    lines = [",".join(SCAN_CSV_HEADER)]
+    for start in range(0, len(table), _CSV_CHUNK):
+        lines.extend(_SCAN_ROW % tuple(row)
+                     for row in table[start:start + _CSV_CHUNK].tolist())
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: str, grid) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv(header, rows))
-
-
-SCAN_CSV_HEADER = ["l1", "l2", "l3", "l4", "l5", "l6",
-                   "rA", "rB", "rD", "rC", "feasible"]
-
-
-def scan_rows_to_csv(rows) -> list[tuple]:
-    return [(r.l1, r.l2, r.l3, r.l4, r.l5, r.l6,
-             r.r_A, r.r_B, r.r_D, r.r_C, r.feasible) for r in rows]
+        fh.write(render_csv(grid))

@@ -5,7 +5,9 @@ The residual map sends edge lengths to the four cone-angle defects
 Around a glued-football point the exact Jacobian of this map is rank
 deficient, damped minimum-norm Gauss-Newton projects perturbed metrics back
 onto the zero set, and the rigidity scan measures how far multistart
-solutions land from the one-parameter glued family.
+solutions land from the one-parameter glued family.  The defect scan
+sweeps the C-defect over an (l3, l4) grid with the other three
+constraints closed exactly.
 
 residual(lengths, spec) and jacobian(lengths) take the six lengths l1..l6.
 The cone angles and the validity rule come from metric.cone_angle_tuple,
@@ -13,8 +15,16 @@ which checks every triangle as it solves it; the Jacobian sums
 sphtrig.sss_differentials over the same layout.  The solver loops evaluate
 the residual once per point and treat its InvalidTriangleError (or an
 inverse-trig argument beyond the roundoff clamp) as "outside the validity
-region".  That region is a convex polytope in l1..l6, so the largest probe
-ball that fits in it (max_feasible_radius) is closed form.
+region".  That region is a convex polytope in l1..l6
+(metric.VALIDITY_ROWS), so the largest probe ball that fits in it
+(max_feasible_radius) is closed form.
+
+defect_scan runs its whole grid in one pass of array operations: the
+closure, then metric.cone_angle_rows, the batched cone angles whose
+validity mask is that polytope and the clamp's guard band.  It returns a
+ScanGrid of arrays, with no object per node.  Gauss-Newton stays on the
+scalar path: at a single point the fixed cost of the array operations
+makes the batched kernel slower than cone_angle_tuple.
 """
 
 from __future__ import annotations
@@ -26,21 +36,21 @@ import numpy as np
 
 from .metric import (
     TRIANGLE_LAYOUT,
+    VALIDITY_BOUNDS,
+    VALIDITY_ROWS,
     ConeAngleSpec,
     GluedFootballParams,
     TriangulatedMetric,
+    cone_angle_rows,
     cone_angle_tuple,
     glued_football,
     solve_triangle,
 )
 from .sphtrig import (
     PI,
-    TWO_PI,
-    VALIDITY_MARGIN,
     InvalidTriangleError,
     NumericalCorruptionError,
-    clamped_asin,
-    side_from_sas,
+    clamp_rows,
     sss_differentials,
 )
 
@@ -82,23 +92,6 @@ class GaussNewtonResult:
     @property
     def success(self) -> bool:
         return self.status == "converged"
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One node of a defect scan; residuals are None when infeasible."""
-
-    l1: float | None
-    l2: float | None
-    l3: float
-    l4: float
-    l5: float | None
-    l6: float | None
-    r_A: float | None
-    r_B: float | None
-    r_D: float | None
-    r_C: float | None
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -260,30 +253,6 @@ def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, 
     return float(s_star), float(dist(s_star))
 
 
-def _validity_rows() -> tuple[np.ndarray, np.ndarray]:
-    """The validity region as rows c . (l1..l6) < b.
-
-    Each triangle of TRIANGLE_LAYOUT contributes the inequalities of
-    sphtrig.triangle_violations on its sides (a, b, c): every side in
-    (margin, pi - margin), a - b - c < -margin and its two cyclic
-    versions, and a + b + c < 2*pi - margin.  A length that is two sides
-    of one triangle (T1 and T3 are isosceles) gets the sum of both
-    coefficients.
-    """
-    eye = np.eye(3)
-    tri = np.vstack([-eye, eye, 2.0 * eye - 1.0, np.ones((1, 3))])
-    m = VALIDITY_MARGIN
-    bound = [-m] * 3 + [PI - m] * 3 + [-m] * 3 + [TWO_PI - m]
-    rows = np.zeros((len(TRIANGLE_LAYOUT), len(tri), 6))
-    for t, (sides, _) in enumerate(TRIANGLE_LAYOUT):
-        for k, side in enumerate(sides):
-            rows[t, :, side] += tri[:, k]
-    return rows.reshape(-1, 6), np.tile(bound, len(TRIANGLE_LAYOUT))
-
-
-VALIDITY_ROWS, VALIDITY_BOUNDS = _validity_rows()
-
-
 def max_feasible_radius(base: TriangulatedMetric) -> float:
     """Supremum of the radii whose max-norm ball around base stays valid.
 
@@ -367,12 +336,27 @@ class ScanClosure:
             raise ValueError(f"branch must be 'acute' or 'obtuse', got {self.branch!r}")
 
 
+@dataclass(frozen=True)
+class ScanGrid:
+    """A defect scan, one row per node: lengths l1..l6 (n, 6), residuals
+    (r_A, r_B, r_D, r_C) (n, 4) and the feasible mask (n,).
+
+    An infeasible node keeps its l3 and l4; its other cells are nan.
+    """
+
+    lengths: np.ndarray
+    residuals: np.ndarray
+    feasible: np.ndarray
+
+
 def defect_scan(spec: ConeAngleSpec, l3_grid, l4_grid,
-                closure: ScanClosure | None = None) -> list[ScanRow]:
+                closure: ScanClosure | None = None) -> ScanGrid:
     """C-defect over a (l3, l4) grid with the other constraints closed exactly.
 
     Rows appear in lexicographic (l3, l4) order; infeasible nodes are
-    emitted with feasible=False rather than dropped.
+    kept with feasible False rather than dropped.  A node is infeasible
+    when a closure ratio leaves (0, 1] or the closed lengths (l3 and l4
+    among them) leave the validity region.
     """
     if len(l3_grid) == 0 or len(l4_grid) == 0:
         raise ValueError(f"scan grid needs at least 1 node per axis, "
@@ -383,32 +367,26 @@ def defect_scan(spec: ConeAngleSpec, l3_grid, l4_grid,
     d2 = beta + 2.0 * closure.eps
     if not (0.0 < d1 < PI and 0.0 < d2 < PI):
         raise ValueError(f"eps = {closure.eps!r} drives a D-apex out of (0, pi)")
-    rows: list[ScanRow] = []
-    for l3 in l3_grid:
-        for l4 in l4_grid:
-            row = _scan_node(spec, float(l3), float(l4), d1, d2, closure.branch)
-            rows.append(row)
-    return rows
-
-
-def _scan_node(spec, l3, l4, d1, d2, branch) -> ScanRow:
-    infeasible = ScanRow(None, None, l3, l4, None, None,
-                         None, None, None, None, False)
-    if not (0.0 < l3 < PI and 0.0 < l4 < PI):
-        return infeasible
-    l5 = side_from_sas(l3, l4, d1)
-    l6 = side_from_sas(l4, l3, d2)
-    s1 = math.sin(0.5 * l5) / math.sin(0.5 * spec.alpha)
-    s2 = math.sin(0.5 * l6) / math.sin(0.5 * spec.beta)
-    if s1 > 1.0 or s2 > 1.0 or s1 <= 0.0 or s2 <= 0.0:
-        return infeasible
-    l1 = clamped_asin(s1)
-    l2 = clamped_asin(s2)
-    if branch == "obtuse":
+    l3 = np.repeat(np.asarray(l3_grid, dtype=float), len(l4_grid))
+    l4 = np.tile(np.asarray(l4_grid, dtype=float), len(l3_grid))
+    with np.errstate(invalid="ignore"):
+        # l5 and l6 by the cosine law (sphtrig.side_from_sas), then l1 and
+        # l2 from the sine ratio that puts each isosceles apex on target.
+        c34, s34 = np.cos(l3) * np.cos(l4), np.sin(l3) * np.sin(l4)
+        l5, ok5 = clamp_rows(c34 + s34 * math.cos(d1))
+        l6, ok6 = clamp_rows(c34 + s34 * math.cos(d2))
+        l5, l6 = np.arccos(l5), np.arccos(l6)
+        s1 = np.sin(0.5 * l5) / math.sin(0.5 * alpha)
+        s2 = np.sin(0.5 * l6) / math.sin(0.5 * beta)
+        feasible = ok5 & ok6 & (0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0)
+        l1, l2 = np.arcsin(s1), np.arcsin(s2)
+    if closure.branch == "obtuse":
         l1, l2 = PI - l1, PI - l2
-    try:
-        r = residual((l1, l2, l3, l4, l5, l6), spec)
-    except OFF_DOMAIN:
-        return infeasible
-    return ScanRow(l1, l2, l3, l4, l5, l6,
-                   float(r[0]), float(r[1]), float(r[2]), float(r[3]), True)
+    lengths = np.column_stack([l1, l2, l3, l4, l5, l6])
+    theta, valid = cone_angle_rows(lengths)
+    feasible &= valid
+    lengths[~feasible] = np.nan
+    lengths[:, 2], lengths[:, 3] = l3, l4
+    residuals = theta - spec.cone_vector()
+    residuals[~feasible] = np.nan
+    return ScanGrid(lengths, residuals, feasible)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
@@ -70,6 +72,16 @@ def clamped_asin(x: float) -> float:
                 f"asin argument {x!r} is below -1 beyond the roundoff clamp")
         return -PI / 2.0
     return math.asin(x)
+
+
+def clamp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of the clamp: x clipped to [-1, 1], and a mask of the
+    entries inside the CLAMP_TOL guard band.
+
+    An entry outside the band (or nan) is False in the mask where
+    clamped_acos and clamped_asin would raise NumericalCorruptionError.
+    """
+    return np.clip(x, -1.0, 1.0), np.abs(x) <= 1.0 + CLAMP_TOL
 
 
 def _require_range(name: str, value: float, lo: float = 0.0, hi: float = PI) -> None:

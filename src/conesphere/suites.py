@@ -30,6 +30,7 @@ from .solver import (
     RANK_TOL,
     RES_TOL,
     ScanClosure,
+    ScanGrid,
     defect_scan,
     rigidity_scan,
 )
@@ -237,26 +238,25 @@ def rigidity_suite(alpha: float, beta: float, t: float, radius: float,
 
 
 def scan_suite(alpha: float, beta: float, eps: float,
-               branch: str, l3_grid, l4_grid) -> tuple[dict, list, bool]:
+               branch: str, l3_grid, l4_grid) -> tuple[dict, ScanGrid, bool]:
     """Defect scan plus the stated per-node sign assertion (eps != 0 only).
 
     A verdict needs at least one checked node: a scan at eps = 0, or one
     whose nodes are all infeasible, fails.
     """
     spec = ConeAngleSpec(alpha, beta)
-    rows = defect_scan(spec, l3_grid, l4_grid, ScanClosure(eps=eps, branch=branch))
+    grid = defect_scan(spec, l3_grid, l4_grid, ScanClosure(eps=eps, branch=branch))
     regime = "below" if branch == "acute" else "above"
     expected = _stated_sign(regime)
-    feasible = sum(1 for r in rows if r.feasible)
-    signs = [int(math.copysign(1.0, r.r_C)) if r.r_C else 0
-             for r in rows if r.feasible] if eps != 0.0 else []
+    feasible = int(grid.feasible.sum())
+    signs = np.sign(grid.residuals[grid.feasible, 3]) if eps != 0.0 else []
     checked = len(signs)
-    ok = checked > 0 and all(sign == expected for sign in signs)
+    ok = checked > 0 and bool(np.all(signs == expected))
     results = {
         "alpha": alpha, "beta": beta, "eps": eps, "branch": branch,
-        "nodes": len(rows), "feasible_nodes": feasible,
+        "nodes": len(grid.feasible), "feasible_nodes": feasible,
         "checked_nodes": checked,
         "expected_sign": expected if eps != 0.0 else 0,
         "pass": ok,
     }
-    return build_report("scan", results), rows, ok
+    return build_report("scan", results), grid, ok

@@ -124,13 +124,14 @@ def test_c4_lemma2_sign_structure():
             stated_ok = (sign == expected and abs(res.defect) > margin)
             law = -int(math.copysign(
                 1.0, math.sin(row.ell) * math.sin(0.5 * (res.l1 - res.l2))))
-            scan = defect_scan(spec, [row.ell], [row.ell], closure)[0]
-            closure_ok = scan.feasible and abs(scan.r_C - res.defect) <= 1e-12
+            scan = defect_scan(spec, [row.ell], [row.ell], closure)
+            r_C = float(scan.residuals[0, 3])
+            closure_ok = bool(scan.feasible[0]) and abs(r_C - res.defect) <= 1e-12
             if not (stated_ok and sign == law and closure_ok):
                 failures.append(
                     f"{label} ell={row.ell:.3f}: defect={res.defect:+.3e} "
                     f"(expected sign {expected:+d}), corrected law {law:+d}, "
-                    f"closure r_C {scan.r_C}")
+                    f"closure r_C {r_C}")
 
     equal = ConeAngleSpec(PI / 2, PI / 2)
     unequal = ConeAngleSpec(1.0, 2.0)

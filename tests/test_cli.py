@@ -301,3 +301,24 @@ class TestEigenAdmissible:
         assert "mp_distance_all_odd" not in results
         assert results["chi"] == pytest.approx(
             (float(ALPHA) + float(BETA)) / PI, abs=1e-14)
+
+
+class TestUnwritableOutput:
+    SCAN = ("scan", "--alpha", ALPHA, "--beta", BETA, "--eps", "0.05",
+            "--l3-min", "2.0", "--l3-max", "2.4", "--l4-min", "2.0",
+            "--l4-max", "2.4", "--grid", "3")
+
+    @pytest.mark.parametrize("argv", [
+        ("eigen", "--out", "{missing}"),
+        (*SCAN, "--out", "{missing}"),
+        (*SCAN, "--out", "{ok}", "--report", "{missing}"),
+        ("construct", "--alpha", ALPHA, "--beta", BETA, "--t", T,
+         "--out", "{missing}"),
+    ], ids=["eigen", "scan-out", "scan-report", "construct"])
+    def test_io_error_exit_3(self, tmp_path, capsys, argv):
+        # A path in a directory that does not exist cannot be opened.
+        paths = {"missing": str(tmp_path / "missing" / "out"),
+                 "ok": str(tmp_path / "scan.csv")}
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 3
+        assert err.startswith("io error: ")

@@ -234,12 +234,12 @@ class TestLemma2Defect:
         from conesphere.solver import ScanClosure, defect_scan
 
         d = defect_node(PI / 2, PI / 2, 0.05, 2.2, "below")
-        rows = defect_scan(ConeAngleSpec(PI / 2, PI / 2), [2.2], [2.2],
+        scan = defect_scan(ConeAngleSpec(PI / 2, PI / 2), [2.2], [2.2],
                            ScanClosure(eps=0.05, branch="acute"))
-        assert rows[0].feasible
-        assert rows[0].r_C == pytest.approx(d.defect, abs=1e-12)
-        assert rows[0].l1 == pytest.approx(d.l1, abs=1e-12)
-        assert rows[0].l2 == pytest.approx(d.l2, abs=1e-12)
+        assert scan.feasible[0]
+        assert scan.residuals[0, 3] == pytest.approx(d.defect, abs=1e-12)
+        assert scan.lengths[0, 0] == pytest.approx(d.l1, abs=1e-12)
+        assert scan.lengths[0, 1] == pytest.approx(d.l2, abs=1e-12)
 
     def test_matches_embedded_geometry(self):
         beta, eps, ell = PI / 2, 0.05, 2 * PI / 3

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conesphere.metric import (
+    VALIDITY_BOUNDS,
+    VALIDITY_ROWS,
     ConeAngleSpec,
     GluedFootballParams,
     MetricDocumentError,
     MetricRangeError,
     TriangulatedMetric,
+    cone_angle_rows,
     cone_angle_tuple,
     deserialize,
     glued_football,
@@ -15,7 +18,7 @@ from conesphere.metric import (
     total_area,
     validate,
 )
-from conesphere.sphtrig import PI
+from conesphere.sphtrig import PI, NumericalCorruptionError
 
 TARGET = 4.0 * PI
 
@@ -115,6 +118,48 @@ class TestConeAngles:
         swapped = TriangulatedMetric(1.9, 2.0, 1.2, 1.0, 1.3, 1.25)
         assert cone_angle_tuple(m.lengths()) == pytest.approx(
             cone_angle_tuple(swapped.lengths()), abs=1e-14)
+
+
+def _near_family(alpha, beta, t, offset):
+    return list(np.array(family(alpha, beta, t).lengths()) + np.array(offset))
+
+
+# Rows near the glued family (mostly valid) and anywhere around (0, pi)^6
+# (mostly invalid, some with lengths outside (0, pi)).
+LENGTH_ROWS = st.one_of(
+    st.builds(_near_family, st.floats(0.3, PI - 0.3), st.floats(0.3, PI - 0.3),
+              st.floats(0.4, PI - 0.4),
+              st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6)),
+    st.lists(st.floats(-0.5, PI + 0.5), min_size=6, max_size=6))
+
+
+class TestConeAngleRows:
+    @given(st.lists(LENGTH_ROWS, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cone_angle_tuple(self, rows):
+        x = np.array(rows)
+        # Off the polytope's boundary, where the two rules may round apart.
+        assume(np.all(np.abs(VALIDITY_BOUNDS - x @ VALIDITY_ROWS.T) > 1e-9))
+        theta, valid = cone_angle_rows(x)
+        for row, angles, ok in zip(rows, theta, valid):
+            assert ok == (not validate(TriangulatedMetric(*row)))
+            if ok:
+                assert angles.tolist() == pytest.approx(
+                    cone_angle_tuple(row), abs=1e-13)
+            else:
+                assert np.isnan(angles).all()
+
+    def test_argument_beyond_the_guard_band_is_invalid(self):
+        # T2 is thin, with sides near 0 and pi: it is inside the validity
+        # polytope, but roundoff puts one cosine-law argument at -1.00005,
+        # where cone_angle_tuple raises.
+        row = (PI / 2, PI / 2, 3.141592587551585, 3.395821253575468e-07,
+               3.141592379933989, 3.1415923140076676)
+        assert not validate(TriangulatedMetric(*row))
+        with pytest.raises(NumericalCorruptionError):
+            cone_angle_tuple(row)
+        theta, valid = cone_angle_rows([row])
+        assert not valid[0] and np.isnan(theta).all()
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from conesphere.sphtrig import (
     SphericalTriangle,
     TriangleAngles,
     angles_from_sss,
+    clamp_rows,
     clamped_acos,
     dual_cosine_angle,
     side_from_sas,
@@ -42,6 +44,15 @@ class TestClamping:
     def test_beyond_clamp_raises(self):
         with pytest.raises(NumericalCorruptionError):
             clamped_acos(1.0 + 1e-9)
+
+    def test_rows_share_the_guard_band(self):
+        x = np.array([1.0 + 5e-13, -1.0 - 5e-13, 1.0 + 2e-12, -1.0 - 2e-12,
+                      0.5, math.nan])
+        clipped, inside = clamp_rows(x)
+        assert inside.tolist() == [True, True, False, False, True, False]
+        assert clipped[[0, 1, 4]].tolist() == [1.0, -1.0, 0.5]
+        with pytest.raises(NumericalCorruptionError):
+            clamped_acos(1.0 + 2e-12)
 
 
 class TestSideFromSas:
