@@ -137,21 +137,6 @@ class DefectRow:
 class DefectSweepReport:
     rows: tuple[DefectRow, ...]
 
-    @property
-    def feasible_rows(self) -> tuple[DefectRow, ...]:
-        return tuple(r for r in self.rows if r.feasible)
-
-    @property
-    def signs(self) -> set[int]:
-        return {int(math.copysign(1.0, r.result.defect))
-                for r in self.feasible_rows if r.result.defect != 0.0}
-
-    @property
-    def single_sign(self) -> bool:
-        sg = self.signs
-        return len(sg) == 1 and all(
-            r.result.defect != 0.0 for r in self.feasible_rows)
-
 
 def half_piece_solve(cfg: HalfPieceConfig) -> HalfPieceSolution:
     """Solve one half piece: its outer side and its corner, in closed form.

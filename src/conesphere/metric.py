@@ -107,8 +107,9 @@ class TriangulatedMetric:
 
     def triangles(self) -> tuple[SphericalTriangle, ...]:
         """T1..T4; T1/T3 are the isosceles A/B triangles, T2/T4 the slit pair."""
-        return tuple(SphericalTriangle(*sides)
-                     for sides in _triangle_sides(self.lengths()))
+        x = self.lengths()
+        return tuple(SphericalTriangle(x[i], x[j], x[k])
+                     for (i, j, k), _ in TRIANGLE_LAYOUT)
 
 
 # The layout of T1..T4: the sides (a, b, c) as indices into l1..l6, and the
@@ -147,12 +148,6 @@ def _validity_rows() -> tuple[np.ndarray, np.ndarray]:
 VALIDITY_ROWS, VALIDITY_BOUNDS = _validity_rows()
 
 
-def _triangle_sides(lengths) -> list[tuple[float, float, float]]:
-    """Sides (a, b, c) of T1..T4 from l1..l6."""
-    return [(lengths[i], lengths[j], lengths[k])
-            for (i, j, k), _ in TRIANGLE_LAYOUT]
-
-
 def solve_triangle(idx: int, solve, a: float, b: float, c: float):
     """solve(a, b, c), its InvalidTriangleError re-raised naming T<idx>."""
     try:
@@ -169,9 +164,12 @@ def validate(m: TriangulatedMetric) -> list[str]:
     Empty means valid.  Every length is a side of some triangle, so a
     length outside (0, pi) is flagged there.
     """
+    x = m.lengths()
     issues = []
-    for idx, sides in enumerate(_triangle_sides(m.lengths()), start=1):
-        issues.extend(f"T{idx}: {bad}" for bad in triangle_violations(*sides))
+    for idx, ((i, j, k), _) in enumerate(TRIANGLE_LAYOUT, start=1):
+        bad = triangle_violations(x[i], x[j], x[k])
+        if bad:
+            issues.extend(f"T{idx}: {b}" for b in bad)
     return issues
 
 
@@ -201,7 +199,7 @@ def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
     InvalidTriangleError naming it (T1..T4).  Every corner angle is added
     to the cone point TRIANGLE_LAYOUT assigns it, T1 first.
     """
-    x = [float(v) for v in lengths]
+    x = np.asarray(lengths, dtype=float).tolist()
     theta = [0.0, 0.0, 0.0, 0.0]
     for idx, ((i, j, k), (p, q, r)) in enumerate(TRIANGLE_LAYOUT, start=1):
         A, B, C = solve_triangle(idx, sss_angles, x[i], x[j], x[k])

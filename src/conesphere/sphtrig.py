@@ -192,24 +192,6 @@ def angles_from_sss(t: SphericalTriangle) -> TriangleAngles:
     return TriangleAngles(*sss_angles(t.a, t.b, t.c))
 
 
-def dual_cosine_angle(A: float, B: float, c: float) -> float:
-    """Angle opposite side c from the two angles adjacent to it.
-
-    Uses the dual (polar) cosine law cos C = -cos A cos B + sin A sin B cos c.
-    An argument outside [-1, 1] beyond the roundoff clamp means no triangle
-    carries these data, which is reported as NoTriangleError rather than as
-    numerical corruption.
-    """
-    _require_range("angle A", A)
-    _require_range("angle B", B)
-    _require_range("side c", c)
-    arg = -math.cos(A) * math.cos(B) + math.sin(A) * math.sin(B) * math.cos(c)
-    if arg > 1.0 + CLAMP_TOL or arg < -1.0 - CLAMP_TOL:
-        raise NoTriangleError(
-            f"no triangle with angles ({A!r}, {B!r}) across side {c!r}")
-    return clamped_acos(arg)
-
-
 def sine_rule_side(A: float, a: float, B: float, branch: str) -> float:
     """Side opposite B from the sine rule, with an explicit branch choice.
 

@@ -17,7 +17,7 @@ from conesphere.lemmas import (
     step1_asymmetric_exclusion,
     _angle_sum_roots,
 )
-from conesphere.sphtrig import PI, NoTriangleError, dual_cosine_angle
+from conesphere.sphtrig import PI, NoTriangleError, clamped_acos, sss_angles
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -310,6 +310,54 @@ class TestInequalitySign:
 # lemma3_sweep
 # ---------------------------------------------------------------------------
 
+def dual_cosine_angle(A, B, c):
+    """Angle opposite side c from the two angles adjacent to it.
+
+    The dual (polar) cosine law cos C = -cos A cos B + sin A sin B cos c,
+    an oracle for the roots of _angle_sum_roots, which solve the same law
+    for the base angle in closed form.
+    """
+    return clamped_acos(-math.cos(A) * math.cos(B)
+                        + math.sin(A) * math.sin(B) * math.cos(c))
+
+
+class TestDualCosine:
+    def test_two_right_angles_force_apex_equal_to_side(self):
+        for c in (0.3, 1.0, 2.0):
+            assert dual_cosine_angle(PI / 2, PI / 2, c) == pytest.approx(c, abs=1e-14)
+
+    def test_octant(self):
+        assert dual_cosine_angle(PI / 2, PI / 2, PI / 2) == pytest.approx(PI / 2)
+
+    def test_isosceles_extremal_triangle(self):
+        # alpha with tan^2(alpha) = 2 closes base pi/3 onto a right apex.
+        alpha = math.acos(1.0 / math.sqrt(3.0))
+        assert dual_cosine_angle(alpha, alpha, PI / 3) == pytest.approx(
+            PI / 2, abs=1e-12)
+
+    @given(A=st.floats(0.05, PI - 0.05), B=st.floats(0.05, PI - 0.05),
+           c=st.floats(0.05, PI - 0.05))
+    @settings(max_examples=100)
+    def test_argument_always_in_range(self, A, B, c):
+        # The hinge argument lies strictly inside (-cos(A-B), -cos(A+B)),
+        # so any two angles in (0, pi) across a side in (0, pi) close.
+        arg = (-math.cos(A) * math.cos(B)
+               + math.sin(A) * math.sin(B) * math.cos(c))
+        assert -1.0 <= arg <= 1.0
+        assert 0.0 <= dual_cosine_angle(A, B, c) <= PI
+
+    @given(a=st.floats(0.05, PI - 0.05), b=st.floats(0.05, PI - 0.05),
+           frac=st.floats(0.01, 0.99))
+    @settings(max_examples=100)
+    def test_agrees_with_sss(self, a, b, frac):
+        lo = abs(a - b) + 1e-3
+        hi = min(a + b, 2.0 * PI - a - b) - 1e-3
+        assume(lo < hi)
+        c = lo + frac * (hi - lo)
+        A, B, C = sss_angles(a, b, c)
+        assert dual_cosine_angle(A, B, c) == pytest.approx(C, abs=1e-10)
+
+
 def golden_extremize(ell, beta, lo, hi, kind):
     """Independent locator: golden-section on the same implicit function."""
     def s_of(a):
@@ -550,10 +598,15 @@ class TestStep1:
             assert abs(row.result.defect) < 1e-10
 
     def test_true_single_sign_per_regime(self):
+        def signs(rep):
+            defects = [r.result.defect for r in rep.rows if r.feasible]
+            assert defects and 0.0 not in defects
+            return {math.copysign(1.0, d) for d in defects}
+
         for eps in (0.01, 0.05, 0.1):
             below = step1_asymmetric_exclusion(
                 1.0, 2.0, eps, np.linspace(2.11, 2.82, 5), "below")
-            assert below.single_sign and below.signs == {1}
+            assert signs(below) == {1.0}
             above = step1_asymmetric_exclusion(
                 1.0, 2.0, eps, np.linspace(0.2, 1.06, 5), "above")
-            assert above.single_sign and above.signs == {-1}
+            assert signs(above) == {-1.0}

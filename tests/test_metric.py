@@ -167,17 +167,26 @@ class TestValidate:
         assert validate(family(0.7, 2.2, 1.9)) == []
 
     def test_degenerate_slit_triangle_flagged(self):
+        # l5 = l3 + l4 flattens T2 and takes T1 = (l1, l1, l5) to perimeter
+        # 2*pi; T3 and T4 stay valid.  The list is pinned whole: one entry
+        # per violation, in T1..T4 order, each named by its triangle.
         m = family(PI / 2, PI / 2, PI / 3)
         bad = TriangulatedMetric(m.l1, m.l2, m.l3, m.l4, m.l3 + m.l4, m.l6)
-        issues = validate(bad)
-        assert issues
-        assert any("T2" in issue for issue in issues)
+        assert validate(bad) == [
+            f"T1: perimeter {bad.l1 + bad.l1 + bad.l5!r} not below 2*pi",
+            f"T2: triangle inequality c < a + b violated by "
+            f"{bad.l5 - (bad.l3 + bad.l4)!r}",
+        ]
 
     def test_range_violation_flagged(self):
-        # l1 = pi is a side of T1, which names it.
+        # l1 = pi is two sides of T1, which names it; every violation of
+        # the triangle is listed, not just the first.
         issues = validate(TriangulatedMetric(PI, 1.0, 1.0, 1.0, 1.0, 1.0))
-        assert issues
-        assert issues[0].startswith("T1: side a = ")
+        assert issues == [
+            f"T1: side a = {PI!r} outside (0, pi)",
+            f"T1: side b = {PI!r} outside (0, pi)",
+            f"T1: perimeter {PI + PI + 1.0!r} not below 2*pi",
+        ]
 
     def test_cone_angles_error_names_triangle(self):
         from conesphere.solver import residual

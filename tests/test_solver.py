@@ -349,6 +349,27 @@ class TestFamilyDistance:
         assert s == pytest.approx(1.2, abs=1e-9)
         assert dist < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
+           st.floats(0.3, PI - 0.3),
+           st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6))
+    def test_matches_closed_form_grid(self, alpha, beta, t, offset):
+        # Oracle: the family in closed form on a 4001-point s grid.  The
+        # search must do at least as well as the grid, and land within one
+        # grid step of the grid's argmin.
+        spec = ConeAngleSpec(alpha, beta)
+        point = np.array(base_metric(t=t, spec=spec).lengths()) + offset
+        s_grid = np.linspace(solver.FAMILY_T_MIN, solver.FAMILY_T_MAX, 4001)
+        fam = np.column_stack([
+            PI - s_grid, PI - s_grid, s_grid, s_grid,
+            2.0 * np.arcsin(np.sin(s_grid) * math.sin(0.5 * alpha)),
+            2.0 * np.arcsin(np.sin(s_grid) * math.sin(0.5 * beta))])
+        grid_dist = np.linalg.norm(fam - point, axis=1)
+        j = int(np.argmin(grid_dist))
+        s_star, dist = family_distance(TriangulatedMetric(*point), spec)
+        assert dist <= grid_dist[j] + 1e-15
+        assert abs(s_star - s_grid[j]) <= s_grid[1] - s_grid[0]
+
 
 class TestRigidityScan:
     def test_small_scan_converges_onto_family(self):
@@ -358,6 +379,15 @@ class TestRigidityScan:
         assert report.max_family_distance < 1e-6
         assert report.rigidity_holds
         assert report.kernel_dim >= 2
+
+    def test_residual_norms_are_the_euclidean_norm(self):
+        # Each recorded norm is bit for bit np.linalg.norm of the residual
+        # at the recorded lengths.
+        report = rigidity_scan(GluedFootballParams(ConeAngleSpec(1.0, 2.0), 1.2),
+                               radius=0.05, samples=8, seed=7)
+        assert report.converged == 8
+        for lengths, rnorm, _, _ in report.solutions:
+            assert rnorm == float(np.linalg.norm(residual(lengths, report.spec)))
 
     def test_deterministic_for_fixed_seed(self):
         from conesphere.suites import rigidity_suite

@@ -14,7 +14,6 @@ from conesphere.sphtrig import (
     angles_from_sss,
     clamp_rows,
     clamped_acos,
-    dual_cosine_angle,
     side_from_sas,
     sine_rule_side,
     sss_angles,
@@ -150,39 +149,6 @@ class TestSssDifferentials:
                   zip(sss_angles(*plus), sss_angles(*minus))]
             for i in range(3):
                 assert abs(D[i][j] - fd[i]) < 1e-6 * scale
-
-
-class TestDualCosine:
-    def test_two_right_angles_force_apex_equal_to_side(self):
-        for c in (0.3, 1.0, 2.0):
-            assert dual_cosine_angle(PI / 2, PI / 2, c) == pytest.approx(c, abs=1e-14)
-
-    def test_octant(self):
-        assert dual_cosine_angle(PI / 2, PI / 2, PI / 2) == pytest.approx(PI / 2)
-
-    def test_isosceles_extremal_triangle(self):
-        # alpha with tan^2(alpha) = 2 closes base pi/3 onto a right apex.
-        alpha = math.acos(1.0 / math.sqrt(3.0))
-        assert dual_cosine_angle(alpha, alpha, PI / 3) == pytest.approx(
-            PI / 2, abs=1e-12)
-
-    @given(A=st.floats(0.05, PI - 0.05), B=st.floats(0.05, PI - 0.05),
-           c=st.floats(0.05, PI - 0.05))
-    @settings(max_examples=100)
-    def test_argument_always_in_range(self, A, B, c):
-        # The hinge argument lies strictly inside (-cos(A-B), -cos(A+B)),
-        # so in-range data never trips the defensive no-triangle branch.
-        arg = (-math.cos(A) * math.cos(B)
-               + math.sin(A) * math.sin(B) * math.cos(c))
-        assert -1.0 <= arg <= 1.0
-        assert 0.0 <= dual_cosine_angle(A, B, c) <= PI
-
-    @given(valid_triangles())
-    @settings(max_examples=100)
-    def test_agrees_with_sss(self, tri):
-        ang = angles_from_sss(tri)
-        assert dual_cosine_angle(ang.A, ang.B, tri.c) == pytest.approx(
-            ang.C, abs=1e-10)
 
 
 class TestSineRuleSide:
