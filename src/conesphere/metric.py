@@ -25,8 +25,8 @@ from .sphtrig import (
     VALIDITY_MARGIN,
     SphericalTriangle,
     InvalidTriangleError,
-    clamp_rows,
     clamped_asin,
+    half_angle_sines,
     sss_angles,
     triangle_excess,
     triangle_violations,
@@ -125,19 +125,16 @@ TRIANGLE_LAYOUT = (
 
 
 def _validity_rows() -> tuple[np.ndarray, np.ndarray]:
-    """The validity region as rows c . (l1..l6) < b.
+    """The validity region as rows c . (l1..l6) < b, for max_feasible_radius.
 
-    Each triangle of TRIANGLE_LAYOUT contributes the inequalities of
-    sphtrig.triangle_violations on its sides (a, b, c): every side in
-    (margin, pi - margin), a - b - c < -margin and its two cyclic
-    versions, and a + b + c < 2*pi - margin.  A length that is two sides
-    of one triangle (T1 and T3 are isosceles) gets the sum of both
-    coefficients.
+    Each triangle of TRIANGLE_LAYOUT contributes the four inequalities of
+    sphtrig.triangle_violations on its sides (a, b, c): a - b - c < -margin,
+    its two cyclic versions, and a + b + c < 2*pi - margin.  A length that is
+    two sides of one triangle (T1 and T3 are isosceles) sums both coefficients.
     """
-    eye = np.eye(3)
-    tri = np.vstack([-eye, eye, 2.0 * eye - 1.0, np.ones((1, 3))])
+    tri = np.vstack([2.0 * np.eye(3) - 1.0, np.ones((1, 3))])
     m = VALIDITY_MARGIN
-    bound = [-m] * 3 + [PI - m] * 3 + [-m] * 3 + [TWO_PI - m]
+    bound = [-m] * 3 + [TWO_PI - m]
     rows = np.zeros((len(TRIANGLE_LAYOUT), len(tri), 6))
     for t, (sides, _) in enumerate(TRIANGLE_LAYOUT):
         for k, side in enumerate(sides):
@@ -212,27 +209,25 @@ def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
 def cone_angle_rows(lengths) -> tuple[np.ndarray, np.ndarray]:
     """Cone angles of many length rows at once: ((n, 4), valid (n,)).
 
-    lengths has shape (n, 6).  A row is valid when it lies inside the
-    validity polytope (VALIDITY_ROWS) and every inverse-cosine argument is
-    inside the clamp's guard band, the two ways cone_angle_tuple can raise;
-    an invalid row's angles are nan.  The angles come from the same
-    inverse cosine law as sss_angles and are summed into the cone points
-    in cone_angle_tuple's order.
+    lengths has shape (n, 6).  Validity and angles are those of
+    cone_angle_tuple, in the same operations: the four comparisons of
+    triangle_violations, then the half-angle rule of sss_angles, summed in
+    the same order.  An invalid row's angles are nan.
     """
     x = np.asarray(lengths, dtype=float)
-    valid = np.all(x @ VALIDITY_ROWS.T < VALIDITY_BOUNDS, axis=1)
+    m = VALIDITY_MARGIN
+    valid = np.ones(len(x), dtype=bool)
     theta = np.zeros((len(x), 4))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos, sin = np.cos(x), np.sin(x)
-        for sides, points in TRIANGLE_LAYOUT:
-            ca, cb, cc = (cos[:, s] for s in sides)
-            sa, sb, sc = (sin[:, s] for s in sides)
-            for p, arg in zip(points, ((ca - cb * cc) / (sb * sc),
-                                       (cb - ca * cc) / (sa * sc),
-                                       (cc - ca * cb) / (sa * sb))):
-                arg, inside = clamp_rows(arg)
-                valid &= inside
-                theta[:, p] += np.arccos(arg)
+    with np.errstate(invalid="ignore"):
+        for sides, (p, q, r) in TRIANGLE_LAYOUT:
+            a, b, c = (x[:, s] for s in sides)
+            valid &= ((a < b + c - m) & (b < a + c - m) & (c < a + b - m)
+                      & (a + b + c < TWO_PI - m))
+            f, fa, fb, fc = half_angle_sines(a, b, c, np.sin)
+            root = np.sqrt(f * fa * fb * fc)
+            theta[:, p] += 2.0 * np.arctan2(root, f * fa)
+            theta[:, q] += 2.0 * np.arctan2(root, f * fb)
+            theta[:, r] += 2.0 * np.arctan2(root, f * fc)
     theta[~valid] = np.nan
     return theta, valid
 

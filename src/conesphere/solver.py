@@ -9,22 +9,18 @@ solutions land from the one-parameter glued family.  The defect scan
 sweeps the C-defect over an (l3, l4) grid with the other three
 constraints closed exactly.
 
-residual(lengths, spec) and jacobian(lengths) take the six lengths l1..l6.
-The cone angles and the validity rule come from metric.cone_angle_tuple,
-which checks every triangle as it solves it; the Jacobian sums
-sphtrig.sss_differentials over the same layout.  The solver loops evaluate
-the residual once per point and treat its InvalidTriangleError (or an
-inverse-trig argument beyond the roundoff clamp) as "outside the validity
-region".  That region is a convex polytope in l1..l6
-(metric.VALIDITY_ROWS), so the largest probe ball that fits in it
-(max_feasible_radius) is closed form.
+residual(lengths, spec) and jacobian(lengths) take the six lengths l1..l6
+and solve each triangle by sphtrig's half-angle rule, through
+metric.cone_angle_tuple and sphtrig.sss_differentials.  Outside the validity
+region both raise InvalidTriangleError (OFF_DOMAIN), a boundary to the solver
+loops.  The region is a convex polytope in l1..l6 (metric.VALIDITY_ROWS), so
+the largest probe ball that fits in it (max_feasible_radius) is closed form.
 
 defect_scan runs its whole grid in one pass of array operations: the
-closure, then metric.cone_angle_rows, the batched cone angles whose
-validity mask is that polytope and the clamp's guard band.  It returns a
-ScanGrid of arrays, with no object per node.  Gauss-Newton stays on the
-scalar path: at a single point the fixed cost of the array operations
-makes the batched kernel slower than cone_angle_tuple.
+closure, then metric.cone_angle_rows, the batched cone angles and validity
+mask.  It returns a ScanGrid of arrays, with no object per node.
+Gauss-Newton stays on the scalar path: at a single point the fixed cost of
+the array operations makes the batched kernel slower than cone_angle_tuple.
 
 A rigidity start is scalar work on six floats, so its cost is mostly per
 call: at (alpha, beta, t) = (1, 2, 1.2) one gauss_newton (27 iterations)
@@ -58,7 +54,6 @@ from .metric import (
 from .sphtrig import (
     PI,
     InvalidTriangleError,
-    NumericalCorruptionError,
     clamp_rows,
     sss_differentials,
 )
@@ -66,7 +61,7 @@ from .sphtrig import (
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Errors of a residual evaluated outside the validity region.
-OFF_DOMAIN = (InvalidTriangleError, NumericalCorruptionError)
+OFF_DOMAIN = InvalidTriangleError
 
 # Slit parameter window scanned when projecting onto the family.
 FAMILY_T_MIN = 1e-4

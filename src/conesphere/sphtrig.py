@@ -1,9 +1,10 @@
 """Spherical trigonometry kernel: closed-form triangle solvers on the unit 2-sphere.
 
 Every length and angle is a plain radian value; there is no degree support
-anywhere.  A valid triangle has all three sides in (0, pi), satisfies the
-three triangle inequalities with margin VALIDITY_MARGIN, and has perimeter
-below 2*pi.
+anywhere.  A valid triangle meets the three triangle inequalities and has
+perimeter below 2*pi, each with margin VALIDITY_MARGIN.  Its SSS solve is the
+half-angle rule on f = sin(s) and fa, fb, fc = sin(s - a), sin(s - b),
+sin(s - c), s = (a + b + c)/2, positive when valid: it needs no acos or clamp.
 """
 
 from __future__ import annotations
@@ -44,34 +45,24 @@ class InvalidTriangleError(SphericalGeometryError):
         self.violation = violation
 
 
+def _clamped(fn, name: str, x: float) -> float:
+    """fn(x), with x in a CLAMP_TOL guard band outside [-1, 1] clipped."""
+    if abs(x) > 1.0:
+        if abs(x) > 1.0 + CLAMP_TOL:
+            raise NumericalCorruptionError(
+                f"{name} argument {x!r} leaves [-1, 1] beyond the roundoff clamp")
+        x = math.copysign(1.0, x)
+    return fn(x)
+
+
 def clamped_acos(x: float) -> float:
     """acos with a CLAMP_TOL guard band outside [-1, 1]."""
-    if x > 1.0:
-        if x > 1.0 + CLAMP_TOL:
-            raise NumericalCorruptionError(
-                f"acos argument {x!r} exceeds 1 beyond the roundoff clamp")
-        return 0.0
-    if x < -1.0:
-        if x < -1.0 - CLAMP_TOL:
-            raise NumericalCorruptionError(
-                f"acos argument {x!r} is below -1 beyond the roundoff clamp")
-        return PI
-    return math.acos(x)
+    return _clamped(math.acos, "acos", x)
 
 
 def clamped_asin(x: float) -> float:
     """asin with a CLAMP_TOL guard band outside [-1, 1]."""
-    if x > 1.0:
-        if x > 1.0 + CLAMP_TOL:
-            raise NumericalCorruptionError(
-                f"asin argument {x!r} exceeds 1 beyond the roundoff clamp")
-        return PI / 2.0
-    if x < -1.0:
-        if x < -1.0 - CLAMP_TOL:
-            raise NumericalCorruptionError(
-                f"asin argument {x!r} is below -1 beyond the roundoff clamp")
-        return -PI / 2.0
-    return math.asin(x)
+    return _clamped(math.asin, "asin", x)
 
 
 def clamp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,24 +82,40 @@ def _require_range(name: str, value: float, lo: float = 0.0, hi: float = PI) -> 
 
 
 def triangle_violations(a: float, b: float, c: float) -> list[str]:
-    """The validity rule: every violated invariant of sides (a, b, c)."""
-    margin = VALIDITY_MARGIN
+    """The validity rule: every violated inequality of sides (a, b, c).
+
+    Each check is "not (x < y - margin)", so a nan side fails it.  The four
+    imply margin < a < pi - margin: b < a + c - m and c < a + b - m add to
+    a > m, and a < b + c - m with the perimeter to a < pi - m.
+    """
+    m = VALIDITY_MARGIN
     out = []
-    if not (margin < a < PI - margin):
-        out.append(f"side a = {a!r} outside (0, pi)")
-    if not (margin < b < PI - margin):
-        out.append(f"side b = {b!r} outside (0, pi)")
-    if not (margin < c < PI - margin):
-        out.append(f"side c = {c!r} outside (0, pi)")
-    if a >= b + c - margin:
+    if not (a < b + c - m):
         out.append(f"triangle inequality a < b + c violated by {a - (b + c)!r}")
-    if b >= a + c - margin:
+    if not (b < a + c - m):
         out.append(f"triangle inequality b < a + c violated by {b - (a + c)!r}")
-    if c >= a + b - margin:
+    if not (c < a + b - m):
         out.append(f"triangle inequality c < a + b violated by {c - (a + b)!r}")
-    if a + b + c >= TWO_PI - margin:
+    if not (a + b + c < TWO_PI - m):
         out.append(f"perimeter {a + b + c!r} not below 2*pi")
     return out
+
+
+def half_angle_sines(a, b, c, sin):
+    """(sin(s), sin(s - a), sin(s - b), sin(s - c)), s = (a + b + c)/2, each
+    argument taken from the sides directly: 0.5*(b + c - a), not s - a.
+    sin is math.sin for floats, np.sin for arrays: the same operations."""
+    return (sin(0.5 * (a + b + c)), sin(0.5 * (b + c - a)),
+            sin(0.5 * (a + c - b)), sin(0.5 * (a + b - c)))
+
+
+def _checked_sines(a: float, b: float, c: float) -> tuple[float, float, float, float]:
+    """half_angle_sines, or InvalidTriangleError naming the first violation."""
+    bad = triangle_violations(a, b, c)
+    if bad:
+        raise InvalidTriangleError(
+            f"invalid spherical triangle {(a, b, c)}: {bad[0]}", violation=bad[0])
+    return half_angle_sines(a, b, c, math.sin)
 
 
 @dataclass(frozen=True)
@@ -153,42 +160,41 @@ def side_from_sas(a: float, b: float, C: float) -> float:
 
 
 def sss_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Angles (A, B, C) opposite sides (a, b, c) by the inverse cosine law.
-
-    The sides are checked against the validity rule first; an invalid
-    triangle raises InvalidTriangleError naming its first violation.
+    """Angles (A, B, C) opposite sides (a, b, c) by the half-angle rule:
+    tan(A/2) = sqrt(fb fc/(f fa)) = root/(f fa), root = sqrt(f fa fb fc), and
+    cyclically.  Tiny sides keep their digits, where the cosine law's
+    numerator cancels.  Invalid sides raise InvalidTriangleError.
     """
-    bad = triangle_violations(a, b, c)
-    if bad:
-        raise InvalidTriangleError(
-            f"invalid spherical triangle {(a, b, c)}: {bad[0]}", violation=bad[0])
-    ca, cb, cc = math.cos(a), math.cos(b), math.cos(c)
-    sa, sb, sc = math.sin(a), math.sin(b), math.sin(c)
-    return (clamped_acos((ca - cb * cc) / (sb * sc)),
-            clamped_acos((cb - ca * cc) / (sa * sc)),
-            clamped_acos((cc - ca * cb) / (sa * sb)))
+    f, fa, fb, fc = _checked_sines(a, b, c)
+    root = math.sqrt(f * fa * fb * fc)
+    return (2.0 * math.atan2(root, f * fa), 2.0 * math.atan2(root, f * fb),
+            2.0 * math.atan2(root, f * fc))
 
 
 def sss_differentials(a: float, b: float, c: float) -> tuple[tuple[float, float, float], ...]:
-    """Exact Jacobian of sss_angles (which checks validity): rows A, B, C.
+    """Exact Jacobian of sss_angles: rows A, B, C, columns a, b, c.
 
     The differential of the cosine law (Todhunter, Spherical Trigonometry,
     small variations of a triangle's parts): dA/da = sin a/(sin b sin c sin A),
     dA/db = -cos C dA/da, dA/dc = -cos B dA/da, and cyclically for B and C.
+    No angle is solved: sin A = 2 sqrt(f fa fb fc)/(sin b sin c) makes each
+    denominator W = 2 sqrt(f fa fb fc), twice sss_angles' root, and tan^2(A/2) =
+    fb fc/(f fa) gives cos A = (f fa - fb fc)/(f fa + fb fc).  Invalid sides
+    raise as in sss_angles.
     """
-    A, B, C = sss_angles(a, b, c)
-    sa, sb, sc = math.sin(a), math.sin(b), math.sin(c)
-    cA, cB, cC = math.cos(A), math.cos(B), math.cos(C)
-    dAa = sa / (sb * sc * math.sin(A))
-    dBb = sb / (sa * sc * math.sin(B))
-    dCc = sc / (sa * sb * math.sin(C))
+    f, fa, fb, fc = _checked_sines(a, b, c)
+    W = 2.0 * math.sqrt(f * fa * fb * fc)
+    cA = (f * fa - fb * fc) / (f * fa + fb * fc)
+    cB = (f * fb - fa * fc) / (f * fb + fa * fc)
+    cC = (f * fc - fa * fb) / (f * fc + fa * fb)
+    dAa, dBb, dCc = math.sin(a) / W, math.sin(b) / W, math.sin(c) / W
     return ((dAa, -cC * dAa, -cB * dAa),
             (-cC * dBb, dBb, -cA * dBb),
             (-cB * dCc, -cA * dCc, dCc))
 
 
 def angles_from_sss(t: SphericalTriangle) -> TriangleAngles:
-    """All three angles of a valid triangle (inverse cosine law)."""
+    """All three angles of a valid triangle (sss_angles)."""
     return TriangleAngles(*sss_angles(t.a, t.b, t.c))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -54,6 +55,23 @@ class TestConstructCheck:
         code, stdout, _ = run(capsys, "check", str(out))
         assert code == 1
         assert json.loads(stdout)["results"]["valid"] is False
+
+    def test_check_thin_valid_metric(self, tmp_path, capsys):
+        # T2 is 1.1e-10 inside its perimeter bound, with sides near 0 and
+        # pi.  It is valid, so check reports it valid with its cone angles;
+        # an inverse cosine law used to fail on it with an uncaught error.
+        lengths = (PI / 2, PI / 2, 3.141592587551585, 3.395821253575468e-07,
+                   3.141592379933989, 3.1415923140076676)
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({
+            "spec": {"alpha": 1.0, "beta": 2.0},
+            "lengths": dict(zip(("l1", "l2", "l3", "l4", "l5", "l6"), lengths))}))
+        code, stdout, _ = run(capsys, "check", str(path))
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        assert results["valid"] is True
+        angles = list(results["cone_angles"].values())
+        assert len(angles) == 4 and all(math.isfinite(v) for v in angles)
 
     def test_check_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/metric.json")

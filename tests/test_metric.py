@@ -1,10 +1,12 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conesphere.metric import (
-    VALIDITY_BOUNDS,
-    VALIDITY_ROWS,
+    TRIANGLE_LAYOUT,
     ConeAngleSpec,
     GluedFootballParams,
     MetricDocumentError,
@@ -18,7 +20,7 @@ from conesphere.metric import (
     total_area,
     validate,
 )
-from conesphere.sphtrig import PI, NumericalCorruptionError
+from conesphere.sphtrig import PI, VALIDITY_MARGIN
 
 TARGET = 4.0 * PI
 
@@ -133,14 +135,28 @@ LENGTH_ROWS = st.one_of(
     st.lists(st.floats(-0.5, PI + 0.5), min_size=6, max_size=6))
 
 
+def cosine_law_reference(row):
+    """Cone angles of the doubles in row by the inverse cosine law, in
+    50-digit arithmetic."""
+    def angle(a, b, c):
+        return mpmath.acos((mpmath.cos(a) - mpmath.cos(b) * mpmath.cos(c))
+                           / (mpmath.sin(b) * mpmath.sin(c)))
+
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(v) for v in row]
+        theta = [mpmath.mpf(0)] * 4
+        for (i, j, k), (p, q, r) in TRIANGLE_LAYOUT:
+            theta[p] += angle(x[i], x[j], x[k])
+            theta[q] += angle(x[j], x[k], x[i])
+            theta[r] += angle(x[k], x[i], x[j])
+        return theta
+
+
 class TestConeAngleRows:
     @given(st.lists(LENGTH_ROWS, min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_matches_cone_angle_tuple(self, rows):
-        x = np.array(rows)
-        # Off the polytope's boundary, where the two rules may round apart.
-        assume(np.all(np.abs(VALIDITY_BOUNDS - x @ VALIDITY_ROWS.T) > 1e-9))
-        theta, valid = cone_angle_rows(x)
+        theta, valid = cone_angle_rows(np.array(rows))
         for row, angles, ok in zip(rows, theta, valid):
             assert ok == (not validate(TriangulatedMetric(*row)))
             if ok:
@@ -149,17 +165,45 @@ class TestConeAngleRows:
             else:
                 assert np.isnan(angles).all()
 
-    def test_argument_beyond_the_guard_band_is_invalid(self):
-        # T2 is thin, with sides near 0 and pi: it is inside the validity
-        # polytope, but roundoff puts one cosine-law argument at -1.00005,
-        # where cone_angle_tuple raises.
+    @pytest.mark.parametrize("row, index", [
+        # Each row puts one of T2 = (l3, l4, l5)'s four bounds on the side
+        # row[index]: a < b + c, b < a + c, c < a + b, then the perimeter.
+        ((1.9, 2.0, 1.2 + 1.0 - VALIDITY_MARGIN, 1.2, 1.0, 1.25), 2),
+        ((1.9, 2.0, 1.0, 1.0 + 1.2 - VALIDITY_MARGIN, 1.2, 1.25), 3),
+        ((1.9, 2.0, 1.0, 1.2, 1.0 + 1.2 - VALIDITY_MARGIN, 1.25), 4),
+        ((1.9, 2.0, 2.0, 2.1, 2.0 * PI - VALIDITY_MARGIN - 4.1, 1.25), 4),
+    ])
+    def test_validity_flips_at_the_same_double_in_both_paths(self, row, index):
+        # Walk row[index] one ulp at a time to the last valid double; the
+        # next one up must be invalid in both paths too.
+        x = list(row)
+        while validate(TriangulatedMetric(*x)):
+            x[index] = math.nextafter(x[index], 0.0)
+        while True:
+            y = list(x)
+            y[index] = math.nextafter(x[index], math.inf)
+            issues = validate(TriangulatedMetric(*y))
+            if issues:
+                break
+            x = y
+        assert issues[0].startswith("T2: ")
+        assert cone_angle_rows([x, y])[1].tolist() == [True, False]
+
+    def test_thin_row_is_valid_in_both_paths(self):
+        # T2 is thin, with sides near 0 and pi, and 1.1e-10 inside its
+        # perimeter bound.  The cosine law put one of its arguments at
+        # -1.00005 here; the half-angle rule has no argument to leave a
+        # domain.  One rounding of l3 + l4 + l5 moves an angle by about 6e-8,
+        # so the 50-digit reference on the same doubles holds only to 1e-7.
         row = (PI / 2, PI / 2, 3.141592587551585, 3.395821253575468e-07,
                3.141592379933989, 3.1415923140076676)
         assert not validate(TriangulatedMetric(*row))
-        with pytest.raises(NumericalCorruptionError):
-            cone_angle_tuple(row)
         theta, valid = cone_angle_rows([row])
-        assert not valid[0] and np.isnan(theta).all()
+        assert valid[0]
+        assert theta[0].tolist() == pytest.approx(cone_angle_tuple(row),
+                                                  abs=1e-13)
+        ref = cosine_law_reference(row)
+        assert max(abs(float(t - u)) for t, u in zip(ref, theta[0])) < 1e-7
 
 
 class TestValidate:
@@ -179,13 +223,20 @@ class TestValidate:
         ]
 
     def test_range_violation_flagged(self):
-        # l1 = pi is two sides of T1, which names it; every violation of
-        # the triangle is listed, not just the first.
-        issues = validate(TriangulatedMetric(PI, 1.0, 1.0, 1.0, 1.0, 1.0))
-        assert issues == [
-            f"T1: side a = {PI!r} outside (0, pi)",
-            f"T1: side b = {PI!r} outside (0, pi)",
+        # A side outside (0, pi) breaks one of the four inequalities, which
+        # bound every side.  l1 = pi is two sides of T1 and takes its
+        # perimeter past 2*pi.
+        assert validate(TriangulatedMetric(PI, 1.0, 1.0, 1.0, 1.0, 1.0)) == [
             f"T1: perimeter {PI + PI + 1.0!r} not below 2*pi",
+        ]
+        # l3 = -0.1 is a side of T2 = (l3, l4, l5) and T4 = (l4, l3, l6);
+        # every violation of each is listed, not just the first.
+        l3 = -0.1
+        assert validate(TriangulatedMetric(1.0, 1.0, l3, 1.0, 1.0, 1.0)) == [
+            f"T2: triangle inequality b < a + c violated by {1.0 - (l3 + 1.0)!r}",
+            f"T2: triangle inequality c < a + b violated by {1.0 - (l3 + 1.0)!r}",
+            f"T4: triangle inequality a < b + c violated by {1.0 - (l3 + 1.0)!r}",
+            f"T4: triangle inequality c < a + b violated by {1.0 - (1.0 + l3)!r}",
         ]
 
     def test_cone_angles_error_names_triangle(self):

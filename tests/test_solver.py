@@ -9,6 +9,8 @@ from conesphere.metric import (
     ConeAngleSpec,
     GluedFootballParams,
     TriangulatedMetric,
+    cone_angle_rows,
+    cone_angle_tuple,
     glued_football,
     validate,
 )
@@ -29,6 +31,7 @@ from conesphere.sphtrig import (
     NumericalCorruptionError,
     clamped_asin,
     side_from_sas,
+    sss_differentials,
 )
 
 SPEC = ConeAngleSpec(PI / 2, PI / 2)
@@ -314,6 +317,22 @@ class TestGaussNewton:
         assert all(a != b for a, b in zip(points, points[1:]))
         # One Jacobian per accepted point, so fewer than the iterations.
         assert len(points) < result.iterations
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(6))
+    def test_non_finite_length_is_off_domain(self, bad, index):
+        # Every validity comparison is strict and reads "not (x < y)", so a
+        # nan or infinite length fails it on each path.
+        lengths = list(base_metric().lengths())
+        lengths[index] = bad
+        assert validate(TriangulatedMetric(*lengths))
+        theta, valid = cone_angle_rows([lengths])
+        assert not valid[0] and np.isnan(theta).all()
+        with pytest.raises(InvalidTriangleError):
+            cone_angle_tuple(lengths)
+        with pytest.raises(InvalidTriangleError):
+            sss_differentials(bad, 1.0, 1.0)
+        assert gauss_newton(TriangulatedMetric(*lengths), SPEC).status == "boundary"
 
     def test_invalid_start_is_boundary_failure(self):
         start = TriangulatedMetric(3.0, 3.0, 3.0, 3.0, 3.0, 3.0)

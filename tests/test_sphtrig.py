@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conesphere.sphtrig import (
     PI,
@@ -19,6 +19,7 @@ from conesphere.sphtrig import (
     sss_angles,
     sss_differentials,
     triangle_excess,
+    triangle_violations,
 )
 
 
@@ -112,6 +113,20 @@ class TestAnglesFromSss:
         assert side_from_sas(tri.b, tri.c, ang.A) == pytest.approx(tri.a, abs=1e-10)
         assert side_from_sas(tri.a, tri.c, ang.B) == pytest.approx(tri.b, abs=1e-10)
         assert side_from_sas(tri.a, tri.b, ang.C) == pytest.approx(tri.c, abs=1e-10)
+
+    @given(st.floats(1e-9, 1e-6), st.floats(0.4, 1.0), st.floats(0.4, 1.0),
+           st.floats(0.1, 0.9))
+    @settings(max_examples=100)
+    def test_tiny_triangles_match_the_planar_law(self, scale, u, v, frac):
+        # At sides of 1e-9..1e-6 the spherical excess is below 1e-12, so the
+        # angles are the planar ones.  The cosine law lost every digit here:
+        # cos of each side rounds to 1 and its numerator cancels.
+        lo, hi = abs(u - v), u + v
+        a, b, c = scale * u, scale * v, scale * (lo + frac * (hi - lo))
+        assume(not triangle_violations(a, b, c))
+        planar = [math.acos((y * y + z * z - x * x) / (2.0 * y * z))
+                  for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+        assert sss_angles(a, b, c) == pytest.approx(planar, abs=1e-9)
 
     @given(valid_triangles())
     @settings(max_examples=100)
