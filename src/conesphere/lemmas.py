@@ -16,8 +16,9 @@ numerical sweep:
   Where there are none, angle_sum_branches shows the sum is monotone on
   every interval of base angles between the closed-form points where the
   number of triangles changes.
-* lemma1_caseb_exclusion certifies that two non-identical triangles over the
-  chord can never piece together into a bigon.
+* lemma1_caseb_exclusion tabulates the bigon case of lemma 1 (two
+  non-identical triangles over the chord).  It cannot fail: it takes cos l5
+  from the bigon relation itself, so every node restates sin^2 l1 < 1.
 """
 
 from __future__ import annotations
@@ -114,16 +115,6 @@ class CaseBRow:
 
 
 @dataclass(frozen=True)
-class CaseBReport:
-    beta: float
-    rows: tuple[CaseBRow, ...]
-
-    @property
-    def all_excluded(self) -> bool:
-        return all(r.incompatible for r in self.rows)
-
-
-@dataclass(frozen=True)
 class DefectRow:
     ell: float
     result: Lemma2Defect | None
@@ -131,11 +122,6 @@ class DefectRow:
     @property
     def feasible(self) -> bool:
         return self.result is not None
-
-
-@dataclass(frozen=True)
-class DefectSweepReport:
-    rows: tuple[DefectRow, ...]
 
 
 def half_piece_solve(cfg: HalfPieceConfig) -> HalfPieceSolution:
@@ -307,14 +293,16 @@ def angle_sum_branches(ell: float, beta: float) -> tuple[AngleSumBranch, ...]:
     return tuple(branches)
 
 
-def lemma1_caseb_exclusion(beta: float, l1_grid) -> CaseBReport:
-    """Certify that the non-identical (bigon) case closes for no l1.
+def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[CaseBRow, ...]:
+    """One row per l1 of the non-identical (bigon) case, which cannot close.
 
     With l1 + l2 = pi the chord satisfies cos l5 = 1 + (cos beta - 1) sin^2 l1,
     so (cos l5 - 1)/(cos beta - 1) = sin^2 l1 < 1 away from l1 = pi/2, while
     closing the slit triangle over the same chord would need
-    sin^2 alpha = (cos beta - 1)/(cos l5 - 1) > 1.  Each grid node is checked
-    both ways, and by the smallest closure gap over all alpha.
+    sin^2 alpha = (cos beta - 1)/(cos l5 - 1) > 1.  Since cos l5 comes from
+    the bigon relation itself, each row restates sin^2 l1 < 1 three ways
+    (bigon_ratio, required_sin2_alpha and the smallest closure gap over all
+    alpha), and incompatible holds at every l1 != pi/2: no node can fail.
     """
     if not (0.0 < beta < PI):
         raise ValueError(f"beta = {beta!r} outside (0, pi)")
@@ -340,11 +328,11 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> CaseBReport:
             incompatible=(bigon_ratio < 1.0 and required > 1.0
                           and scan_min > 0.0),
             alpha_scan_min=scan_min))
-    return CaseBReport(beta=beta, rows=tuple(rows))
+    return tuple(rows)
 
 
 def step1_asymmetric_exclusion(alpha: float, beta: float, eps: float,
-                               ell_grid, regime: str) -> DefectSweepReport:
+                               ell_grid, regime: str) -> tuple[DefectRow, ...]:
     """defect_node over a grid of slit lengths, infeasible nodes flagged."""
     rows = []
     for ell in ell_grid:
@@ -354,4 +342,4 @@ def step1_asymmetric_exclusion(alpha: float, beta: float, eps: float,
         except NoTriangleError:
             result = None
         rows.append(DefectRow(ell=ell, result=result))
-    return DefectSweepReport(rows=tuple(rows))
+    return tuple(rows)

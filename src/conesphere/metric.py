@@ -23,12 +23,10 @@ from .sphtrig import (
     PI,
     TWO_PI,
     VALIDITY_MARGIN,
-    SphericalTriangle,
     InvalidTriangleError,
     clamped_asin,
     half_angle_sines,
     sss_angles,
-    triangle_excess,
     triangle_violations,
 )
 
@@ -62,12 +60,6 @@ class ConeAngleSpec:
         for name, v in (("alpha", self.alpha), ("beta", self.beta)):
             if not (0.0 < v < PI):
                 raise ValueError(f"{name} = {v!r} outside the supported range (0, pi)")
-        # Automatic in (0, pi) but asserted anyway: no angle may be a
-        # multiple of 2*pi.
-        for name, v in (("alpha", self.alpha), ("beta", self.beta),
-                        ("alpha+beta", self.alpha + self.beta)):
-            if abs(v % TWO_PI) < 1e-15:
-                raise ValueError(f"cone angle {name} lies in 2*pi*Z")
 
     def cone_vector(self) -> tuple[float, float, float, float]:
         """Cone angles (theta_A, theta_B, theta_D, theta_C) in radians."""
@@ -104,12 +96,6 @@ class TriangulatedMetric:
 
     def lengths(self) -> tuple[float, ...]:
         return (self.l1, self.l2, self.l3, self.l4, self.l5, self.l6)
-
-    def triangles(self) -> tuple[SphericalTriangle, ...]:
-        """T1..T4; T1/T3 are the isosceles A/B triangles, T2/T4 the slit pair."""
-        x = self.lengths()
-        return tuple(SphericalTriangle(x[i], x[j], x[k])
-                     for (i, j, k), _ in TRIANGLE_LAYOUT)
 
 
 # The layout of T1..T4: the sides (a, b, c) as indices into l1..l6, and the
@@ -233,8 +219,12 @@ def cone_angle_rows(lengths) -> tuple[np.ndarray, np.ndarray]:
 
 
 def total_area(m: TriangulatedMetric) -> float:
-    """Surface area as the sum of the four triangle excesses."""
-    return sum(triangle_excess(tri) for tri in m.triangles())
+    """Surface area by Gauss-Bonnet: sum(theta) - 4*pi.
+
+    The four triangle excesses sum every corner angle, less 4*pi, and the
+    corners make up the cone angles.
+    """
+    return sum(cone_angle_tuple(m.lengths())) - 2.0 * TWO_PI
 
 
 def serialize(m: TriangulatedMetric, spec: ConeAngleSpec) -> str:

@@ -93,31 +93,6 @@ class GaussNewtonResult:
     residual_norm: float
     iterations: int
 
-    @property
-    def success(self) -> bool:
-        return self.status == "converged"
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    spec: ConeAngleSpec
-    t: float
-    radius: float
-    seed: int
-    singular_values: tuple[float, float, float, float]
-    kernel_dim: int
-    starts: int
-    converged: int
-    boundary_failures: int
-    nonconverged: int
-    max_family_distance: float
-    # One row per converged start: (lengths, residual norm, s_star, distance).
-    solutions: tuple[tuple[tuple[float, ...], float, float, float], ...]
-
-    @property
-    def rigidity_holds(self) -> bool:
-        return self.converged > 0 and self.max_family_distance < DIST_TOL
-
 
 def residual(lengths, spec: ConeAngleSpec) -> np.ndarray:
     """The cone-angle defects (r_A, r_B, r_D, r_C) of l1..l6 against spec.
@@ -275,14 +250,16 @@ def max_feasible_radius(base: TriangulatedMetric) -> float:
 
 
 def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
-                  seed: int) -> RigidityReport:
+                  seed: int) -> dict:
     """Multistart probe of local rigidity around one glued football.
 
     Draws samples starts uniformly in the max-norm ball of the given
-    radius, projects each with gauss_newton and reports the Jacobian
-    spectrum at the base point, convergence counts and the largest family
-    distance among converged solutions.  Deterministic for a fixed seed.
-    An empty probe (radius not positive, no samples) is a ValueError.
+    radius, projects each with gauss_newton and returns the rigidity
+    report's results: the Jacobian spectrum at the base point, convergence
+    counts, and per converged start its lengths, residual norm, nearest
+    slit parameter s_star and family distance, with the largest of those
+    distances.  Deterministic for a fixed seed.  An empty probe (radius not
+    positive, no samples) is a ValueError.
     """
     if not radius > 0.0:  # also rejects nan
         raise ValueError(f"radius must be positive, got {radius!r}")
@@ -300,31 +277,29 @@ def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
     starts = [TriangulatedMetric(*(np.array(base.lengths()) + off))
               for off in offsets]
     results = [gauss_newton(s, p.spec) for s in starts]
+    statuses = [res.status for res in results]
     solutions = []
-    boundary = 0
-    nonconv = 0
-    max_dist = 0.0
     for res in results:
         if res.status == "converged":
             s_star, dist = family_distance(res.metric, p.spec)
-            solutions.append((res.metric.lengths(), res.residual_norm,
-                              s_star, dist))
-            max_dist = max(max_dist, dist)
-        elif res.status == "boundary":
-            boundary += 1
-        else:
-            nonconv += 1
-    return RigidityReport(
-        spec=p.spec, t=p.t, radius=radius, seed=seed,
-        singular_values=tuple(float(s) for s in svals),
-        kernel_dim=6 - rank,
-        starts=samples,
-        converged=len(solutions),
-        boundary_failures=boundary,
-        nonconverged=nonconv,
-        max_family_distance=max_dist,
-        solutions=tuple(solutions),
-    )
+            solutions.append({"lengths": list(res.metric.lengths()),
+                              "residual_norm": res.residual_norm,
+                              "s_star": s_star, "family_distance": dist})
+    max_dist = max((sol["family_distance"] for sol in solutions), default=0.0)
+    return {
+        "alpha": p.spec.alpha, "beta": p.spec.beta, "t": p.t,
+        "radius": radius, "seed": seed,
+        "singular_values": [float(s) for s in svals],
+        "kernel_dim": 6 - rank,
+        "starts": samples,
+        "converged": len(solutions),
+        "boundary_failures": statuses.count("boundary"),
+        "nonconverged": statuses.count("max_iter"),
+        "max_family_distance": max_dist,
+        "dist_tol": DIST_TOL,
+        "rigidity_holds": bool(solutions) and max_dist < DIST_TOL,
+        "solutions": solutions,
+    }
 
 
 @dataclass(frozen=True)

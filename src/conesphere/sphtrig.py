@@ -10,7 +10,6 @@ sin(s - c), s = (a + b + c)/2, positive when valid: it needs no acos or clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,38 +117,6 @@ def _checked_sines(a: float, b: float, c: float) -> tuple[float, float, float, f
     return half_angle_sines(a, b, c, math.sin)
 
 
-@dataclass(frozen=True)
-class SphericalTriangle:
-    """Three side lengths of a spherical triangle, in radians."""
-
-    a: float
-    b: float
-    c: float
-
-    def sides(self) -> tuple[float, float, float]:
-        return (self.a, self.b, self.c)
-
-    @property
-    def is_valid(self) -> bool:
-        return not triangle_violations(self.a, self.b, self.c)
-
-
-@dataclass(frozen=True)
-class TriangleAngles:
-    """Interior angles, A opposite side a and so on."""
-
-    A: float
-    B: float
-    C: float
-
-    def angles(self) -> tuple[float, float, float]:
-        return (self.A, self.B, self.C)
-
-    @property
-    def excess(self) -> float:
-        return self.A + self.B + self.C - PI
-
-
 def side_from_sas(a: float, b: float, C: float) -> float:
     """Third side from two sides and the included angle (spherical cosine law)."""
     _require_range("side a", a)
@@ -193,9 +160,11 @@ def sss_differentials(a: float, b: float, c: float) -> tuple[tuple[float, float,
             (-cB * dCc, -cA * dCc, dCc))
 
 
-def angles_from_sss(t: SphericalTriangle) -> TriangleAngles:
-    """All three angles of a valid triangle (sss_angles)."""
-    return TriangleAngles(*sss_angles(t.a, t.b, t.c))
+def angles_from_sss(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """sss_angles(a, b, c), under the name perfbench traces.  A function of
+    its own, not an alias: the tracer wraps every name bound to the same
+    object, and would then wrap each triangle solve of the cone angles."""
+    return sss_angles(a, b, c)
 
 
 def sine_rule_side(A: float, a: float, B: float, branch: str) -> float:
@@ -218,7 +187,3 @@ def sine_rule_side(A: float, a: float, B: float, branch: str) -> float:
     b = clamped_asin(min(ratio, 1.0))
     return b if branch == "acute" else PI - b
 
-
-def triangle_excess(t: SphericalTriangle) -> float:
-    """Spherical area of the triangle via the angle excess."""
-    return angles_from_sss(t).excess

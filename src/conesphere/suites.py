@@ -37,9 +37,10 @@ from .solver import (
 from .sphtrig import PI
 
 
-def _defect_rows_json(sweep: lemmas.DefectSweepReport, expected_sign: int) -> list[dict]:
+def _defect_rows_json(sweep: tuple[lemmas.DefectRow, ...],
+                      expected_sign: int) -> list[dict]:
     rows = []
-    for row in sweep.rows:
+    for row in sweep:
         if not row.feasible:
             rows.append({"ell": row.ell, "feasible": False})
             continue
@@ -143,14 +144,14 @@ def lemma1_suite(betas: tuple[float, ...]) -> tuple[dict, bool]:
     grid = [v for v in np.linspace(0.01, PI - 0.01, LEMMA1_GRID)
             if abs(v - PI / 2.0) > 1e-6]
     for beta in betas:
-        rep = lemmas.lemma1_caseb_exclusion(beta, grid)
-        feasible_caseb = sum(0 if r.incompatible else 1 for r in rep.rows)
+        rows = lemmas.lemma1_caseb_exclusion(beta, grid)
+        feasible_caseb = sum(0 if r.incompatible else 1 for r in rows)
         ok = ok and feasible_caseb == 0
         per_beta.append({
             "beta": beta,
-            "nodes": len(rep.rows),
+            "nodes": len(rows),
             "feasible_caseb_nodes": feasible_caseb,
-            "min_alpha_scan_margin": min(r.alpha_scan_min for r in rep.rows),
+            "min_alpha_scan_margin": min(r.alpha_scan_min for r in rows),
             "pass": feasible_caseb == 0,
         })
     results = {"betas": list(betas), "per_beta": per_beta, "pass": ok}
@@ -209,28 +210,10 @@ def admissible_suite(alpha: float, beta: float) -> tuple[dict, bool]:
 
 def rigidity_suite(alpha: float, beta: float, t: float, radius: float,
                    samples: int, seed: int) -> tuple[dict, bool]:
-    report = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
-                           radius, samples, seed)
-    ok = report.rigidity_holds
-    results = {
-        "alpha": alpha, "beta": beta, "t": t,
-        "radius": report.radius, "seed": report.seed,
-        "singular_values": list(report.singular_values),
-        "kernel_dim": report.kernel_dim,
-        "starts": report.starts,
-        "converged": report.converged,
-        "boundary_failures": report.boundary_failures,
-        "nonconverged": report.nonconverged,
-        "max_family_distance": report.max_family_distance,
-        "dist_tol": DIST_TOL,
-        "rigidity_holds": report.rigidity_holds,
-        "solutions": [
-            {"lengths": list(lengths), "residual_norm": rn,
-             "s_star": s_star, "family_distance": dist}
-            for lengths, rn, s_star, dist in report.solutions
-        ],
-        "pass": ok,
-    }
+    results = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
+                            radius, samples, seed)
+    ok = results["rigidity_holds"]
+    results["pass"] = ok
     config = {"res_tol": RES_TOL, "rank_tol": RANK_TOL, "dist_tol": DIST_TOL,
               "max_iter": MAX_ITER, "damping0": DAMPING0,
               "radius": radius, "samples": samples, "seed": seed}

@@ -70,14 +70,14 @@ def test_c1_family_realization():
 def test_c2_rigidity(alpha, beta, t):
     rep = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
                         radius=0.05, samples=500, seed=7)
-    frac = rep.converged / rep.starts
-    ok = frac >= 0.95 and rep.max_family_distance < 1e-6
+    frac = rep["converged"] / rep["starts"]
+    ok = frac >= 0.95 and rep["max_family_distance"] < 1e-6
     report(f"2 rigidity ({alpha:.4f},{beta:.4f},{t:.4f})", ok,
-           f"converged {rep.converged}/{rep.starts}, "
-           f"max family distance {rep.max_family_distance:.2e}, "
-           f"kernel dim {rep.kernel_dim}")
+           f"converged {rep['converged']}/{rep['starts']}, "
+           f"max family distance {rep['max_family_distance']:.2e}, "
+           f"kernel dim {rep['kernel_dim']}")
     assert frac >= 0.95
-    assert rep.max_family_distance < 1e-6
+    assert rep["max_family_distance"] < 1e-6
 
 
 def test_c3_jacobian_degeneracy():
@@ -115,7 +115,7 @@ def test_c4_lemma2_sign_structure():
         expected = 1 if regime == "below" else -1
         closure = ScanClosure(eps=eps,
                               branch="acute" if regime == "below" else "obtuse")
-        for row in sweep.rows:
+        for row in sweep:
             if not row.feasible:
                 continue
             checked += 1
@@ -216,8 +216,8 @@ def test_c6_caseb_exclusion():
             if abs(v - PI / 2) > 1e-6]
     feasible_total = 0
     for beta in (0.5, 1.0, 2.0, 3.0):
-        rep = lemma1_caseb_exclusion(beta, grid)
-        feasible_total += sum(0 if r.incompatible else 1 for r in rep.rows)
+        rows = lemma1_caseb_exclusion(beta, grid)
+        feasible_total += sum(0 if r.incompatible else 1 for r in rows)
     ok = feasible_total == 0
     report("6 bigon case-b exclusion", ok,
            f"{feasible_total} feasible case-b nodes over {4 * len(grid)}")

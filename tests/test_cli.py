@@ -34,6 +34,13 @@ class TestConstructCheck:
         assert code == 2
         assert "usage error" in err
 
+    def test_construct_tiny_alpha_degenerates(self, capsys):
+        # alpha = 1e-16 is a valid spec; its football's T1 is flat.
+        code, _, err = run(capsys, "construct", "--alpha", "1e-16",
+                           "--beta", "1.0", "--t", "1.0")
+        assert code == 2
+        assert "glued football at t = 1.0 degenerates" in err
+
     def test_round_trip_check_passes(self, tmp_path, capsys):
         out = tmp_path / "metric.json"
         run(capsys, "construct", "--alpha", ALPHA, "--beta", BETA,

@@ -285,9 +285,9 @@ class TestLemma2Defect:
             defect_node(PI / 2, PI / 2, 0.05, 2.0, "above")
 
     def test_sweep_flags_infeasible(self):
-        rep = step1_asymmetric_exclusion(PI / 2, PI / 2, 0.1, [1.7, 2.2], "below")
-        assert not rep.rows[0].feasible
-        assert rep.rows[1].feasible
+        rows = step1_asymmetric_exclusion(PI / 2, PI / 2, 0.1, [1.7, 2.2], "below")
+        assert not rows[0].feasible
+        assert rows[1].feasible
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +557,16 @@ class TestLemma1CaseB:
         grid = [v for v in np.linspace(0.01, PI - 0.01, 200)
                 if abs(v - PI / 2) > 1e-6]
         for beta in (0.5, 1.0, 2.0, 3.0):
-            rep = lemma1_caseb_exclusion(beta, grid)
-            assert rep.all_excluded
-            assert min(r.alpha_scan_min for r in rep.rows) > 0.0
+            rows = lemma1_caseb_exclusion(beta, grid)
+            assert all(r.incompatible for r in rows)
+            assert min(r.alpha_scan_min for r in rows) > 0.0
 
     def test_alpha_scan_min_matches_a_direct_scan(self):
         # The closed form |cos l5 - cos beta| against the closure gap
         # scanned over 181 alphas in [0.01, pi - 0.01], which include pi/2.
         grid = np.linspace(0.05, PI - 0.05, 40)
         for beta in (0.5, 1.0, 2.0, 3.0):
-            for row in lemma1_caseb_exclusion(beta, grid).rows:
+            for row in lemma1_caseb_exclusion(beta, grid):
                 scanned = min(
                     abs(1.0 + (row.cos_l5 - 1.0) * math.sin(a) ** 2
                         - math.cos(beta))
@@ -575,8 +575,7 @@ class TestLemma1CaseB:
                 assert row.alpha_scan_min == pytest.approx(scanned, abs=1e-15)
 
     def test_spec_point(self):
-        rep = lemma1_caseb_exclusion(PI / 2, [PI / 3])
-        row = rep.rows[0]
+        (row,) = lemma1_caseb_exclusion(PI / 2, [PI / 3])
         assert row.bigon_ratio == pytest.approx(0.75, abs=1e-12)
         assert row.required_sin2_alpha == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert row.incompatible
@@ -592,14 +591,14 @@ class TestLemma1CaseB:
 
 class TestStep1:
     def test_zero_split_vanishes(self):
-        rep = step1_asymmetric_exclusion(1.0, 2.0, 0.0,
-                                         np.linspace(2.2, 2.6, 3), "below")
-        for row in rep.rows:
+        rows = step1_asymmetric_exclusion(1.0, 2.0, 0.0,
+                                          np.linspace(2.2, 2.6, 3), "below")
+        for row in rows:
             assert abs(row.result.defect) < 1e-10
 
     def test_true_single_sign_per_regime(self):
-        def signs(rep):
-            defects = [r.result.defect for r in rep.rows if r.feasible]
+        def signs(rows):
+            defects = [r.result.defect for r in rows if r.feasible]
             assert defects and 0.0 not in defects
             return {math.copysign(1.0, d) for d in defects}
 

@@ -20,7 +20,8 @@ from conesphere.metric import (
     total_area,
     validate,
 )
-from conesphere.sphtrig import PI, VALIDITY_MARGIN
+from conesphere.solver import max_feasible_radius
+from conesphere.sphtrig import PI, VALIDITY_MARGIN, sss_angles
 
 TARGET = 4.0 * PI
 
@@ -41,6 +42,12 @@ class TestConeAngleSpec:
             ConeAngleSpec(0.0, 1.0)
         with pytest.raises(ValueError):
             ConeAngleSpec(1.0, PI)
+
+    def test_tiny_angle_is_in_range(self):
+        # (0, pi) is the whole rule: a tiny alpha is a spec, and only the
+        # football built from it degenerates.
+        spec = ConeAngleSpec(1e-16, 1.0)
+        assert spec.cone_vector() == (1e-16, 1.0, 1.0 + 1e-16, 4.0 * PI)
 
 
 class TestGluedFootball:
@@ -85,14 +92,13 @@ class TestConeAngles:
 
     def test_family_per_vertex_totals_are_flat(self):
         # Each of C1..C4 collects exactly pi at a glued football.
-        from conesphere.sphtrig import angles_from_sss
-
-        m = family(1.1, 2.3, 0.9)
-        t1, t2, t3, t4 = (angles_from_sss(tr) for tr in m.triangles())
-        assert t1.A + t2.B == pytest.approx(PI, abs=1e-12)  # at C1
-        assert t1.B + t2.A == pytest.approx(PI, abs=1e-12)  # at C2
-        assert t3.A + t4.B == pytest.approx(PI, abs=1e-12)  # at C3
-        assert t3.B + t4.A == pytest.approx(PI, abs=1e-12)  # at C4
+        x = family(1.1, 2.3, 0.9).lengths()
+        t1, t2, t3, t4 = (sss_angles(*(x[i] for i in sides))
+                          for sides, _ in TRIANGLE_LAYOUT)
+        assert t1[0] + t2[1] == pytest.approx(PI, abs=1e-12)  # at C1
+        assert t1[1] + t2[0] == pytest.approx(PI, abs=1e-12)  # at C2
+        assert t3[0] + t4[1] == pytest.approx(PI, abs=1e-12)  # at C3
+        assert t3[1] + t4[0] == pytest.approx(PI, abs=1e-12)  # at C4
 
     def test_perturbed_l3_breaks_c_constraint(self):
         m = family(PI / 2, PI / 2, PI / 3)
@@ -268,6 +274,21 @@ class TestArea:
     def test_generic_metric_area_bounds(self):
         m = TriangulatedMetric(1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
         assert 0.0 < total_area(m) < 8.0 * PI
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
+           st.floats(0.2, PI - 0.2),
+           st.lists(st.floats(-0.99, 0.99), min_size=6, max_size=6))
+    def test_matches_the_triangle_excess_sum(self, alpha, beta, t, frac):
+        # Valid lengths off the family: a family point moved by less than
+        # the largest ball that stays in the validity region.  The oracle
+        # sums each triangle's excess, angle sum less pi.
+        base = family(alpha, beta, t)
+        radius = max_feasible_radius(base)
+        x = [v + radius * f for v, f in zip(base.lengths(), frac)]
+        excess = sum(sum(sss_angles(*(x[i] for i in sides))) - PI
+                     for sides, _ in TRIANGLE_LAYOUT)
+        assert abs(total_area(TriangulatedMetric(*x)) - excess) < 1e-13
 
 
 class TestSerialization:
