@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,9 +84,12 @@ class GluedFootballParams:
             raise ValueError(f"slit length t = {self.t!r} outside (0, pi)")
 
 
-@dataclass(frozen=True)
-class TriangulatedMetric:
-    """Six edge lengths of the four-triangle decomposition, radians in (0, pi)."""
+class TriangulatedMetric(NamedTuple):
+    """Six edge lengths of the four-triangle decomposition, radians in (0, pi).
+
+    An immutable tuple of the six lengths: it compares equal to a plain
+    tuple of the same values.
+    """
 
     l1: float
     l2: float

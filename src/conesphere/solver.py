@@ -23,13 +23,14 @@ Gauss-Newton stays on the scalar path: at a single point the fixed cost of
 the array operations makes the batched kernel slower than cone_angle_tuple.
 
 A rigidity start is scalar work on six floats, so its cost is mostly per
-call: at (alpha, beta, t) = (1, 2, 1.2) one gauss_newton (27 iterations)
-takes about 1.3 ms and one family_distance about 1.2 ms, best of timeit
-repeats on a 2-vCPU Xeon.  The per-point arithmetic therefore avoids
-numpy temporaries: lengths become a Python list once per residual or
-Jacobian, norms are math.sqrt of a dot product (what np.linalg.norm
-computes for a 1-D float array, to the bit), and family distances are
-math.dist.
+call: at (alpha, beta, t) = (1, 2, 1.2) one gauss_newton (27 iterations,
+one exact Jacobian of about 12 us per accepted point) takes about 1.1 ms
+and one family_distance (about 203 glued_football builds) about 0.8 ms,
+best of timeit repeats on a 2-vCPU Xeon.  The per-point arithmetic
+therefore avoids numpy temporaries: lengths become a Python list once per
+residual or Jacobian, the Jacobian sums its entries along JACOBIAN_PLAN,
+norms are math.sqrt of a dot product (what np.linalg.norm computes for a
+1-D float array, to the bit), and family distances are math.dist.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ from .sphtrig import (
     clamp_rows,
     sss_differentials,
 )
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Errors of a residual evaluated outside the validity region.
 OFF_DOMAIN = InvalidTriangleError
@@ -102,21 +101,43 @@ def residual(lengths, spec: ConeAngleSpec) -> np.ndarray:
     return np.subtract(cone_angle_tuple(lengths), spec.cone_vector())
 
 
+def _jacobian_plan() -> tuple[tuple[int, ...], ...]:
+    """For each of the 24 entries of the 4x6 Jacobian, row-major, the
+    indices of its terms in the flat list of sss_differentials values of
+    T1..T4 (triangle, then row, then column), in that order."""
+    plan = [[] for _ in range(24)]
+    k = 0
+    for sides, points in TRIANGLE_LAYOUT:
+        for p in points:
+            for col in sides:
+                plan[6 * p + col].append(k)
+                k += 1
+    return tuple(map(tuple, plan))
+
+
+JACOBIAN_PLAN = _jacobian_plan()
+
+
 def jacobian(lengths) -> np.ndarray:
     """Exact 4x6 Jacobian of the residual (the cone angles) in l1..l6.
 
     Each triangle's sss_differentials go to the cone-point rows and side
-    columns TRIANGLE_LAYOUT assigns them; the target does not enter.
-    Invalid lengths raise InvalidTriangleError naming the triangle.
+    columns TRIANGLE_LAYOUT assigns them (JACOBIAN_PLAN); each entry sums
+    its terms from 0.0 in triangle, row, column order.  The target does not
+    enter.  Invalid lengths raise InvalidTriangleError naming the triangle.
     """
     x = np.asarray(lengths, dtype=float).tolist()
-    J = [[0.0] * 6 for _ in range(4)]
-    for idx, (sides, points) in enumerate(TRIANGLE_LAYOUT, start=1):
-        dangs = solve_triangle(idx, sss_differentials, *(x[s] for s in sides))
-        for p, row in zip(points, dangs):
-            for col, d in zip(sides, row):
-                J[p][col] += d
-    return np.array(J)
+    terms = []
+    for idx, ((a, b, c), _) in enumerate(TRIANGLE_LAYOUT, start=1):
+        for row in solve_triangle(idx, sss_differentials, x[a], x[b], x[c]):
+            terms.extend(row)
+    J = []
+    for ks in JACOBIAN_PLAN:
+        entry = 0.0
+        for k in ks:
+            entry += terms[k]
+        J.append(entry)
+    return np.array(J).reshape(4, 6)
 
 
 def numerical_rank(J: np.ndarray, rel_tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
@@ -196,46 +217,71 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
 def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, float]:
     """Closest glued football: (s_star, Euclidean distance over the six lengths).
 
-    A 200-point coarse scan over the slit parameter is refined by
-    golden-section search; scan ties resolve toward smaller s.  A slit
-    parameter whose football degenerates (alpha or beta near pi, at the ends
-    of the window) counts as infinitely far.
+    A 200-point coarse scan over the slit parameter picks the well; scan
+    ties resolve toward smaller s.  A slit parameter whose football
+    degenerates (alpha or beta near pi, at the ends of the window) counts as
+    infinitely far.  A safeguarded Newton iteration on
+    phi(s) = |F(s) - x|^2 / 2 then refines the best grid point inside its
+    two neighbours: F(s) = (pi - s, pi - s, s, s, l5, l6) is a glued_football
+    build, and with a = sin(alpha/2), w = 1 - a^2 sin^2 s the chord has
+    l5' = 2a cos s / sqrt(w) and l5'' = 2a (a^2 - 1) sin s / w^(3/2) (l6 with
+    beta).  The sign of phi' shrinks the bracket; a step that leaves it, or
+    phi'' <= 0, bisects instead, and a degenerate football bounds it.  It
+    stops after a step below 1e-12, or when the next step rounds to
+    nothing, and returns the last s built with math.dist of that build:
+    re-measuring glued_football(s_star) reproduces the distance exactly.
 
     Each probe is one scalar glued_football build with its validate, about
-    4.5 us, and about 250 probes make a call; math.dist keeps the distance
-    itself near 0.1 us.  The builds stay scalar and uncached because the
+    3 us: the 200-point scan plus a few Newton builds (2-4 on the benchmark
+    plans) make a call.  The builds stay scalar and uncached because the
     benchmark traces glued_football and counts them; the closed-form
-    projection that replaces them waits on that count.
+    projection that replaces the scan waits on that count.
     """
     target = m.lengths()
+    half = (math.sin(0.5 * spec.alpha), math.sin(0.5 * spec.beta))
 
-    def dist(s: float) -> float:
+    def build(s: float) -> tuple[float, ...] | None:
         try:
-            fam = glued_football(GluedFootballParams(spec, float(s)))
+            return glued_football(GluedFootballParams(spec, s)).lengths()
         except OFF_DOMAIN:
-            return math.inf
-        return math.dist(fam.lengths(), target)
+            return None
 
-    grid = np.linspace(FAMILY_T_MIN, FAMILY_T_MAX, 200)
-    values = [dist(s) for s in grid]
-    j = int(np.argmin(values))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    # Golden-section refinement on [lo, hi].
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = dist(x1), dist(x2)
-    while hi - lo > 1e-12:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = dist(x1)
+    grid = np.linspace(FAMILY_T_MIN, FAMILY_T_MAX, 200).tolist()
+    fams = [build(s) for s in grid]
+    j = int(np.argmin([math.inf if f is None else math.dist(f, target)
+                       for f in fams]))
+    s, fam = grid[j], fams[j]
+    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    while True:
+        d = [f - x for f, x in zip(fam, target)]
+        slope = d[2] + d[3] - d[0] - d[1]
+        curvature = 4.0
+        sin_s, cos_s = math.sin(s), math.cos(s)
+        for a, dl in zip(half, d[4:]):
+            w = 1.0 - a * a * sin_s * sin_s
+            first = 2.0 * a * cos_s / math.sqrt(w)
+            second = 2.0 * a * (a * a - 1.0) * sin_s / (w * math.sqrt(w))
+            slope += dl * first
+            curvature += first * first + dl * second
+        if slope > 0.0:
+            hi = s
+        elif slope < 0.0:
+            lo = s
+        s_new = s - slope / curvature if curvature > 0.0 else math.nan
+        if s_new != s and not lo < s_new < hi:
+            s_new = 0.5 * (lo + hi)
+        if s_new == s:
+            break
+        fam_new = build(s_new)
+        step = abs(s_new - s)
+        if fam_new is None:
+            # A degenerate football bounds the bracket; s stays.
+            lo, hi = (lo, s_new) if s_new > s else (s_new, hi)
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = dist(x2)
-    s_star = 0.5 * (lo + hi)
-    return float(s_star), float(dist(s_star))
+            s, fam = s_new, fam_new
+        if step < 1e-12:
+            break
+    return s, math.dist(fam, target)
 
 
 def max_feasible_radius(base: TriangulatedMetric) -> float:

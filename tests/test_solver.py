@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conesphere import solver
 from conesphere.metric import (
+    TRIANGLE_LAYOUT,
+    VALIDITY_BOUNDS,
+    VALIDITY_ROWS,
     ConeAngleSpec,
     GluedFootballParams,
     TriangulatedMetric,
     cone_angle_rows,
     cone_angle_tuple,
     glued_football,
+    solve_triangle,
     validate,
 )
 from conesphere.solver import (
@@ -131,6 +136,56 @@ def embedded_jacobian(x, spec, layout=LAYOUT):
     return np.column_stack(cols)
 
 
+def jacobian_loops(lengths):
+    """Reference assembly of the exact Jacobian: each triangle's
+    sss_differentials added into a 4x6 list of lists by nested loops over
+    TRIANGLE_LAYOUT, every entry from 0.0."""
+    x = np.asarray(lengths, dtype=float).tolist()
+    J = [[0.0] * 6 for _ in range(4)]
+    for idx, (sides, points) in enumerate(TRIANGLE_LAYOUT, start=1):
+        dangs = solve_triangle(idx, sss_differentials, *(x[s] for s in sides))
+        for p, row in zip(points, dangs):
+            for col, d in zip(sides, row):
+                J[p][col] += d
+    return np.array(J)
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_family_distance(m, spec):
+    """Reference projection onto the family: the same 200-point scan,
+    refined by golden-section search on the best grid point's two
+    neighbours down to a width of 1e-12; s_star is the final midpoint."""
+    target = m.lengths()
+
+    def dist(s):
+        try:
+            fam = glued_football(GluedFootballParams(spec, float(s)))
+        except InvalidTriangleError:
+            return math.inf
+        return math.dist(fam.lengths(), target)
+
+    grid = np.linspace(solver.FAMILY_T_MIN, solver.FAMILY_T_MAX, 200)
+    j = int(np.argmin([dist(s) for s in grid]))
+    lo = grid[max(j - 1, 0)]
+    hi = grid[min(j + 1, len(grid) - 1)]
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1, f2 = dist(x1), dist(x2)
+    while hi - lo > 1e-12:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = dist(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = dist(x2)
+    s_star = 0.5 * (lo + hi)
+    return float(s_star), float(dist(s_star))
+
+
 class TestResidual:
     def test_family_point_is_zero(self):
         res = residual(base_metric().lengths(), SPEC)
@@ -248,6 +303,24 @@ class TestJacobian:
                                     m.l3 + m.l4 - 5e-9, m.l6)
         assert not validate(closer)
         assert np.all(np.isfinite(jacobian(closer.lengths())))
+
+    @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
+           st.floats(0.2, PI - 0.2),
+           st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6),
+           st.integers(0, len(VALIDITY_ROWS)), st.floats(1e-12, 1e-9))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_is_bit_identical_to_nested_loops(self, alpha, beta, t, offset,
+                                                   row, slack):
+        # Points near the family; unless row is past the last validity row,
+        # moved along that row's normal to within slack of its bound.
+        spec = ConeAngleSpec(alpha, beta)
+        x = np.array(base_metric(t=t, spec=spec).lengths()) + offset
+        if row < len(VALIDITY_ROWS):
+            c = VALIDITY_ROWS[row]
+            x = x + (VALIDITY_BOUNDS[row] - c @ x - slack) * c / (c @ c)
+        assume(not validate(TriangulatedMetric(*x)))
+        np.testing.assert_array_equal(jacobian(x).view(np.int64),
+                                      jacobian_loops(x).view(np.int64))
 
 
 class TestNumericalRank:
@@ -389,6 +462,84 @@ class TestFamilyDistance:
         assert dist <= grid_dist[j] + 1e-15
         assert abs(s_star - s_grid[j]) <= s_grid[1] - s_grid[0]
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
+           st.floats(0.2, PI - 0.2),
+           st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6))
+    def test_matches_golden_section(self, alpha, beta, t, offset):
+        # Oracle: the same scan refined by golden-section search.  On the
+        # start itself the distance is flat to roundoff over about 1e-9 in
+        # s, more than the oracle resolves, so only the distances are
+        # compared there; on the converged output s_star is too.
+        # Newton converges quadratically from the grid: 2 to 4 builds on
+        # 4000 such starts, where a wrong or missing phi'' takes up to 12.
+        spec = ConeAngleSpec(alpha, beta)
+        start = TriangulatedMetric(
+            *(np.array(base_metric(t=t, spec=spec).lengths()) + offset))
+        with mock.patch.object(solver, "glued_football",
+                               wraps=glued_football) as build:
+            _, dist = family_distance(start, spec)
+        assert build.call_count <= 205
+        assert dist <= golden_family_distance(start, spec)[1] + 1e-15
+        result = gauss_newton(start, spec)
+        assume(result.status == "converged")
+        s_star, dist = family_distance(result.metric, spec)
+        s_ref, dist_ref = golden_family_distance(result.metric, spec)
+        assert abs(s_star - s_ref) <= 1e-10
+        assert dist <= dist_ref + 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
+           st.floats(0.2, PI - 0.2))
+    def test_family_points_to_roundoff(self, alpha, beta, t):
+        # The last Newton step is taken, not only measured: a family point
+        # comes back within an ulp or two of its own t (a refinement that
+        # stops short of a step below 1e-12 leaves up to 1e-12 here).
+        spec = ConeAngleSpec(alpha, beta)
+        s_star, dist = family_distance(base_metric(t=t, spec=spec), spec)
+        assert abs(s_star - t) <= 1e-15
+        assert dist <= 2e-15
+
+    @pytest.mark.parametrize("t, radius", [(1.2, 0.05), (0.2, 0.02)])
+    def test_newton_budget_and_exact_remeasure(self, monkeypatch, t, radius):
+        # The converged starts of both benchmark plans: at most 12 Newton
+        # builds after the 200-point scan, and the distance is that of a
+        # fresh build at s_star, to the bit.
+        spec = ConeAngleSpec(1.0, 2.0)
+        report = rigidity_scan(GluedFootballParams(spec, t), radius, 20, 7)
+        assert report["converged"] > 0
+        builds = []
+
+        def counting(p):
+            builds.append(p.t)
+            return glued_football(p)
+
+        monkeypatch.setattr(solver, "glued_football", counting)
+        for sol in report["solutions"]:
+            m = TriangulatedMetric(*sol["lengths"])
+            builds.clear()
+            s_star, dist = family_distance(m, spec)
+            assert 200 < len(builds) <= 212
+            assert (s_star, dist) == (sol["s_star"], sol["family_distance"])
+            fam = glued_football(GluedFootballParams(spec, s_star))
+            assert dist == math.dist(fam.lengths(), m.lengths())
+
+    def test_degenerate_end_of_the_family(self):
+        # With alpha within 1.1e-3 of pi the footballs below s = 3.35e-4
+        # degenerate, and the closest valid one sits at that end: Newton
+        # steps into the degenerate footballs only bound the bracket.  The
+        # end is fuzzy to about 1e-9 in s (the perimeter test reads
+        # roundoff there), so the oracle may land deeper inside it.
+        spec = ConeAngleSpec(3.1405, 1.0)
+        m = base_metric(t=4e-4, spec=spec)
+        bumped = TriangulatedMetric(m.l1 + 1e-3, m.l2, m.l3, m.l4, m.l5, m.l6)
+        s_star, dist = family_distance(bumped, spec)
+        fam = glued_football(GluedFootballParams(spec, s_star))
+        assert dist == math.dist(fam.lengths(), bumped.lengths())
+        s_ref, dist_ref = golden_family_distance(bumped, spec)
+        assert abs(s_star - s_ref) < 1e-8
+        assert dist < dist_ref + 1e-9
 
 class TestRigidityScan:
     def test_small_scan_converges_onto_family(self):
