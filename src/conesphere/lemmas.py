@@ -3,10 +3,11 @@
 Each suite turns one ingredient of the rigidity argument into a concrete
 numerical sweep:
 
-* slit-piece solves (half_piece_solve) reconstruct one Z2-symmetric half of a
-  glued piece from its apex half-angle, its D-side half-angle and the slit
-  length, and report the total corner angle collected at the 4*pi cone
-  point, in closed form by Napier's rule.  Corner totals may exceed pi.
+* half_piece_solve(apex_half, d_half, ell, branch) reconstructs one
+  Z2-symmetric half of a glued piece from its apex half-angle, its D-side
+  half-angle and the slit length, and returns its outer side and the total
+  corner angle collected at the 4*pi cone point, in closed form by Napier's
+  rule.  Corner totals may exceed pi.
 * defect_node measures how far the corner total of two such pieces, with
   football angles (alpha, beta) and the D-angle split unevenly as
   (alpha - 2*eps, beta + 2*eps), misses 4*pi; step1_asymmetric_exclusion
@@ -19,6 +20,11 @@ numerical sweep:
 * lemma1_caseb_exclusion tabulates the bigon case of lemma 1 (two
   non-identical triangles over the chord).  It cannot fail: it takes cos l5
   from the bigon relation itself, so every node restates sin^2 l1 < 1.
+
+Every function takes plain numbers.  defect_node, step1_asymmetric_exclusion,
+lemma3_sweep and angle_sum_branches return the report rows themselves, as
+dicts; the suites add only their verdict keys.  The lemma1 table alone is
+still a tuple of CaseBRow.
 """
 
 from __future__ import annotations
@@ -36,75 +42,6 @@ from .sphtrig import (
 
 
 @dataclass(frozen=True)
-class HalfPieceConfig:
-    """One symmetric half of a glued piece.
-
-    apex_half and d_half are the halves of the apex cone angle and of the
-    D-side cone angle carried by this piece (both below pi/2 so the doubled
-    piece keeps proper apexes); ell is the slit length l3 = l4 and branch
-    chooses the acute or obtuse sine-rule solution for the outer side.
-    """
-
-    apex_half: float
-    d_half: float
-    ell: float
-    branch: str
-
-    def __post_init__(self):
-        for name, v in (("apex_half", self.apex_half), ("d_half", self.d_half)):
-            if not (0.0 < v < PI / 2.0):
-                raise ValueError(f"{name} = {v!r} outside (0, pi/2)")
-        if not (0.0 < self.ell < PI):
-            raise ValueError(f"ell = {self.ell!r} outside (0, pi)")
-        if self.branch not in ("acute", "obtuse"):
-            raise ValueError(f"branch must be 'acute' or 'obtuse', got {self.branch!r}")
-
-
-@dataclass(frozen=True)
-class HalfPieceSolution:
-    """Outer side length plus the corner angle at the 4*pi vertex."""
-
-    side: float
-    corner: float
-
-
-@dataclass(frozen=True)
-class Lemma2Defect:
-    """Defect of the total corner angle against 4*pi for an uneven D-split."""
-
-    l1: float
-    l2: float
-    alpha1: float
-    alpha2: float
-    defect: float
-
-
-@dataclass(frozen=True)
-class ExtremalityResult:
-    """One interior extremum of the base-angle sum; kind classifies it."""
-
-    alpha_crit: float
-    s_crit: float
-    kind: str  # "minimum" | "maximum" | "degenerate"
-
-
-@dataclass(frozen=True)
-class Lemma3Result:
-    degenerate: bool
-    extrema: tuple[ExtremalityResult, ...]
-
-
-@dataclass(frozen=True)
-class AngleSumBranch:
-    """The base-angle sum along one root branch over a run of base angles."""
-
-    alpha_min: float
-    alpha_max: float
-    samples: int
-    trend: str  # "increasing" | "decreasing" | "not monotone"
-
-
-@dataclass(frozen=True)
 class CaseBRow:
     l1: float
     cos_l5: float
@@ -114,53 +51,52 @@ class CaseBRow:
     alpha_scan_min: float
 
 
-@dataclass(frozen=True)
-class DefectRow:
-    ell: float
-    result: Lemma2Defect | None
+def half_piece_solve(apex_half: float, d_half: float, ell: float,
+                     branch: str) -> tuple[float, float]:
+    """One symmetric half of a glued piece: (outer side, corner), closed form.
 
-    @property
-    def feasible(self) -> bool:
-        return self.result is not None
-
-
-def half_piece_solve(cfg: HalfPieceConfig) -> HalfPieceSolution:
-    """Solve one half piece: its outer side and its corner, in closed form.
-
-    The outer side follows from the sine rule with the requested branch; a
-    ratio above 1 raises NoTriangleError.  Doubled across its symmetry
-    axis, the half piece is a kite whose chord between the two corner
-    copies splits it into two isosceles triangles: legs side with apex
-    angle 2*apex_half, and legs ell with apex angle 2*d_half.  The corner
-    is the sum of one base angle of each, and the axis cuts each isosceles
-    triangle into two right triangles, so Napier's rule gives every base
-    angle B directly: cot B = cos(leg) * tan(half apex).
+    apex_half and d_half are the halves of the apex cone angle and of the
+    D-side cone angle carried by this piece, both in (0, pi/2) so that the
+    doubled piece keeps proper apexes; ell is the slit length l3 = l4.  The
+    outer side follows from the sine rule on the acute or obtuse branch
+    (sine_rule_side checks ell and branch); a ratio above 1 raises
+    NoTriangleError.  Doubled across its symmetry axis, the half piece is a
+    kite whose chord between the two corner copies splits it into two
+    isosceles triangles: legs side with apex angle 2*apex_half, and legs ell
+    with apex angle 2*d_half.  The corner is the sum of one base angle of
+    each, and the axis cuts each isosceles triangle into two right
+    triangles, so Napier's rule gives every base angle B directly:
+    cot B = cos(leg) * tan(half apex).
     """
-    side = sine_rule_side(cfg.apex_half, cfg.ell, cfg.d_half, cfg.branch)
-    corner = (math.atan2(1.0, math.cos(side) * math.tan(cfg.apex_half))
-              + math.atan2(1.0, math.cos(cfg.ell) * math.tan(cfg.d_half)))
-    return HalfPieceSolution(side=side, corner=corner)
+    for name, v in (("apex_half", apex_half), ("d_half", d_half)):
+        if not (0.0 < v < PI / 2.0):
+            raise ValueError(f"{name} = {v!r} outside (0, pi/2)")
+    side = sine_rule_side(apex_half, ell, d_half, branch)
+    corner = (math.atan2(1.0, math.cos(side) * math.tan(apex_half))
+              + math.atan2(1.0, math.cos(ell) * math.tan(d_half)))
+    return side, corner
 
 
 def defect_node(alpha: float, beta: float, eps: float, ell: float,
-                regime: str) -> Lemma2Defect:
+                regime: str) -> dict:
     """Corner-total defect for the D-split (alpha - 2*eps, beta + 2*eps).
 
     Each piece pairs a football angle with its share of the D-angle; both
     shares must lie in (0, pi).  regime "below" is the perturbation branch
     with l1, l2 < pi/2 (slit length ell above pi/2); "above" is the mirror
-    branch.
+    branch.  Returns the report row {"l1", "l2", "alpha1", "alpha2",
+    "defect"}: each piece's outer side and corner, and the defect
+    2*(alpha1 + alpha2) - 4*pi.
     """
     d1, d2 = alpha - 2.0 * eps, beta + 2.0 * eps
     if not (0.0 < d1 < PI and 0.0 < d2 < PI):
         raise ValueError(f"D-split {d1!r}, {d2!r} leaves (0, pi)")
     _check_regime(ell, regime)
     branch = "acute" if regime == "below" else "obtuse"
-    p1 = half_piece_solve(HalfPieceConfig(0.5 * alpha, 0.5 * d1, ell, branch))
-    p2 = half_piece_solve(HalfPieceConfig(0.5 * beta, 0.5 * d2, ell, branch))
-    return Lemma2Defect(l1=p1.side, l2=p2.side,
-                        alpha1=p1.corner, alpha2=p2.corner,
-                        defect=2.0 * (p1.corner + p2.corner) - 4.0 * PI)
+    l1, alpha1 = half_piece_solve(0.5 * alpha, 0.5 * d1, ell, branch)
+    l2, alpha2 = half_piece_solve(0.5 * beta, 0.5 * d2, ell, branch)
+    return {"l1": l1, "l2": l2, "alpha1": alpha1, "alpha2": alpha2,
+            "defect": 2.0 * (alpha1 + alpha2) - 4.0 * PI}
 
 
 def _check_regime(ell: float, regime: str) -> None:
@@ -203,7 +139,7 @@ def _angle_sum_roots(alpha: float, ell: float, beta: float) -> list[float]:
     return [alpha + u for u in us if 1e-9 < u < PI - 1e-9]
 
 
-def lemma3_sweep(ell: float, beta: float) -> Lemma3Result:
+def lemma3_sweep(ell: float, beta: float) -> tuple[dict, ...]:
     """The interior extrema of the base-angle sum s(alpha).
 
     For triangles with fixed base ell and fixed opposite angle beta, the
@@ -214,7 +150,9 @@ def lemma3_sweep(ell: float, beta: float) -> Lemma3Result:
     law (the root nearest 2*alpha), so |alpha - s/2| tests the formula, and
     the kind comes from the second difference of s along that root branch.
     cos(ell) = cos(beta) is the degenerate case: the critical shape sits in
-    a flat family and is reported as such.
+    a flat family and is reported as the one row (pi/2, pi, "degenerate").
+    Each extremum is the report row {"alpha_crit", "s_crit", "kind"}, kind
+    "minimum", "maximum" or "degenerate".
     """
     for name, value in (("ell", ell), ("beta", beta)):
         if not (0.0 < value < PI):
@@ -223,11 +161,9 @@ def lemma3_sweep(ell: float, beta: float) -> Lemma3Result:
         raise ValueError(f"ell = {ell!r} too close to a multiple of pi")
     cos_ell, cos_beta = math.cos(ell), math.cos(beta)
     if abs(cos_ell - cos_beta) < 1e-9:
-        return Lemma3Result(
-            degenerate=True,
-            extrema=(ExtremalityResult(PI / 2.0, PI, "degenerate"),))
+        return ({"alpha_crit": PI / 2.0, "s_crit": PI, "kind": "degenerate"},)
     if cos_ell < cos_beta:
-        return Lemma3Result(degenerate=False, extrema=())
+        return ()
 
     def s_near(a: float, target: float) -> float:
         roots = _angle_sum_roots(a, ell, beta)
@@ -244,8 +180,8 @@ def lemma3_sweep(ell: float, beta: float) -> Lemma3Result:
         s = s_near(a, 2.0 * a)
         curvature = s_near(a - delta, s) + s_near(a + delta, s) - 2.0 * s
         kind = "minimum" if curvature > 0.0 else "maximum"
-        extrema.append(ExtremalityResult(a, s, kind))
-    return Lemma3Result(degenerate=False, extrema=tuple(extrema))
+        extrema.append({"alpha_crit": a, "s_crit": s, "kind": kind})
+    return tuple(extrema)
 
 
 # Evenly spaced base angles angle_sum_branches samples inside each interval;
@@ -255,7 +191,7 @@ BRANCH_NODES = 32
 SLIVER = 1e-8
 
 
-def angle_sum_branches(ell: float, beta: float) -> tuple[AngleSumBranch, ...]:
+def angle_sum_branches(ell: float, beta: float) -> tuple[dict, ...]:
     """Trend of the base-angle sum s along every branch of triangles.
 
     The number of _angle_sum_roots changes only where a root leaves
@@ -264,8 +200,10 @@ def angle_sum_branches(ell: float, beta: float) -> tuple[AngleSumBranch, ...]:
     into intervals.  Each one wider than SLIVER is sampled at BRANCH_NODES
     nodes strictly inside it, which must all have the same root count
     (AssertionError otherwise), and each root index there is one branch of
-    s: increasing or decreasing if s moves strictly one way between every
-    pair of neighbours, and "not monotone" otherwise.
+    s, the report row {"alpha_min", "alpha_max", "samples", "trend"}: its
+    first and last node, the node count, and a trend of "increasing" or
+    "decreasing" if s moves strictly one way between every pair of
+    neighbours, "not monotone" otherwise.
     """
     cuts = {beta, PI - beta}
     ratio = math.sin(beta) / math.sin(ell)
@@ -289,7 +227,8 @@ def angle_sum_branches(ell: float, beta: float) -> tuple[AngleSumBranch, ...]:
             trend = ("increasing" if all(d > 0.0 for d in steps)
                      else "decreasing" if all(d < 0.0 for d in steps)
                      else "not monotone")
-            branches.append(AngleSumBranch(alphas[0], alphas[-1], len(s), trend))
+            branches.append({"alpha_min": alphas[0], "alpha_max": alphas[-1],
+                             "samples": len(s), "trend": trend})
     return tuple(branches)
 
 
@@ -332,14 +271,18 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[CaseBRow, ...]:
 
 
 def step1_asymmetric_exclusion(alpha: float, beta: float, eps: float,
-                               ell_grid, regime: str) -> tuple[DefectRow, ...]:
-    """defect_node over a grid of slit lengths, infeasible nodes flagged."""
+                               ell_grid, regime: str) -> tuple[dict, ...]:
+    """defect_node over a grid of slit lengths, one report row per node.
+
+    A feasible node is {"ell", "feasible": True} plus the defect_node row;
+    a node with no triangle (NoTriangleError) is {"ell", "feasible": False}.
+    """
     rows = []
     for ell in ell_grid:
         ell = float(ell)
         try:
-            result = defect_node(alpha, beta, eps, ell, regime)
+            rows.append({"ell": ell, "feasible": True,
+                         **defect_node(alpha, beta, eps, ell, regime)})
         except NoTriangleError:
-            result = None
-        rows.append(DefectRow(ell=ell, result=result))
+            rows.append({"ell": ell, "feasible": False})
     return tuple(rows)

@@ -12,8 +12,8 @@ constraints closed exactly.
 residual(lengths, spec) and jacobian(lengths) take the six lengths l1..l6
 and solve each triangle by sphtrig's half-angle rule, through
 metric.cone_angle_tuple and sphtrig.sss_differentials.  Outside the validity
-region both raise InvalidTriangleError (OFF_DOMAIN), a boundary to the solver
-loops.  The region is a convex polytope in l1..l6 (metric.VALIDITY_ROWS), so
+region both raise InvalidTriangleError, which the solver loops treat as a
+boundary.  The region is a convex polytope in l1..l6 (metric.VALIDITY_ROWS), so
 the largest probe ball that fits in it (max_feasible_radius) is closed form.
 
 defect_scan runs its whole grid in one pass of array operations: the
@@ -58,9 +58,6 @@ from .sphtrig import (
     clamp_rows,
     sss_differentials,
 )
-
-# Errors of a residual evaluated outside the validity region.
-OFF_DOMAIN = InvalidTriangleError
 
 # Slit parameter window scanned when projecting onto the family.
 FAMILY_T_MIN = 1e-4
@@ -170,7 +167,7 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
     x = np.array(start.lengths())
     try:
         r = residual(x, spec)
-    except OFF_DOMAIN:
+    except InvalidTriangleError:
         return GaussNewtonResult("boundary", None, math.inf, 0)
     rnorm = math.sqrt(r.dot(r))
     lam = DAMPING0
@@ -194,7 +191,7 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
             try:
                 r_new = residual(x_new, spec)
                 break
-            except OFF_DOMAIN:
+            except InvalidTriangleError:
                 step = 0.5 * step
                 shrink += 1
                 if shrink > 60:
@@ -243,7 +240,7 @@ def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, 
     def build(s: float) -> tuple[float, ...] | None:
         try:
             return glued_football(GluedFootballParams(spec, s)).lengths()
-        except OFF_DOMAIN:
+        except InvalidTriangleError:
             return None
 
     grid = np.linspace(FAMILY_T_MIN, FAMILY_T_MAX, 200).tolist()
@@ -349,25 +346,6 @@ def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
 
 
 @dataclass(frozen=True)
-class ScanClosure:
-    """Closure rule for defect_scan.
-
-    The D-part apex targets are (alpha - 2*eps) for the slit triangle at D1
-    and (beta + 2*eps) at D2; l5 and l6 follow from (l3, l4) by the cosine
-    law, then l1 and l2 are solved so the A- and B-apexes hit their targets
-    exactly.  branch picks l1, l2 acute or obtuse (the two perturbation
-    regimes).  Only the C-defect remains free.
-    """
-
-    eps: float = 0.0
-    branch: str = "acute"
-
-    def __post_init__(self):
-        if self.branch not in ("acute", "obtuse"):
-            raise ValueError(f"branch must be 'acute' or 'obtuse', got {self.branch!r}")
-
-
-@dataclass(frozen=True)
 class ScanGrid:
     """A defect scan, one row per node: lengths l1..l6 (n, 6), residuals
     (r_A, r_B, r_D, r_C) (n, 4) and the feasible mask (n,).
@@ -380,24 +358,31 @@ class ScanGrid:
     feasible: np.ndarray
 
 
-def defect_scan(spec: ConeAngleSpec, l3_grid, l4_grid,
-                closure: ScanClosure | None = None) -> ScanGrid:
+def defect_scan(spec: ConeAngleSpec, l3_grid, l4_grid, eps: float = 0.0,
+                branch: str = "acute") -> ScanGrid:
     """C-defect over a (l3, l4) grid with the other constraints closed exactly.
+
+    The closure: the D-part apex targets are (alpha - 2*eps) for the slit
+    triangle at D1 and (beta + 2*eps) at D2; l5 and l6 follow from (l3, l4)
+    by the cosine law, then l1 and l2 are solved so that the A- and
+    B-apexes hit their targets exactly.  branch picks l1, l2 acute or
+    obtuse (the two perturbation regimes).  Only the C-defect stays free.
 
     Rows appear in lexicographic (l3, l4) order; infeasible nodes are
     kept with feasible False rather than dropped.  A node is infeasible
     when a closure ratio leaves (0, 1] or the closed lengths (l3 and l4
     among them) leave the validity region.
     """
+    if branch not in ("acute", "obtuse"):
+        raise ValueError(f"branch must be 'acute' or 'obtuse', got {branch!r}")
     if len(l3_grid) == 0 or len(l4_grid) == 0:
         raise ValueError(f"scan grid needs at least 1 node per axis, "
                          f"got {len(l3_grid)} x {len(l4_grid)}")
-    closure = closure or ScanClosure()
     alpha, beta = spec.alpha, spec.beta
-    d1 = alpha - 2.0 * closure.eps
-    d2 = beta + 2.0 * closure.eps
+    d1 = alpha - 2.0 * eps
+    d2 = beta + 2.0 * eps
     if not (0.0 < d1 < PI and 0.0 < d2 < PI):
-        raise ValueError(f"eps = {closure.eps!r} drives a D-apex out of (0, pi)")
+        raise ValueError(f"eps = {eps!r} drives a D-apex out of (0, pi)")
     l3 = np.repeat(np.asarray(l3_grid, dtype=float), len(l4_grid))
     l4 = np.tile(np.asarray(l4_grid, dtype=float), len(l3_grid))
     with np.errstate(invalid="ignore"):
@@ -411,7 +396,7 @@ def defect_scan(spec: ConeAngleSpec, l3_grid, l4_grid,
         s2 = np.sin(0.5 * l6) / math.sin(0.5 * beta)
         feasible = ok5 & ok6 & (0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0)
         l1, l2 = np.arcsin(s1), np.arcsin(s2)
-    if closure.branch == "obtuse":
+    if branch == "obtuse":
         l1, l2 = PI - l1, PI - l2
     lengths = np.column_stack([l1, l2, l3, l4, l5, l6])
     theta, valid = cone_angle_rows(lengths)

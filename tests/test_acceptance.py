@@ -30,7 +30,7 @@ from conesphere.metric import (
     total_area,
 )
 from conesphere.reports import render_report
-from conesphere.solver import ScanClosure, defect_scan, jacobian, numerical_rank, rigidity_scan
+from conesphere.solver import defect_scan, jacobian, numerical_rank, rigidity_scan
 from conesphere.sphtrig import PI
 
 ANGLE_GRID = np.linspace(0.3, PI - 0.3, 9)
@@ -113,23 +113,22 @@ def test_c4_lemma2_sign_structure():
     def check(sweep, spec, eps, regime, label):
         nonlocal checked
         expected = 1 if regime == "below" else -1
-        closure = ScanClosure(eps=eps,
-                              branch="acute" if regime == "below" else "obtuse")
+        branch = "acute" if regime == "below" else "obtuse"
         for row in sweep:
-            if not row.feasible:
+            if not row["feasible"]:
                 continue
             checked += 1
-            res = row.result
-            sign = int(math.copysign(1.0, res.defect))
-            stated_ok = (sign == expected and abs(res.defect) > margin)
+            ell, defect = row["ell"], row["defect"]
+            sign = int(math.copysign(1.0, defect))
+            stated_ok = (sign == expected and abs(defect) > margin)
             law = -int(math.copysign(
-                1.0, math.sin(row.ell) * math.sin(0.5 * (res.l1 - res.l2))))
-            scan = defect_scan(spec, [row.ell], [row.ell], closure)
+                1.0, math.sin(ell) * math.sin(0.5 * (row["l1"] - row["l2"]))))
+            scan = defect_scan(spec, [ell], [ell], eps, branch)
             r_C = float(scan.residuals[0, 3])
-            closure_ok = bool(scan.feasible[0]) and abs(r_C - res.defect) <= 1e-12
+            closure_ok = bool(scan.feasible[0]) and abs(r_C - defect) <= 1e-12
             if not (stated_ok and sign == law and closure_ok):
                 failures.append(
-                    f"{label} ell={row.ell:.3f}: defect={res.defect:+.3e} "
+                    f"{label} ell={ell:.3f}: defect={defect:+.3e} "
                     f"(expected sign {expected:+d}), corrected law {law:+d}, "
                     f"closure r_C {r_C}")
 
@@ -172,14 +171,14 @@ def test_c5_isosceles_extremality():
     failures = []
 
     # Closed-form case.
-    res = lemma3_sweep(PI / 3, PI / 2)
+    extrema = lemma3_sweep(PI / 3, PI / 2)
     alpha0 = math.acos(1.0 / math.sqrt(3.0))
-    if abs(res.extrema[0].alpha_crit - alpha0) > 1e-9:
+    if abs(extrema[0]["alpha_crit"] - alpha0) > 1e-9:
         failures.append("closed-form location")
 
     # Degenerate case per the flat-family classification.
     degen = lemma3_sweep(PI / 3, PI / 3)
-    if not (degen.degenerate and degen.extrema[0].kind == "degenerate"):
+    if [e["kind"] for e in degen] != ["degenerate"]:
         failures.append("degenerate case")
 
     # 20 random pairs with a margin away from the degenerate set, drawn on
@@ -193,15 +192,15 @@ def test_c5_isosceles_extremality():
             pairs.append((ell, beta))
     rule_breaks = 0
     for ell, beta in pairs:
-        res = lemma3_sweep(ell, beta)
-        if len(res.extrema) != 2:
+        extrema = lemma3_sweep(ell, beta)
+        if len(extrema) != 2:
             failures.append(f"extrema count at ({ell:.3f}, {beta:.3f})")
             continue
-        for ext in res.extrema:
-            if abs(ext.alpha_crit - 0.5 * ext.s_crit) > 1e-6:
+        for ext in extrema:
+            if abs(ext["alpha_crit"] - 0.5 * ext["s_crit"]) > 1e-6:
                 failures.append(f"isosceles gap at ({ell:.3f}, {beta:.3f})")
-            stated_kind = "maximum" if ext.alpha_crit < PI / 2 else "minimum"
-            if ext.kind != stated_kind:
+            stated_kind = "maximum" if ext["alpha_crit"] < PI / 2 else "minimum"
+            if ext["kind"] != stated_kind:
                 rule_breaks += 1
     if rule_breaks:
         failures.append(f"classification rule broken at {rule_breaks}/40 extrema")

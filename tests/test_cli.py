@@ -276,6 +276,14 @@ class TestLemmasCommand:
         row = sweep["rows"][0]
         assert row["computed_sign"] == -row["expected_sign"]
 
+    def test_step1_apex_outside_range_usage_error(self, capsys):
+        # alpha/2 = 1.575 > pi/2: half_piece_solve rejects the apex.
+        code, out, err = run(capsys, "lemmas", "--suite", "step1",
+                             "--alpha", "3.15", "--beta", "1.0")
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "apex_half" in err
+
     def test_lemma3_requires_inputs(self, capsys):
         code, _, err = run(capsys, "lemmas", "--suite", "lemma3")
         assert code == 2
@@ -289,6 +297,52 @@ class TestLemmasCommand:
         assert code == 2
         assert out == ""
         assert "usage error" in err
+
+
+DEFECT_ROW_KEYS = {"ell", "feasible", "l1", "l2", "alpha1", "alpha2", "defect",
+                   "expected_sign", "computed_sign", "classical_product_sign"}
+
+
+class TestReportRows:
+    """The exact keys of each kind of lemma report row."""
+
+    @pytest.mark.parametrize("suite", ["lemma2", "step1"])
+    def test_defect_rows(self, capsys, suite):
+        code, stdout, _ = run(capsys, "lemmas", "--suite", suite)
+        assert code == 1
+        sweeps = json.loads(stdout)["results"]["sweeps"]
+        rows = [row for sweep in sweeps for row in sweep["rows"]]
+        assert len(rows) == 30
+        assert all(set(row) == DEFECT_ROW_KEYS for row in rows)
+
+    def test_lemma3_extremum_rows(self, capsys):
+        code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
+                              "--ell", "1.0471976", "--beta-angle", "1.5707963")
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        assert set(results) == {"ell", "beta", "degenerate", "extrema", "pass"}
+        assert len(results["extrema"]) == 2
+        for row in results["extrema"]:
+            assert set(row) == {"alpha_crit", "s_crit", "kind", "iso_gap"}
+
+    def test_lemma3_degenerate_row(self, capsys):
+        code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
+                              "--ell", "1.0471976", "--beta-angle", "1.0471976")
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        assert results["degenerate"] is True and results["pass"] is True
+        assert results["extrema"] == [{"alpha_crit": PI / 2, "s_crit": PI,
+                                       "kind": "degenerate", "iso_gap": 0.0}]
+
+    def test_lemma3_branch_rows(self, capsys):
+        code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
+                              "--ell", "2.5", "--beta-angle", "0.5")
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        assert results["degenerate"] is False
+        assert len(results["branches"]) == 2
+        for row in results["branches"]:
+            assert set(row) == {"alpha_min", "alpha_max", "samples", "trend"}
 
 
 class TestEigenAdmissible:

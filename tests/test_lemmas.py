@@ -6,8 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conesphere import suites
 from conesphere.lemmas import (
-    HalfPieceConfig,
-    Lemma3Result,
     angle_sum_branches,
     defect_node,
     half_piece_solve,
@@ -149,19 +147,27 @@ class TestHalfPiece:
     def test_symmetric_family_point_is_flat(self):
         # Equal apex and D halves: the half piece is half of a lune and the
         # corner angle is exactly pi (per-vertex total pi when doubled).
-        sol = half_piece_solve(HalfPieceConfig(PI / 4, PI / 4, 2 * PI / 3, "acute"))
-        assert sol.side == pytest.approx(PI - 2 * PI / 3, abs=1e-12)
-        assert sol.corner == pytest.approx(PI, abs=1e-12)
+        side, corner = half_piece_solve(PI / 4, PI / 4, 2 * PI / 3, "acute")
+        assert side == pytest.approx(PI - 2 * PI / 3, abs=1e-12)
+        assert corner == pytest.approx(PI, abs=1e-12)
 
     def test_slit_piece_example(self):
-        cfg = HalfPieceConfig(PI / 4, (PI / 2 - 0.1) / 2, 2 * PI / 3, "acute")
-        sol = half_piece_solve(cfg)
-        assert sol.side == pytest.approx(0.9643170952927866, abs=1e-12)
-        assert sol.corner == pytest.approx(3.0483413960624732, abs=1e-11)
+        side, corner = half_piece_solve(PI / 4, (PI / 2 - 0.1) / 2, 2 * PI / 3,
+                                        "acute")
+        assert side == pytest.approx(0.9643170952927866, abs=1e-12)
+        assert corner == pytest.approx(3.0483413960624732, abs=1e-11)
 
     def test_infeasible_ratio_raises(self):
         with pytest.raises(NoTriangleError):
-            half_piece_solve(HalfPieceConfig(0.05, 1.5, 1.5, "acute"))
+            half_piece_solve(0.05, 1.5, 1.5, "acute")
+
+    @pytest.mark.parametrize("name", ["apex_half", "d_half"])
+    @pytest.mark.parametrize("value", [0.0, PI / 2, math.nan])
+    def test_half_angles_outside_zero_half_pi_rejected(self, name, value):
+        halves = {"apex_half": PI / 4, "d_half": PI / 4, name: value}
+        with pytest.raises(ValueError, match=f"{name} = .* outside"):
+            half_piece_solve(halves["apex_half"], halves["d_half"],
+                             2 * PI / 3, "acute")
 
     @pytest.mark.parametrize("apex_half,d_half,ell,branch", [
         (PI / 4, (PI / 2 - 0.1) / 2, 2 * PI / 3, "acute"),
@@ -172,9 +178,9 @@ class TestHalfPiece:
         (1.0, 1.08, 1.1, "obtuse"),
     ])
     def test_matches_embedded_geometry(self, apex_half, d_half, ell, branch):
-        sol = half_piece_solve(HalfPieceConfig(apex_half, d_half, ell, branch))
+        _, corner = half_piece_solve(apex_half, d_half, ell, branch)
         oracle = embedded_half_piece_corner(apex_half, d_half, ell, branch)
-        assert sol.corner == pytest.approx(oracle, abs=1e-9)
+        assert corner == pytest.approx(oracle, abs=1e-9)
 
     @given(apex_half=st.floats(0.01, PI / 2 - 0.01),
            d_half=st.floats(0.01, PI / 2 - 0.01),
@@ -188,9 +194,9 @@ class TestHalfPiece:
         ell = 0.5 * PI * (1.0 + frac if branch == "acute" else frac)
         ratio = math.sin(d_half) * math.sin(ell) / math.sin(apex_half)
         assume(ratio < 1.0 - 1e-6)
-        sol = half_piece_solve(HalfPieceConfig(apex_half, d_half, ell, branch))
+        _, corner = half_piece_solve(apex_half, d_half, ell, branch)
         oracle = embedded_half_piece_corner(apex_half, d_half, ell, branch)
-        assert sol.corner == pytest.approx(oracle, abs=1e-9)
+        assert corner == pytest.approx(oracle, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +207,19 @@ class TestLemma2Defect:
     def test_zero_split_is_family(self):
         for ell, regime in ((2.0, "below"), (1.1, "above")):
             d = defect_node(PI / 2, PI / 2, 0.0, ell, regime)
-            assert abs(d.defect) < 1e-10
+            assert abs(d["defect"]) < 1e-10
 
     def test_frozen_below_case(self):
         d = defect_node(PI / 2, PI / 2, 0.05, 2 * PI / 3, "below")
-        assert d.l1 == pytest.approx(0.9643170952927866, abs=1e-12)
-        assert d.l2 == pytest.approx(1.1390259991704181, abs=1e-12)
-        assert d.alpha1 == pytest.approx(3.0483413960624732, abs=1e-11)
-        assert d.alpha2 == pytest.approx(3.2501547977606773, abs=1e-11)
-        assert d.defect == pytest.approx(0.030621773287128562, abs=1e-11)
+        assert d["l1"] == pytest.approx(0.9643170952927866, abs=1e-12)
+        assert d["l2"] == pytest.approx(1.1390259991704181, abs=1e-12)
+        assert d["alpha1"] == pytest.approx(3.0483413960624732, abs=1e-11)
+        assert d["alpha2"] == pytest.approx(3.2501547977606773, abs=1e-11)
+        assert d["defect"] == pytest.approx(0.030621773287128562, abs=1e-11)
 
     def test_frozen_above_case(self):
         d = defect_node(PI / 2, PI / 2, 0.05, PI / 3, "above")
-        assert d.defect == pytest.approx(-0.030621773287128562, abs=1e-11)
+        assert d["defect"] == pytest.approx(-0.030621773287128562, abs=1e-11)
 
     def test_true_sign_structure(self):
         # Corner totals exceed 4*pi when l1, l2 are short (slit above pi/2)
@@ -223,45 +229,45 @@ class TestLemma2Defect:
         for eps in (0.01, 0.05, 0.1):
             for ell in np.linspace(2.0, 2.6, 5):
                 d = defect_node(PI / 2, PI / 2, eps, float(ell), "below")
-                assert d.defect > 1e-9
+                assert d["defect"] > 1e-9
             for ell in np.linspace(0.5, 1.04, 5):
                 d = defect_node(PI / 2, PI / 2, eps, float(ell), "above")
-                assert d.defect < -1e-9
+                assert d["defect"] < -1e-9
 
     def test_matches_closure_path(self):
         # Same configuration through the six-length machinery.
         from conesphere.metric import ConeAngleSpec
-        from conesphere.solver import ScanClosure, defect_scan
+        from conesphere.solver import defect_scan
 
         d = defect_node(PI / 2, PI / 2, 0.05, 2.2, "below")
         scan = defect_scan(ConeAngleSpec(PI / 2, PI / 2), [2.2], [2.2],
-                           ScanClosure(eps=0.05, branch="acute"))
+                           eps=0.05, branch="acute")
         assert scan.feasible[0]
-        assert scan.residuals[0, 3] == pytest.approx(d.defect, abs=1e-12)
-        assert scan.lengths[0, 0] == pytest.approx(d.l1, abs=1e-12)
-        assert scan.lengths[0, 1] == pytest.approx(d.l2, abs=1e-12)
+        assert scan.residuals[0, 3] == pytest.approx(d["defect"], abs=1e-12)
+        assert scan.lengths[0, 0] == pytest.approx(d["l1"], abs=1e-12)
+        assert scan.lengths[0, 1] == pytest.approx(d["l2"], abs=1e-12)
 
     def test_matches_embedded_geometry(self):
         beta, eps, ell = PI / 2, 0.05, 2 * PI / 3
         d = defect_node(beta, beta, eps, ell, "below")
         a1 = embedded_half_piece_corner(beta / 2, (beta - 2 * eps) / 2, ell, "acute")
         a2 = embedded_half_piece_corner(beta / 2, (beta + 2 * eps) / 2, ell, "acute")
-        assert d.defect == pytest.approx(2 * (a1 + a2) - 4 * PI, abs=1e-9)
+        assert d["defect"] == pytest.approx(2 * (a1 + a2) - 4 * PI, abs=1e-9)
 
     def test_even_in_eps(self):
         for ell in (2.1, 2.5):
-            plus = defect_node(PI / 2, PI / 2, 0.05, ell, "below").defect
-            minus = defect_node(PI / 2, PI / 2, -0.05, ell, "below").defect
+            plus = defect_node(PI / 2, PI / 2, 0.05, ell, "below")["defect"]
+            minus = defect_node(PI / 2, PI / 2, -0.05, ell, "below")["defect"]
             assert plus == minus  # pieces swap roles exactly
         # Quadratic smallness: defect(eps/2) ~ defect(eps)/4.
-        d1 = defect_node(PI / 2, PI / 2, 0.04, 2.2, "below").defect
-        d2 = defect_node(PI / 2, PI / 2, 0.02, 2.2, "below").defect
+        d1 = defect_node(PI / 2, PI / 2, 0.04, 2.2, "below")["defect"]
+        d2 = defect_node(PI / 2, PI / 2, 0.02, 2.2, "below")["defect"]
         assert d1 / d2 == pytest.approx(4.0, rel=0.05)
 
     def test_first_order_cancellation(self):
         for eps in (0.01, 0.02):
-            d = defect_node(PI / 2, PI / 2, eps, 2.3, "below").defect
-            dm = defect_node(PI / 2, PI / 2, -eps, 2.3, "below").defect
+            d = defect_node(PI / 2, PI / 2, eps, 2.3, "below")["defect"]
+            dm = defect_node(PI / 2, PI / 2, -eps, 2.3, "below")["defect"]
             assert abs(d + dm) < 10.0 * eps ** 2
 
     def test_corrected_sign_law(self):
@@ -274,9 +280,9 @@ class TestLemma2Defect:
         cases += [(0.03, ell, "above") for ell in np.linspace(0.6, 1.0, 4)]
         for eps, ell, regime in cases:
             d = defect_node(PI / 2, PI / 2, eps, float(ell), regime)
-            r1 = math.sin(0.5 * (ell + d.l1)) / math.sin(0.5 * (ell - d.l1))
-            r2 = math.sin(0.5 * (ell + d.l2)) / math.sin(0.5 * (ell - d.l2))
-            assert (d.defect < 0.0) == (r1 > r2)
+            r1 = math.sin(0.5 * (ell + d["l1"])) / math.sin(0.5 * (ell - d["l1"]))
+            r2 = math.sin(0.5 * (ell + d["l2"])) / math.sin(0.5 * (ell - d["l2"]))
+            assert (d["defect"] < 0.0) == (r1 > r2)
 
     def test_regime_guard(self):
         with pytest.raises(ValueError):
@@ -286,8 +292,17 @@ class TestLemma2Defect:
 
     def test_sweep_flags_infeasible(self):
         rows = step1_asymmetric_exclusion(PI / 2, PI / 2, 0.1, [1.7, 2.2], "below")
-        assert not rows[0].feasible
-        assert rows[1].feasible
+        assert not rows[0]["feasible"]
+        assert rows[1]["feasible"]
+
+    def test_sweep_row_keys(self):
+        infeasible, feasible = step1_asymmetric_exclusion(
+            PI / 2, PI / 2, 0.1, [1.7, 2.2], "below")
+        assert infeasible == {"ell": 1.7, "feasible": False}
+        assert feasible == {"ell": 2.2, "feasible": True,
+                            **defect_node(PI / 2, PI / 2, 0.1, 2.2, "below")}
+        assert set(feasible) == {"ell", "feasible", "l1", "l2", "alpha1",
+                                 "alpha2", "defect"}
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +422,15 @@ class TestAngleSumRoots:
 
 class TestLemma3:
     def test_closed_form_case(self):
-        res = lemma3_sweep(PI / 3, PI / 2)
-        assert not res.degenerate
-        assert len(res.extrema) == 2
-        lo, hi = res.extrema
-        assert lo.alpha_crit == pytest.approx(math.acos(1 / math.sqrt(3)),
-                                              abs=1e-9)
-        assert hi.alpha_crit == pytest.approx(PI - math.acos(1 / math.sqrt(3)),
-                                              abs=1e-9)
-        assert lo.s_crit == pytest.approx(2 * lo.alpha_crit, abs=1e-9)
+        extrema = lemma3_sweep(PI / 3, PI / 2)
+        assert [e["kind"] for e in extrema] != ["degenerate"]
+        assert len(extrema) == 2
+        lo, hi = extrema
+        assert lo["alpha_crit"] == pytest.approx(math.acos(1 / math.sqrt(3)),
+                                                 abs=1e-9)
+        assert hi["alpha_crit"] == pytest.approx(
+            PI - math.acos(1 / math.sqrt(3)), abs=1e-9)
+        assert lo["s_crit"] == pytest.approx(2 * lo["alpha_crit"], abs=1e-9)
 
     def test_isosceles_location_on_random_pairs(self):
         rng = np.random.default_rng(42)
@@ -426,13 +441,14 @@ class TestLemma3:
             if math.cos(ell) - math.cos(beta) <= 0.05:
                 continue
             done += 1
-            res = lemma3_sweep(ell, beta)
-            assert len(res.extrema) == 2
-            for ext in res.extrema:
-                located = golden_extremize(ell, beta, ext.alpha_crit - 0.05,
-                                           ext.alpha_crit + 0.05, ext.kind)
-                assert ext.alpha_crit == pytest.approx(located, abs=1e-6)
-                assert abs(ext.alpha_crit - ext.s_crit / 2) < 1e-6
+            extrema = lemma3_sweep(ell, beta)
+            assert len(extrema) == 2
+            for ext in extrema:
+                a = ext["alpha_crit"]
+                located = golden_extremize(ell, beta, a - 0.05, a + 0.05,
+                                           ext["kind"])
+                assert a == pytest.approx(located, abs=1e-6)
+                assert abs(a - ext["s_crit"] / 2) < 1e-6
 
     def test_kind_vs_halfpi_truth(self):
         # The acute isosceles shape maximizes the base-angle sum and the
@@ -440,10 +456,9 @@ class TestLemma3:
         # (acceptance criterion 5 asserts this law).  Each kind is checked
         # against the embedding oracle, which never touches the implicit
         # equation lemma3_sweep solves.
-        res = lemma3_sweep(PI / 3, PI / 2)
-        lo, hi = res.extrema
-        assert lo.alpha_crit < PI / 2 and lo.kind == "maximum"
-        assert hi.alpha_crit > PI / 2 and hi.kind == "minimum"
+        lo, hi = lemma3_sweep(PI / 3, PI / 2)
+        assert lo["alpha_crit"] < PI / 2 and lo["kind"] == "maximum"
+        assert hi["alpha_crit"] > PI / 2 and hi["kind"] == "minimum"
         cases = [(PI / 3, PI / 2)]
         rng = np.random.default_rng(2024)
         while len(cases) < 4:
@@ -452,37 +467,34 @@ class TestLemma3:
             if math.cos(ell) - math.cos(beta) > 0.05:
                 cases.append((ell, beta))
         for ell, beta in cases:
-            extrema = lemma3_sweep(ell, beta).extrema
+            extrema = lemma3_sweep(ell, beta)
             assert len(extrema) == 2
             for ext in extrema:
-                assert ext.kind == embedded_extremum_kind(
-                    ext.alpha_crit, ext.s_crit, ell, beta), (ell, beta, ext)
+                assert ext["kind"] == embedded_extremum_kind(
+                    ext["alpha_crit"], ext["s_crit"], ell, beta), (ell, beta, ext)
 
     def test_agrees_with_golden_section_oracle(self):
-        res = lemma3_sweep(1.0, 2.0)
-        for ext in res.extrema:
-            located = golden_extremize(1.0, 2.0, ext.alpha_crit - 0.05,
-                                       ext.alpha_crit + 0.05, ext.kind)
-            assert located == pytest.approx(ext.alpha_crit, abs=1e-6)
+        for ext in lemma3_sweep(1.0, 2.0):
+            a = ext["alpha_crit"]
+            located = golden_extremize(1.0, 2.0, a - 0.05, a + 0.05, ext["kind"])
+            assert located == pytest.approx(a, abs=1e-6)
 
     def test_degenerate_case_flagged(self):
-        res = lemma3_sweep(PI / 3, PI / 3)
-        assert res.degenerate
-        assert res.extrema[0].kind == "degenerate"
-        assert res.extrema[0].alpha_crit == pytest.approx(PI / 2)
+        (ext,) = lemma3_sweep(PI / 3, PI / 3)
+        assert ext["kind"] == "degenerate"
+        assert ext["alpha_crit"] == pytest.approx(PI / 2)
 
     def test_no_isosceles_when_cos_ell_below_cos_beta(self):
         # Isosceles shapes need cos(ell) > cos(beta); here none exist and
         # the sweep reports no interior extrema.
-        res = lemma3_sweep(2.5, 0.5)
-        assert res.extrema == ()
+        assert lemma3_sweep(2.5, 0.5) == ()
 
     def test_angle_sum_monotone_without_extrema(self):
         # Triangles exist for small and for large base angles only, and the
         # sum rises along both root intervals.
         branches = angle_sum_branches(2.5, 0.5)
-        assert [b.trend for b in branches] == ["increasing", "increasing"]
-        assert branches[0].alpha_max < 0.5 < 2.6 < branches[1].alpha_min
+        assert [b["trend"] for b in branches] == ["increasing", "increasing"]
+        assert branches[0]["alpha_max"] < 0.5 < 2.6 < branches[1]["alpha_min"]
         report, ok = suites.lemma3_suite(2.5, 0.5)
         assert ok and report["results"]["pass"]
 
@@ -496,9 +508,9 @@ class TestLemma3:
         # branches through them are not monotone, and a sweep that missed
         # both extrema would fail the suite, even beside monotone branches.
         branches = angle_sum_branches(ell, beta)
-        assert [b.trend for b in branches] == trends
+        assert [b["trend"] for b in branches] == trends
         monkeypatch.setattr("conesphere.lemmas.lemma3_sweep",
-                            lambda ell, beta: Lemma3Result(False, ()))
+                            lambda ell, beta: ())
         report, ok = suites.lemma3_suite(ell, beta)
         assert not ok and not report["results"]["pass"]
 
@@ -508,9 +520,9 @@ class TestLemma3:
         # each is sampled inside, and the sum is monotone on all of them.
         branches = angle_sum_branches(ell, 0.01)
         assert len(branches) == 6
-        assert all(b.samples == 32 and b.alpha_max - b.alpha_min < 0.02
+        assert all(b["samples"] == 32 and b["alpha_max"] - b["alpha_min"] < 0.02
                    for b in branches)
-        assert {b.trend for b in branches} == {"increasing", "decreasing"}
+        assert {b["trend"] for b in branches} == {"increasing", "decreasing"}
         report, ok = suites.lemma3_suite(ell, 0.01)
         assert ok and report["results"]["pass"]
 
@@ -519,7 +531,7 @@ class TestLemma3:
         # but in floats they differ by an ulp; the sliver between them holds
         # no branch.
         branches = angle_sum_branches(PI / 2, 1.2)
-        assert [b.trend for b in branches] == ["increasing", "increasing"]
+        assert [b["trend"] for b in branches] == ["increasing", "increasing"]
 
     def test_interval_cuts_are_where_the_root_count_changes(self, monkeypatch):
         # Negative control: roots that vanish inside an interval (here at
@@ -594,11 +606,11 @@ class TestStep1:
         rows = step1_asymmetric_exclusion(1.0, 2.0, 0.0,
                                           np.linspace(2.2, 2.6, 3), "below")
         for row in rows:
-            assert abs(row.result.defect) < 1e-10
+            assert abs(row["defect"]) < 1e-10
 
     def test_true_single_sign_per_regime(self):
         def signs(rows):
-            defects = [r.result.defect for r in rows if r.feasible]
+            defects = [r["defect"] for r in rows if r["feasible"]]
             assert defects and 0.0 not in defects
             return {math.copysign(1.0, d) for d in defects}
 

@@ -20,7 +20,6 @@ from conesphere.metric import (
     validate,
 )
 from conesphere.solver import (
-    ScanClosure,
     defect_scan,
     family_distance,
     gauss_newton,
@@ -229,7 +228,7 @@ class TestResidual:
         # sign fixed by the isosceles extremum kind (acute base angles at
         # t = pi/3 make the symmetric point a maximum of the corner sum).
         scan = defect_scan(SPEC, [PI / 3 + 0.01], [PI / 3 - 0.01],
-                           ScanClosure(eps=0.0, branch="obtuse"))
+                           eps=0.0, branch="obtuse")
         r_A, r_B, r_D, r_C = scan.residuals[0]
         assert scan.feasible[0]
         assert abs(r_A) < 1e-13 and abs(r_B) < 1e-13
@@ -238,7 +237,7 @@ class TestResidual:
         # Mirror case t = 2pi/3: obtuse base angles, symmetric point is a
         # minimum, so the defect flips sign.
         scan = defect_scan(SPEC, [2 * PI / 3 + 0.01], [2 * PI / 3 - 0.01],
-                           ScanClosure(eps=0.0, branch="acute"))
+                           eps=0.0, branch="acute")
         assert scan.residuals[0, 3] == pytest.approx(0.00040003667268173615, abs=1e-12)
 
 
@@ -644,14 +643,14 @@ def scan_node(spec, l3, l4, closure):
     when the node is infeasible."""
     if not (0.0 < l3 < PI and 0.0 < l4 < PI):
         return None
-    l5 = side_from_sas(l3, l4, spec.alpha - 2.0 * closure.eps)
-    l6 = side_from_sas(l4, l3, spec.beta + 2.0 * closure.eps)
+    l5 = side_from_sas(l3, l4, spec.alpha - 2.0 * closure["eps"])
+    l6 = side_from_sas(l4, l3, spec.beta + 2.0 * closure["eps"])
     s1 = math.sin(0.5 * l5) / math.sin(0.5 * spec.alpha)
     s2 = math.sin(0.5 * l6) / math.sin(0.5 * spec.beta)
     if not (0.0 < s1 <= 1.0 and 0.0 < s2 <= 1.0):
         return None
     l1, l2 = clamped_asin(s1), clamped_asin(s2)
-    if closure.branch == "obtuse":
+    if closure["branch"] == "obtuse":
         l1, l2 = PI - l1, PI - l2
     lengths = (l1, l2, l3, l4, l5, l6)
     try:
@@ -664,15 +663,15 @@ class TestDefectScan:
     @pytest.mark.parametrize("lo, hi, n, closure", [
         # The benchmark's two windows, then windows with infeasible nodes:
         # closure ratios above 1, and l3, l4 outside (0, pi).
-        (2.0, 2.4, 101, ScanClosure(eps=0.05, branch="acute")),
-        (0.6, 1.0, 101, ScanClosure(eps=0.05, branch="obtuse")),
-        (0.1, 3.0, 41, ScanClosure(eps=0.05, branch="obtuse")),
-        (-0.5, 3.5, 21, ScanClosure(eps=0.0, branch="acute")),
+        (2.0, 2.4, 101, {"eps": 0.05, "branch": "acute"}),
+        (0.6, 1.0, 101, {"eps": 0.05, "branch": "obtuse"}),
+        (0.1, 3.0, 41, {"eps": 0.05, "branch": "obtuse"}),
+        (-0.5, 3.5, 21, {"eps": 0.0, "branch": "acute"}),
     ])
     def test_matches_per_node_closure(self, lo, hi, n, closure):
         spec = ConeAngleSpec(1.0, 2.0)
         grid = np.linspace(lo, hi, n)
-        scan = defect_scan(spec, grid, grid, closure)
+        scan = defect_scan(spec, grid, grid, **closure)
         nodes = [(l3, l4) for l3 in grid.tolist() for l4 in grid.tolist()]
         lengths = np.full((len(nodes), 6), np.nan)
         residuals = np.full((len(nodes), 4), np.nan)
@@ -687,22 +686,26 @@ class TestDefectScan:
         np.testing.assert_allclose(scan.lengths, lengths, rtol=0, atol=1e-13)
         np.testing.assert_allclose(scan.residuals, residuals, rtol=0, atol=1e-13)
 
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(ValueError, match="branch must be"):
+            defect_scan(SPEC, [PI / 3], [PI / 3], eps=0.0, branch="bogus")
+
     def test_family_slice_rows_are_flat(self):
         scan = defect_scan(SPEC, [PI / 3], [PI / 3],
-                           ScanClosure(eps=0.0, branch="obtuse"))
+                           eps=0.0, branch="obtuse")
         assert scan.feasible[0]
         assert abs(scan.residuals[0, 3]) < 1e-12
 
     def test_rows_in_lexicographic_order(self):
         scan = defect_scan(SPEC, [1.0, 1.1], [0.9, 1.0],
-                           ScanClosure(eps=0.0, branch="obtuse"))
+                           eps=0.0, branch="obtuse")
         keys = [tuple(row) for row in scan.lengths[:, 2:4].tolist()]
         assert keys == sorted(keys)
 
     def test_infeasible_nodes_flagged_not_dropped(self):
         # eps large enough that the B-side closure ratio exceeds 1.
         scan = defect_scan(SPEC, [1.9, 2.6], [1.9, 2.6],
-                           ScanClosure(eps=0.1, branch="acute"))
+                           eps=0.1, branch="acute")
         assert len(scan.feasible) == 4
         flags = {(round(l3, 2), round(l4, 2)): ok for (l3, l4), ok in
                  zip(scan.lengths[:, 2:4].tolist(), scan.feasible.tolist())}
@@ -711,7 +714,7 @@ class TestDefectScan:
 
     def test_closure_pins_a_b_d_exactly(self):
         scan = defect_scan(ConeAngleSpec(1.0, 2.0), [2.2, 2.4], [2.2, 2.3],
-                           ScanClosure(eps=0.05, branch="acute"))
+                           eps=0.05, branch="acute")
         for (r_A, r_B, r_D, r_C), ok in zip(scan.residuals, scan.feasible):
             if ok:
                 assert abs(r_A) < 1e-12
@@ -723,7 +726,7 @@ class TestDefectScan:
         # With an even split, the diagonal nodes are family points and the
         # off-diagonal ones carry a strictly nonzero C-defect.
         grid = [1.0, 1.05, 1.1]
-        scan = defect_scan(SPEC, grid, grid, ScanClosure(eps=0.0, branch="obtuse"))
+        scan = defect_scan(SPEC, grid, grid, eps=0.0, branch="obtuse")
         for (l3, l4), r_C, ok in zip(scan.lengths[:, 2:4], scan.residuals[:, 3],
                                      scan.feasible):
             assert ok
