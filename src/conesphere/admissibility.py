@@ -1,50 +1,32 @@
 """Cone-angle bookkeeping: conic Euler characteristic and the odd-lattice distance.
 
-Normalized cone angles are beta_j = (cone angle)/(2*pi).  Spherical cone
-metrics on the sphere require the L1 distance from beta_vec - 1 to the set
-of integer vectors with odd coordinate sum to be at least 1; the glued
-football family sits exactly on that boundary.
+Normalized cone angles are beta_j = (cone angle)/(2*pi), passed as a plain
+sequence of floats: ConeAngleSpec.normalized(), or the cone angles of
+metric.cone_angle_tuple over 2*pi.  Spherical cone metrics on the sphere
+require the L1 distance from beta_vec - 1 to the set of integer vectors
+with odd coordinate sum to be at least 1; the glued football family sits
+exactly on that boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
-from .metric import ConeAngleSpec
 
 
-@dataclass(frozen=True)
-class AngleVector:
-    """Normalized cone angles beta_j > 0 (cone angle = 2*pi*beta_j)."""
-
-    beta_vec: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta_vec", tuple(float(b) for b in self.beta_vec))
-        for j, b in enumerate(self.beta_vec):
-            if b <= 0.0:
-                raise ValueError(f"beta_vec[{j}] = {b!r} not positive")
-
-    @classmethod
-    def from_spec(cls, spec: ConeAngleSpec) -> "AngleVector":
-        return cls(spec.normalized())
-
-
-def chi(v: AngleVector) -> float:
+def chi(beta_vec) -> float:
     """Conic Euler characteristic of the sphere: 2 + sum(beta_j - 1)."""
-    return 2 + sum(b - 1.0 for b in v.beta_vec)
+    return 2 + sum(b - 1.0 for b in beta_vec)
 
 
-def mp_distance(v: AngleVector) -> float:
+def mp_distance(beta_vec) -> float:
     """L1 distance from beta_vec - 1 to the odd integer lattice.
 
     The lattice is the integer vectors with odd coordinate sum: round each
     coordinate, then if the rounded sum is even flip the single coordinate
     whose flip costs least, ties broken at the lowest index.
     """
-    x = [b - 1.0 for b in v.beta_vec]
+    x = [b - 1.0 for b in beta_vec]
     rounded = [round(xi) for xi in x]
     if sum(rounded) % 2 != 0:
         return math.fsum(abs(xi - mi) for xi, mi in zip(x, rounded))
@@ -63,7 +45,7 @@ def mp_distance(v: AngleVector) -> float:
     return math.fsum(abs(xi - mi) for xi, mi in zip(x, rounded))
 
 
-def mp_distance_bruteforce(v: AngleVector) -> float:
+def mp_distance_bruteforce(beta_vec) -> float:
     """Exhaustive-search oracle for mp_distance over a bounded integer box.
 
     Enumerates every integer vector whose coordinates lie within 2 of the
@@ -71,7 +53,7 @@ def mp_distance_bruteforce(v: AngleVector) -> float:
     keeps the admissible minimum.  Exponential in the dimension; intended
     for cross-checks in few dimensions.
     """
-    x = [b - 1.0 for b in v.beta_vec]
+    x = [b - 1.0 for b in beta_vec]
     centers = [round(xi) for xi in x]
     best = None
     ranges = [range(c - 2, c + 3) for c in centers]

@@ -122,14 +122,10 @@ def _cmd_construct(args) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     doc = serialize(metric, spec)
-    norm = _norm(residual(metric.lengths(), spec))
+    norm = _norm(residual(metric, spec.cone_vector()))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        except OSError as err:
-            print(f"io error: {err}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(doc)
         print(f"residual_norm = {norm:.17g}")
     else:
         sys.stdout.write(doc)
@@ -138,12 +134,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        print(f"io error: {err}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         metric, spec = deserialize(text)
     except MetricDocumentError as err:
@@ -164,7 +156,7 @@ def _cmd_check(args) -> int:
     }
     if not violations:
         theta = cone_angle_tuple(metric.lengths())
-        res = residual(metric.lengths(), spec)
+        res = residual(metric, spec.cone_vector())
         results["cone_angles"] = dict(zip(
             ("theta_A", "theta_B", "theta_D", "theta_C"), theta))
         results["residual"] = res.tolist()
@@ -215,8 +207,7 @@ def _suite_command(run, write=_write_report):
     """The verdict rule of every suite command.
 
     A suite's ValueError is a usage error (exit 2); otherwise its output is
-    written and the exit code is 0 on pass, 1 on fail.  An output that
-    cannot be written is an I/O error (exit 3).
+    written and the exit code is 0 on pass, 1 on fail.
     """
     def handler(args) -> int:
         try:
@@ -224,11 +215,7 @@ def _suite_command(run, write=_write_report):
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            write(args, output)
-        except OSError as err:
-            print(f"io error: {err}", file=sys.stderr)
-            return EXIT_IO
+        write(args, output)
         return EXIT_PASS if ok else EXIT_FAIL
     return handler
 
@@ -246,8 +233,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command.  In every command, a file that cannot be read or
+    written is an I/O error (exit 3)."""
     args = _build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except OSError as err:
+        print(f"io error: {err}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -11,44 +11,23 @@ the discretisation and passes whatever metric is at hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .sphtrig import PI
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform nodes on [delta, pi - delta]; the poles are excluded."""
+def radial_residual(n: int, delta: float, u=math.cos) -> float:
+    """Max |u'' + cot(r) u' + 2u| over the interior of n uniform nodes.
 
-    n: int
-    delta: float
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"need at least 3 nodes, got {self.n}")
-        if not (0.0 < self.delta < PI / 2.0):
-            raise ValueError(f"delta = {self.delta!r} outside (0, pi/2)")
-
-    @property
-    def spacing(self) -> float:
-        return (PI - 2.0 * self.delta) / (self.n - 1)
-
-    def nodes(self) -> list[float]:
-        h = self.spacing
-        return [self.delta + i * h for i in range(self.n)]
-
-
-def radial_residual(g: RadialGrid, u=math.cos) -> float:
-    """Max |u'' + cot(r) u' + 2u| over interior nodes, central differences.
-
-    The default u = cos is the eigenfunction candidate; passing another
-    profile (e.g. cos(2r)) provides a negative control.
+    The nodes span [delta, pi - delta], the poles excluded, and the
+    derivatives are central differences.  The default u = cos is the
+    eigenfunction candidate; passing another profile (e.g. cos(2r))
+    provides a negative control.
     """
-    r = g.nodes()
-    h = g.spacing
+    h = (PI - 2.0 * delta) / (n - 1)
+    r = [delta + i * h for i in range(n)]
     vals = [u(x) for x in r]
     worst = 0.0
-    for i in range(1, g.n - 1):
+    for i in range(1, n - 1):
         d2 = (vals[i + 1] - 2.0 * vals[i] + vals[i - 1]) / (h * h)
         d1 = (vals[i + 1] - vals[i - 1]) / (2.0 * h)
         cot = math.cos(r[i]) / math.sin(r[i])
@@ -57,13 +36,11 @@ def radial_residual(g: RadialGrid, u=math.cos) -> float:
     return worst
 
 
-def convergence_orders(n: int, delta: float, refinements: int = 2) -> list[float]:
-    """Observed orders log2(res(h)/res(h/2)) over successive grid halvings."""
+def convergence_orders(n: int, delta: float) -> list[float]:
+    """Observed orders log2(res(h)/res(h/2)) over two grid halvings."""
     residuals = []
-    nodes = n
-    for _ in range(refinements + 1):
-        residuals.append(radial_residual(RadialGrid(nodes, delta)))
-        nodes = 2 * (nodes - 1) + 1
-    return [math.log2(residuals[i] / residuals[i + 1])
-            for i in range(refinements)]
-
+    for _ in range(3):
+        residuals.append(radial_residual(n, delta))
+        n = 2 * (n - 1) + 1
+    return [math.log2(coarse / fine)
+            for coarse, fine in zip(residuals, residuals[1:])]

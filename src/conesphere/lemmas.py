@@ -22,15 +22,13 @@ numerical sweep:
   from the bigon relation itself, so every node restates sin^2 l1 < 1.
 
 Every function takes plain numbers.  defect_node, step1_asymmetric_exclusion,
-lemma3_sweep and angle_sum_branches return the report rows themselves, as
-dicts; the suites add only their verdict keys.  The lemma1 table alone is
-still a tuple of CaseBRow.
+lemma3_sweep, angle_sum_branches and lemma1_caseb_exclusion return the
+rows themselves, as dicts; the suites add only their verdict keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .sphtrig import (
     PI,
@@ -39,16 +37,6 @@ from .sphtrig import (
     clamped_acos,
     sine_rule_side,
 )
-
-
-@dataclass(frozen=True)
-class CaseBRow:
-    l1: float
-    cos_l5: float
-    bigon_ratio: float
-    required_sin2_alpha: float
-    incompatible: bool
-    alpha_scan_min: float
 
 
 def half_piece_solve(apex_half: float, d_half: float, ell: float,
@@ -232,7 +220,7 @@ def angle_sum_branches(ell: float, beta: float) -> tuple[dict, ...]:
     return tuple(branches)
 
 
-def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[CaseBRow, ...]:
+def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[dict, ...]:
     """One row per l1 of the non-identical (bigon) case, which cannot close.
 
     With l1 + l2 = pi the chord satisfies cos l5 = 1 + (cos beta - 1) sin^2 l1,
@@ -242,6 +230,8 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[CaseBRow, ...]:
     the bigon relation itself, each row restates sin^2 l1 < 1 three ways
     (bigon_ratio, required_sin2_alpha and the smallest closure gap over all
     alpha), and incompatible holds at every l1 != pi/2: no node can fail.
+    Each row is {"l1", "cos_l5", "bigon_ratio", "required_sin2_alpha",
+    "incompatible", "alpha_scan_min"}.
     """
     if not (0.0 < beta < PI):
         raise ValueError(f"beta = {beta!r} outside (0, pi)")
@@ -261,12 +251,12 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[CaseBRow, ...]:
         # closure gap |1 + (cos l5 - 1) sin^2 alpha - cos beta| equals
         # (1 - cos beta)(1 - sin^2 l1 sin^2 alpha), smallest at alpha = pi/2.
         scan_min = abs(cos_l5 - math.cos(beta))
-        rows.append(CaseBRow(
-            l1=l1, cos_l5=cos_l5, bigon_ratio=bigon_ratio,
-            required_sin2_alpha=required,
-            incompatible=(bigon_ratio < 1.0 and required > 1.0
-                          and scan_min > 0.0),
-            alpha_scan_min=scan_min))
+        rows.append({
+            "l1": l1, "cos_l5": cos_l5, "bigon_ratio": bigon_ratio,
+            "required_sin2_alpha": required,
+            "incompatible": (bigon_ratio < 1.0 and required > 1.0
+                             and scan_min > 0.0),
+            "alpha_scan_min": scan_min})
     return tuple(rows)
 
 

@@ -9,12 +9,16 @@ solutions land from the one-parameter glued family.  The defect scan
 sweeps the C-defect over an (l3, l4) grid with the other three
 constraints closed exactly.
 
-residual(lengths, spec) and jacobian(lengths) take the six lengths l1..l6
-and solve each triangle by sphtrig's half-angle rule, through
+residual(lengths, target), jacobian(lengths), gauss_newton(start, target),
+max_feasible_radius(lengths) and family_distance(lengths, spec) read any
+sequence of the six lengths l1..l6 (a tuple, a metric or an ndarray row);
+target is a 4-vector of cone angles, spec.cone_vector() on the family or a
+point off it.  Each triangle is solved by sphtrig's half-angle rule, through
 metric.cone_angle_tuple and sphtrig.sss_differentials.  Outside the validity
-region both raise InvalidTriangleError, which the solver loops treat as a
-boundary.  The region is a convex polytope in l1..l6 (metric.VALIDITY_ROWS), so
-the largest probe ball that fits in it (max_feasible_radius) is closed form.
+region residual and jacobian raise InvalidTriangleError, which the solver
+loops treat as a boundary.  The region is a convex polytope in l1..l6
+(metric.VALIDITY_ROWS), so the largest probe ball that fits in it
+(max_feasible_radius) is closed form.
 
 defect_scan runs its whole grid in one pass of array operations: the
 closure, then metric.cone_angle_rows, the batched cone angles and validity
@@ -46,7 +50,6 @@ from .metric import (
     VALIDITY_ROWS,
     ConeAngleSpec,
     GluedFootballParams,
-    TriangulatedMetric,
     cone_angle_rows,
     cone_angle_tuple,
     glued_football,
@@ -85,17 +88,19 @@ POLISH_LIMIT = 15
 @dataclass(frozen=True)
 class GaussNewtonResult:
     status: str  # "converged" | "max_iter" | "boundary"
-    metric: TriangulatedMetric | None
+    lengths: tuple[float, ...] | None
     residual_norm: float
     iterations: int
 
 
-def residual(lengths, spec: ConeAngleSpec) -> np.ndarray:
-    """The cone-angle defects (r_A, r_B, r_D, r_C) of l1..l6 against spec.
+def residual(lengths, target) -> np.ndarray:
+    """The cone-angle defects (r_A, r_B, r_D, r_C) of l1..l6 against target.
 
-    Invalid lengths raise InvalidTriangleError naming the triangle.
+    target is the 4-vector (theta_A, theta_B, theta_D, theta_C) to reach,
+    spec.cone_vector() for the glued family.  Invalid lengths raise
+    InvalidTriangleError naming the triangle.
     """
-    return np.subtract(cone_angle_tuple(lengths), spec.cone_vector())
+    return np.subtract(cone_angle_tuple(lengths), target)
 
 
 def _jacobian_plan() -> tuple[tuple[int, ...], ...]:
@@ -137,12 +142,12 @@ def jacobian(lengths) -> np.ndarray:
     return np.array(J).reshape(4, 6)
 
 
-def numerical_rank(J: np.ndarray, rel_tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
-    """Count of singular values at or above rel_tol times the largest."""
+def numerical_rank(J: np.ndarray) -> tuple[int, np.ndarray]:
+    """Count of singular values at or above RANK_TOL times the largest."""
     svals = np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0, svals
-    rank = int(np.sum(svals >= rel_tol * svals[0]))
+    rank = int(np.sum(svals >= RANK_TOL * svals[0]))
     return rank, svals
 
 
@@ -153,8 +158,8 @@ def _damped_min_norm_step(U: np.ndarray, s: np.ndarray, Vt: np.ndarray,
     return -(Vt.T @ (factors * (U.T @ r)))
 
 
-def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonResult:
-    """Project a metric onto the cone-angle constraint set.
+def gauss_newton(start, target) -> GaussNewtonResult:
+    """Project the six lengths start onto the zero set of residual(., target).
 
     Steps are damped minimum-norm least-squares solutions from the SVD of
     the exact Jacobian, backtracked to stay inside the validity region.
@@ -162,11 +167,12 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
     then polishes until the step size stalls so that the quadratically flat
     directions are fully resolved.  A rejected step changes only the
     damping, so the SVD is kept until a step is accepted and computed only
-    when an iteration needs it.
+    when an iteration needs it.  The result carries the final lengths as a
+    tuple of floats, or None when start itself is outside the region.
     """
-    x = np.array(start.lengths())
+    x = np.array(start, dtype=float)
     try:
-        r = residual(x, spec)
+        r = residual(x, target)
     except InvalidTriangleError:
         return GaussNewtonResult("boundary", None, math.inf, 0)
     rnorm = math.sqrt(r.dot(r))
@@ -189,13 +195,13 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
         while True:
             x_new = x + step
             try:
-                r_new = residual(x_new, spec)
+                r_new = residual(x_new, target)
                 break
             except InvalidTriangleError:
                 step = 0.5 * step
                 shrink += 1
                 if shrink > 60:
-                    return GaussNewtonResult("boundary", TriangulatedMetric(*x),
+                    return GaussNewtonResult("boundary", tuple(x.tolist()),
                                              rnorm, iterations)
         rnorm_new = math.sqrt(r_new.dot(r_new))
         if rnorm_new <= rnorm or rnorm_new < RES_TOL:
@@ -205,14 +211,12 @@ def gauss_newton(start: TriangulatedMetric, spec: ConeAngleSpec) -> GaussNewtonR
             lam = max(lam / 3.0, DAMPING_FLOOR)
         else:
             lam = min(lam * 10.0, DAMPING_MAX)
-    if rnorm < RES_TOL:
-        return GaussNewtonResult("converged", TriangulatedMetric(*x),
-                                 rnorm, iterations)
-    return GaussNewtonResult("max_iter", TriangulatedMetric(*x), rnorm, iterations)
+    status = "converged" if rnorm < RES_TOL else "max_iter"
+    return GaussNewtonResult(status, tuple(x.tolist()), rnorm, iterations)
 
 
-def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, float]:
-    """Closest glued football: (s_star, Euclidean distance over the six lengths).
+def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
+    """Closest glued football to l1..l6: (s_star, Euclidean distance).
 
     A 200-point coarse scan over the slit parameter picks the well; scan
     ties resolve toward smaller s.  A slit parameter whose football
@@ -234,7 +238,6 @@ def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, 
     benchmark traces glued_football and counts them; the closed-form
     projection that replaces the scan waits on that count.
     """
-    target = m.lengths()
     half = (math.sin(0.5 * spec.alpha), math.sin(0.5 * spec.beta))
 
     def build(s: float) -> tuple[float, ...] | None:
@@ -245,12 +248,12 @@ def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, 
 
     grid = np.linspace(FAMILY_T_MIN, FAMILY_T_MAX, 200).tolist()
     fams = [build(s) for s in grid]
-    j = int(np.argmin([math.inf if f is None else math.dist(f, target)
+    j = int(np.argmin([math.inf if f is None else math.dist(f, lengths)
                        for f in fams]))
     s, fam = grid[j], fams[j]
     lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
     while True:
-        d = [f - x for f, x in zip(fam, target)]
+        d = [f - x for f, x in zip(fam, lengths)]
         slope = d[2] + d[3] - d[0] - d[1]
         curvature = 4.0
         sin_s, cos_s = math.sin(s), math.cos(s)
@@ -278,17 +281,17 @@ def family_distance(m: TriangulatedMetric, spec: ConeAngleSpec) -> tuple[float, 
             s, fam = s_new, fam_new
         if step < 1e-12:
             break
-    return s, math.dist(fam, target)
+    return s, math.dist(fam, lengths)
 
 
-def max_feasible_radius(base: TriangulatedMetric) -> float:
-    """Supremum of the radii whose max-norm ball around base stays valid.
+def max_feasible_radius(lengths) -> float:
+    """Supremum of the radii whose max-norm ball around l1..l6 stays valid.
 
-    Over the ball of radius r the largest value of c . x is c . base plus
-    r |c|_1, so the ball is inside the polytope iff r < (b - c . base)/|c|_1
+    Over the ball of radius r the largest value of c . x is c . l plus
+    r |c|_1, so the ball is inside the polytope iff r < (b - c . l)/|c|_1
     for every validity row: the bound is the least of those ratios.
     """
-    slack = VALIDITY_BOUNDS - VALIDITY_ROWS @ np.array(base.lengths())
+    slack = VALIDITY_BOUNDS - VALIDITY_ROWS @ np.asarray(lengths, dtype=float)
     return float(np.min(slack / np.abs(VALIDITY_ROWS).sum(axis=1)))
 
 
@@ -314,18 +317,17 @@ def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
         raise ValueError(
             f"radius {radius!r} leaves the validity region; "
             f"max feasible radius here is {feasible:.6f}")
-    rank, svals = numerical_rank(jacobian(base.lengths()))
+    rank, svals = numerical_rank(jacobian(base))
     rng = np.random.default_rng(seed)
-    offsets = rng.uniform(-radius, radius, size=(samples, 6))
-    starts = [TriangulatedMetric(*(np.array(base.lengths()) + off))
-              for off in offsets]
-    results = [gauss_newton(s, p.spec) for s in starts]
+    starts = np.array(base) + rng.uniform(-radius, radius, size=(samples, 6))
+    target = p.spec.cone_vector()
+    results = [gauss_newton(s, target) for s in starts]
     statuses = [res.status for res in results]
     solutions = []
     for res in results:
         if res.status == "converged":
-            s_star, dist = family_distance(res.metric, p.spec)
-            solutions.append({"lengths": list(res.metric.lengths()),
+            s_star, dist = family_distance(res.lengths, p.spec)
+            solutions.append({"lengths": list(res.lengths),
                               "residual_norm": res.residual_norm,
                               "s_star": s_star, "family_distance": dist})
     max_dist = max((sol["family_distance"] for sol in solutions), default=0.0)

@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from . import lemmas
-from .admissibility import AngleVector, chi, mp_distance, mp_distance_bruteforce
-from .eigencheck import RadialGrid, convergence_orders, radial_residual
+from .admissibility import chi, mp_distance, mp_distance_bruteforce
+from .eigencheck import convergence_orders, radial_residual
 from .metric import ConeAngleSpec, GluedFootballParams, glued_football, total_area
 from .reports import build_report
 from .solver import (
@@ -133,13 +133,13 @@ def lemma1_suite(betas: tuple[float, ...]) -> tuple[dict, bool]:
             if abs(v - PI / 2.0) > 1e-6]
     for beta in betas:
         rows = lemmas.lemma1_caseb_exclusion(beta, grid)
-        feasible_caseb = sum(0 if r.incompatible else 1 for r in rows)
+        feasible_caseb = sum(0 if r["incompatible"] else 1 for r in rows)
         ok = ok and feasible_caseb == 0
         per_beta.append({
             "beta": beta,
             "nodes": len(rows),
             "feasible_caseb_nodes": feasible_caseb,
-            "min_alpha_scan_margin": min(r.alpha_scan_min for r in rows),
+            "min_alpha_scan_margin": min(r["alpha_scan_min"] for r in rows),
             "pass": feasible_caseb == 0,
         })
     results = {"betas": list(betas), "per_beta": per_beta, "pass": ok}
@@ -153,8 +153,8 @@ EIGEN_RESIDUAL_BOUND = 1e-4
 
 
 def eigen_suite() -> tuple[dict, bool]:
-    residual = radial_residual(RadialGrid(EIGEN_N, EIGEN_DELTA))
-    orders = convergence_orders(EIGEN_N, EIGEN_DELTA, refinements=2)
+    residual = radial_residual(EIGEN_N, EIGEN_DELTA)
+    orders = convergence_orders(EIGEN_N, EIGEN_DELTA)
     ok = (residual < EIGEN_RESIDUAL_BOUND
           and all(1.9 <= o <= 2.1 for o in orders))
     results = {
@@ -169,10 +169,10 @@ def eigen_suite() -> tuple[dict, bool]:
 
 def admissible_suite(alpha: float, beta: float) -> tuple[dict, bool]:
     spec = ConeAngleSpec(alpha, beta)
-    vec = AngleVector.from_spec(spec)
-    mp = mp_distance(vec)
-    mp_brute = mp_distance_bruteforce(vec)
-    chi_val = chi(vec)
+    beta_vec = spec.normalized()
+    mp = mp_distance(beta_vec)
+    mp_brute = mp_distance_bruteforce(beta_vec)
+    chi_val = chi(beta_vec)
     chi_closed = (alpha + beta) / PI
     area_checks = []
     area_ok = True
@@ -185,7 +185,7 @@ def admissible_suite(alpha: float, beta: float) -> tuple[dict, bool]:
           and abs(chi_val - chi_closed) < 1e-12 and area_ok)
     results = {
         "alpha": alpha, "beta": beta,
-        "beta_vec": list(vec.beta_vec),
+        "beta_vec": list(beta_vec),
         "mp_distance": mp,
         "mp_distance_bruteforce": mp_brute,
         "chi": chi_val,

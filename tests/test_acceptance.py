@@ -15,8 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from conesphere.admissibility import AngleVector, chi, mp_distance, mp_distance_bruteforce
-from conesphere.eigencheck import RadialGrid, convergence_orders, radial_residual
+from conesphere.admissibility import chi, mp_distance, mp_distance_bruteforce
+from conesphere.eigencheck import convergence_orders, radial_residual
 from conesphere.lemmas import (
     lemma1_caseb_exclusion,
     lemma3_sweep,
@@ -87,7 +87,7 @@ def test_c3_jacobian_degeneracy():
             spec = ConeAngleSpec(alpha, beta)
             for t in T_GRID:
                 m = glued_football(GluedFootballParams(spec, t))
-                rank, svals = numerical_rank(jacobian(m.lengths()), rel_tol=1e-6)
+                rank, svals = numerical_rank(jacobian(m))
                 ratio = svals[3] / svals[0]
                 worst = max(worst, ratio)
                 assert rank <= 3, (alpha, beta, t, svals)
@@ -216,7 +216,7 @@ def test_c6_caseb_exclusion():
     feasible_total = 0
     for beta in (0.5, 1.0, 2.0, 3.0):
         rows = lemma1_caseb_exclusion(beta, grid)
-        feasible_total += sum(0 if r.incompatible else 1 for r in rows)
+        feasible_total += sum(0 if r["incompatible"] else 1 for r in rows)
     ok = feasible_total == 0
     report("6 bigon case-b exclusion", ok,
            f"{feasible_total} feasible case-b nodes over {4 * len(grid)}")
@@ -229,7 +229,7 @@ def test_c7_admissibility():
     for alpha in ANGLE_GRID:
         for beta in ANGLE_GRID:
             spec = ConeAngleSpec(alpha, beta)
-            vec = AngleVector.from_spec(spec)
+            vec = spec.normalized()
             mp = mp_distance(vec)
             assert mp == mp_distance_bruteforce(vec)
             worst_mp = max(worst_mp, abs(mp - 1.0))
@@ -239,7 +239,7 @@ def test_c7_admissibility():
     for alpha in ANGLE_GRID[::4]:
         for beta in ANGLE_GRID[::4]:
             spec = ConeAngleSpec(alpha, beta)
-            vec = AngleVector.from_spec(spec)
+            vec = spec.normalized()
             for t in T_GRID:
                 area = total_area(glued_football(GluedFootballParams(spec, t)))
                 worst_area = max(worst_area, abs(area - 2.0 * PI * chi(vec)))
@@ -252,8 +252,8 @@ def test_c7_admissibility():
 
 
 def test_c8_eigencheck():
-    residual = radial_residual(RadialGrid(1001, 0.1))
-    orders = convergence_orders(1001, 0.1, refinements=2)
+    residual = radial_residual(1001, 0.1)
+    orders = convergence_orders(1001, 0.1)
     ok = residual < 1e-4 and all(1.9 <= o <= 2.1 for o in orders)
     report("8 eigencheck", ok,
            f"residual {residual:.2e}, orders {[f'{o:.3f}' for o in orders]}")

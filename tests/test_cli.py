@@ -190,12 +190,12 @@ class TestScan:
         header = lines[0].split(",")
         row = dict(zip(header, lines[1].split(",")))
         # Feed the lengths back through the residual machinery.
-        from conesphere.metric import ConeAngleSpec, TriangulatedMetric
+        from conesphere.metric import ConeAngleSpec
         from conesphere.solver import residual
 
-        m = TriangulatedMetric(*(float(row[k]) for k in
-                                 ("l1", "l2", "l3", "l4", "l5", "l6")))
-        res = residual(m.lengths(), ConeAngleSpec(float(ALPHA), float(BETA)))
+        lengths = [float(row[k]) for k in ("l1", "l2", "l3", "l4", "l5", "l6")]
+        res = residual(lengths,
+                       ConeAngleSpec(float(ALPHA), float(BETA)).cone_vector())
         assert res[3] == pytest.approx(float(row["rC"]), abs=1e-15)
 
     def test_uneven_split_scan_reports_sign_mismatch(self, capsys):
@@ -393,11 +393,15 @@ class TestUnwritableOutput:
         (*SCAN, "--out", "{ok}", "--report", "{missing}"),
         ("construct", "--alpha", ALPHA, "--beta", BETA, "--t", T,
          "--out", "{missing}"),
-    ], ids=["eigen", "scan-out", "scan-report", "construct"])
+        ("check", "{doc}", "--out", "{missing}"),
+    ], ids=["eigen", "scan-out", "scan-report", "construct", "check"])
     def test_io_error_exit_3(self, tmp_path, capsys, argv):
         # A path in a directory that does not exist cannot be opened.
         paths = {"missing": str(tmp_path / "missing" / "out"),
-                 "ok": str(tmp_path / "scan.csv")}
+                 "ok": str(tmp_path / "scan.csv"),
+                 "doc": str(tmp_path / "metric.json")}
+        run(capsys, "construct", "--alpha", ALPHA, "--beta", BETA, "--t", T,
+            "--out", paths["doc"])
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 3
         assert err.startswith("io error: ")

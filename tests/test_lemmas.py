@@ -570,8 +570,8 @@ class TestLemma1CaseB:
                 if abs(v - PI / 2) > 1e-6]
         for beta in (0.5, 1.0, 2.0, 3.0):
             rows = lemma1_caseb_exclusion(beta, grid)
-            assert all(r.incompatible for r in rows)
-            assert min(r.alpha_scan_min for r in rows) > 0.0
+            assert all(r["incompatible"] for r in rows)
+            assert min(r["alpha_scan_min"] for r in rows) > 0.0
 
     def test_alpha_scan_min_matches_a_direct_scan(self):
         # The closed form |cos l5 - cos beta| against the closure gap
@@ -580,17 +580,17 @@ class TestLemma1CaseB:
         for beta in (0.5, 1.0, 2.0, 3.0):
             for row in lemma1_caseb_exclusion(beta, grid):
                 scanned = min(
-                    abs(1.0 + (row.cos_l5 - 1.0) * math.sin(a) ** 2
+                    abs(1.0 + (row["cos_l5"] - 1.0) * math.sin(a) ** 2
                         - math.cos(beta))
                     for a in (1e-2 + (PI - 2e-2) * k / 180.0
                               for k in range(181)))
-                assert row.alpha_scan_min == pytest.approx(scanned, abs=1e-15)
+                assert row["alpha_scan_min"] == pytest.approx(scanned, abs=1e-15)
 
     def test_spec_point(self):
         (row,) = lemma1_caseb_exclusion(PI / 2, [PI / 3])
-        assert row.bigon_ratio == pytest.approx(0.75, abs=1e-12)
-        assert row.required_sin2_alpha == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert row.incompatible
+        assert row["bigon_ratio"] == pytest.approx(0.75, abs=1e-12)
+        assert row["required_sin2_alpha"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert row["incompatible"]
 
     def test_midpoint_is_rejected(self):
         with pytest.raises(ValueError):

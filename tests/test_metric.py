@@ -255,7 +255,7 @@ class TestValidate:
         assert "T2" in str(err.value)
         # The solver's residual evaluates through the same path.
         with pytest.raises(InvalidTriangleError) as err:
-            residual(bad.lengths(), ConeAngleSpec(1.0, 1.0))
+            residual(bad, ConeAngleSpec(1.0, 1.0).cone_vector())
         assert "T2" in str(err.value)
 
 

@@ -152,18 +152,17 @@ def jacobian_loops(lengths):
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_family_distance(m, spec):
+def golden_family_distance(lengths, spec):
     """Reference projection onto the family: the same 200-point scan,
     refined by golden-section search on the best grid point's two
     neighbours down to a width of 1e-12; s_star is the final midpoint."""
-    target = m.lengths()
 
     def dist(s):
         try:
             fam = glued_football(GluedFootballParams(spec, float(s)))
         except InvalidTriangleError:
             return math.inf
-        return math.dist(fam.lengths(), target)
+        return math.dist(fam.lengths(), lengths)
 
     grid = np.linspace(solver.FAMILY_T_MIN, solver.FAMILY_T_MAX, 200)
     j = int(np.argmin([dist(s) for s in grid]))
@@ -187,12 +186,12 @@ def golden_family_distance(m, spec):
 
 class TestResidual:
     def test_family_point_is_zero(self):
-        res = residual(base_metric().lengths(), SPEC)
+        res = residual(base_metric(), SPEC.cone_vector())
         assert np.linalg.norm(res) < 1e-12
 
     def test_target_offset_is_linear(self):
         shifted = ConeAngleSpec(PI / 2 + 0.1, PI / 2)
-        res = residual(base_metric().lengths(), shifted)
+        res = residual(base_metric(), shifted.cone_vector())
         assert res[0] == pytest.approx(-0.1, abs=1e-13)
         # theta_D also chases alpha + beta.
         assert res[2] == pytest.approx(-0.1, abs=1e-13)
@@ -201,7 +200,7 @@ class TestResidual:
         # The residual is computed by metric.cone_angle_tuple itself, so
         # the reference is the embedding oracle.
         m = TriangulatedMetric(1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
-        res = residual(m.lengths(), SPEC)
+        res = residual(m, SPEC.cone_vector())
         assert tuple(res) == pytest.approx(
             embedded_residual(m.lengths(), SPEC), abs=1e-12)
         # Negative control: the oracle tells layouts apart.  Swapping the D
@@ -219,7 +218,7 @@ class TestResidual:
         base = glued_football(GluedFootballParams(spec, t))
         m = TriangulatedMetric(*(np.array(base.lengths()) + np.array(offset)))
         assume(not validate(m))
-        assert tuple(residual(m.lengths(), spec)) == pytest.approx(
+        assert tuple(residual(m, spec.cone_vector())) == pytest.approx(
             embedded_residual(m.lengths(), spec), abs=1e-10)
 
     def test_antisymmetric_reclosed_perturbation(self):
@@ -344,19 +343,18 @@ class TestNumericalRank:
 
 class TestGaussNewton:
     def test_family_point_is_fixed(self):
-        result = gauss_newton(base_metric(), SPEC)
+        result = gauss_newton(base_metric(), SPEC.cone_vector())
         assert result.status == "converged"
         assert result.iterations <= 1
         assert result.residual_norm < 1e-12
 
     def test_perturbed_start_lands_on_family(self):
         m = base_metric()
-        start = TriangulatedMetric(*(np.array(m.lengths())
-                                     + 1e-3 * np.array([1, -1, 1, 1, -1, 1])))
-        result = gauss_newton(start, SPEC)
+        start = np.array(m) + 1e-3 * np.array([1, -1, 1, 1, -1, 1])
+        result = gauss_newton(start, SPEC.cone_vector())
         assert result.status == "converged"
         assert result.residual_norm < 1e-11
-        _, dist = family_distance(result.metric, SPEC)
+        _, dist = family_distance(result.lengths, SPEC)
         assert dist < 1e-6
 
     def test_converged_outputs_are_valid_metrics(self):
@@ -365,11 +363,13 @@ class TestGaussNewton:
         rng = np.random.default_rng(5)
         m = np.array(base_metric().lengths())
         for _ in range(8):
-            start = TriangulatedMetric(*(m + rng.uniform(-0.05, 0.05, 6)))
-            result = gauss_newton(start, SPEC)
+            result = gauss_newton(m + rng.uniform(-0.05, 0.05, 6),
+                                  SPEC.cone_vector())
             assert result.status == "converged"
             assert result.residual_norm < 1e-11
-            assert not validate(result.metric)
+            assert type(result.lengths) is tuple
+            assert all(type(v) is float for v in result.lengths)
+            assert not validate(TriangulatedMetric(*result.lengths))
 
     def test_rejected_step_keeps_the_factorization(self, monkeypatch):
         # The first start a seed-7, radius-0.02 probe draws at t = 0.2 has
@@ -385,7 +385,7 @@ class TestGaussNewton:
             return jacobian(lengths)
 
         monkeypatch.setattr(solver, "jacobian", recording)
-        result = gauss_newton(TriangulatedMetric(*(base + offset)), spec)
+        result = gauss_newton(base + offset, spec.cone_vector())
         assert all(a != b for a, b in zip(points, points[1:]))
         # One Jacobian per accepted point, so fewer than the iterations.
         assert len(points) < result.iterations
@@ -404,13 +404,12 @@ class TestGaussNewton:
             cone_angle_tuple(lengths)
         with pytest.raises(InvalidTriangleError):
             sss_differentials(bad, 1.0, 1.0)
-        assert gauss_newton(TriangulatedMetric(*lengths), SPEC).status == "boundary"
+        assert gauss_newton(lengths, SPEC.cone_vector()).status == "boundary"
 
     def test_invalid_start_is_boundary_failure(self):
-        start = TriangulatedMetric(3.0, 3.0, 3.0, 3.0, 3.0, 3.0)
-        result = gauss_newton(start, SPEC)
+        result = gauss_newton((3.0,) * 6, SPEC.cone_vector())
         assert result.status == "boundary"
-        assert result.metric is None
+        assert result.lengths is None
 
 
 class TestFamilyDistance:
@@ -481,10 +480,10 @@ class TestFamilyDistance:
             _, dist = family_distance(start, spec)
         assert build.call_count <= 205
         assert dist <= golden_family_distance(start, spec)[1] + 1e-15
-        result = gauss_newton(start, spec)
+        result = gauss_newton(start, spec.cone_vector())
         assume(result.status == "converged")
-        s_star, dist = family_distance(result.metric, spec)
-        s_ref, dist_ref = golden_family_distance(result.metric, spec)
+        s_star, dist = family_distance(result.lengths, spec)
+        s_ref, dist_ref = golden_family_distance(result.lengths, spec)
         assert abs(s_star - s_ref) <= 1e-10
         assert dist <= dist_ref + 1e-15
 
@@ -540,6 +539,51 @@ class TestFamilyDistance:
         assert abs(s_star - s_ref) < 1e-8
         assert dist < dist_ref + 1e-9
 
+
+class TestFoldControl:
+    """Positive control for the rigidity probe: the family is a fold.
+
+    On the family the left null vector of J, in residual order (A, B, D, C),
+    is w = (1, 1, -1, -cos t).  Near the family the realizable cone angles
+    fill the half-space w . (theta - theta0) >= 0, so a target pushed by
+    +eps along w is reached off the family, about 1.8 sqrt(eps) away, and
+    one pushed by -eps is reached nowhere.
+    """
+
+    spec = ConeAngleSpec(1.0, 2.0)
+    t = 1.2
+
+    def cokernel(self, sign=-1.0):
+        w = np.array([1.0, 1.0, -1.0, sign * math.cos(self.t)])
+        return w / np.linalg.norm(w)
+
+    def solve(self, eps):
+        base = np.array(glued_football(GluedFootballParams(self.spec, self.t)))
+        starts = base + np.random.default_rng(7).uniform(-0.01, 0.01, size=(20, 6))
+        target = np.array(self.spec.cone_vector()) + eps * self.cokernel()
+        return [gauss_newton(s, target) for s in starts]
+
+    def test_cokernel_is_the_left_null_vector(self):
+        J = jacobian(glued_football(GluedFootballParams(self.spec, self.t)))
+        sigma1 = np.linalg.svd(J, compute_uv=False)[0]
+        assert np.linalg.norm(self.cokernel() @ J) / sigma1 < 1e-13
+        # Negative control: the wrong sign of the C entry is far from null.
+        assert np.linalg.norm(self.cokernel(+1.0) @ J) / sigma1 > 0.1
+
+    def test_outward_target_is_reached_off_the_family(self):
+        results = self.solve(1e-6)
+        assert [r.status for r in results] == ["converged"] * 20
+        for r in results:
+            _, dist = family_distance(r.lengths, self.spec)
+            assert dist > 1000 * solver.DIST_TOL
+
+    def test_inward_target_is_not_reached(self):
+        results = self.solve(-1e-6)
+        assert [r.status for r in results] == ["max_iter"] * 20
+        # The closest the solver gets is the fold itself, about |eps| away.
+        assert min(r.residual_norm for r in results) > 0.5e-6
+
+
 class TestRigidityScan:
     def test_small_scan_converges_onto_family(self):
         report = rigidity_scan(GluedFootballParams(SPEC, PI / 3),
@@ -558,7 +602,7 @@ class TestRigidityScan:
         assert report["converged"] == 8
         for sol in report["solutions"]:
             assert sol["residual_norm"] == float(
-                np.linalg.norm(residual(sol["lengths"], spec)))
+                np.linalg.norm(residual(sol["lengths"], spec.cone_vector())))
 
     def test_deterministic_for_fixed_seed(self):
         from conesphere.suites import rigidity_suite
@@ -582,7 +626,7 @@ class TestRigidityScan:
         p = GluedFootballParams(ConeAngleSpec(1.0, 2.0), 0.2)
         base = np.array(glued_football(p).lengths())
         offsets = np.random.default_rng(7).uniform(-0.02, 0.02, size=(12, 6))
-        statuses = [gauss_newton(TriangulatedMetric(*(base + off)), p.spec).status
+        statuses = [gauss_newton(base + off, p.spec.cone_vector()).status
                     for off in offsets]
         report = rigidity_scan(p, radius=0.02, samples=12, seed=7)
         counts = (report["converged"], report["nonconverged"],
@@ -654,7 +698,7 @@ def scan_node(spec, l3, l4, closure):
         l1, l2 = PI - l1, PI - l2
     lengths = (l1, l2, l3, l4, l5, l6)
     try:
-        return lengths, residual(lengths, spec)
+        return lengths, residual(lengths, spec.cone_vector())
     except (InvalidTriangleError, NumericalCorruptionError):
         return None
 
