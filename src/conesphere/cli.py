@@ -2,12 +2,15 @@
 
 Commands: construct, check, rigidity, scan, lemmas, eigen, admissible.
 All numeric arguments are radians.  Exit codes: 0 pass, 1 assertion or
-validity failure, 2 usage error, 3 I/O or parse error.
+validity failure, 2 usage error, 3 I/O or parse error.  A suite command's
+exit code is read from its report's results.pass; every output, report,
+CSV or metric document, goes through _emit.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -26,13 +29,7 @@ from .metric import (
     serialize,
     validate,
 )
-from .reports import (
-    build_report,
-    render_csv,
-    render_report,
-    write_csv,
-    write_report,
-)
+from .reports import build_report, render_csv, render_report
 from .solver import residual
 from .sphtrig import PI
 
@@ -42,7 +39,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="conesphere",
         description="Spherical conical metrics from glued footballs: "
@@ -102,11 +101,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(args, report: dict) -> None:
-    if args.out:
-        write_report(args.out, report)
+def _emit(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when there is no path."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(render_report(report))
+        sys.stdout.write(text)
 
 
 def _norm(r) -> float:
@@ -115,37 +116,33 @@ def _norm(r) -> float:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        spec = ConeAngleSpec(args.alpha, args.beta)
-        metric = glued_football(GluedFootballParams(spec, args.t))
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    doc = serialize(metric, spec)
+    spec = ConeAngleSpec(args.alpha, args.beta)
+    metric = glued_football(GluedFootballParams(spec, args.t))
     norm = _norm(residual(metric, spec.cone_vector()))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        print(f"residual_norm = {norm:.17g}")
-    else:
-        sys.stdout.write(doc)
-        print(f"residual_norm = {norm:.17g}", file=sys.stderr)
+    _emit(args.out, serialize(metric, spec))
+    print(f"residual_norm = {norm:.17g}",
+          file=sys.stdout if args.out else sys.stderr)
     return EXIT_PASS
 
 
+def _document_error(kind: str, err, code: int) -> int:
+    print(f"{kind} error at {err.location or '<document>'}: {err}",
+          file=sys.stderr)
+    return code
+
+
 def _cmd_check(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        metric, spec = deserialize(text)
+        with open(args.path, "r", encoding="utf-8") as fh:
+            metric, spec = deserialize(fh.read())
+    except UnicodeDecodeError as err:
+        # A ValueError, which main would call a usage error.
+        return _document_error(
+            "parse", MetricDocumentError(f"not UTF-8 text: {err}"), EXIT_IO)
     except MetricDocumentError as err:
-        print(f"parse error at {err.location or '<document>'}: {err}",
-              file=sys.stderr)
-        return EXIT_IO
+        return _document_error("parse", err, EXIT_IO)
     except MetricRangeError as err:
-        print(f"range error at {err.location or '<document>'}: {err}",
-              file=sys.stderr)
-        return EXIT_FAIL
+        return _document_error("range", err, EXIT_FAIL)
     violations = validate(metric)
     results = {
         "path": args.path,
@@ -161,24 +158,22 @@ def _cmd_check(args) -> int:
             ("theta_A", "theta_B", "theta_D", "theta_C"), theta))
         results["residual"] = res.tolist()
         results["residual_norm"] = _norm(res)
-    _write_report(args, build_report("check", results))
+    _emit(args.out, render_report(build_report("check", results)))
     return EXIT_FAIL if violations else EXIT_PASS
 
 
-def _rigidity(args):
-    return suites.rigidity_suite(args.alpha, args.beta, args.t,
-                                 args.radius, args.samples, args.seed)
-
-
-def _scan(args):
+def _cmd_scan(args) -> int:
     l3_grid = np.linspace(args.l3_min, args.l3_max, args.grid)
     l4_grid = np.linspace(args.l4_min, args.l4_max, args.grid)
-    report, grid, ok = suites.scan_suite(
+    report, grid = suites.scan_suite(
         args.alpha, args.beta, args.eps, args.branch, l3_grid, l4_grid)
-    return (report, grid), ok
+    _emit(args.out, render_csv(grid))
+    if args.report:
+        _emit(args.report, render_report(report))
+    return EXIT_PASS if report["results"]["pass"] else EXIT_FAIL
 
 
-def _lemmas(args):
+def _lemmas(args) -> dict:
     if args.suite == "lemma1":
         betas = ((args.beta_angle,) if args.beta_angle is not None
                  else (0.5, 1.0, 2.0, 3.0))
@@ -193,51 +188,36 @@ def _lemmas(args):
     return suites.step1_suite(args.alpha, args.beta)
 
 
-def _write_scan(args, output) -> None:
-    report, grid = output
-    if args.out:
-        write_csv(args.out, grid)
-    else:
-        sys.stdout.write(render_csv(grid))
-    if args.report:
-        write_report(args.report, report)
-
-
-def _suite_command(run, write=_write_report):
-    """The verdict rule of every suite command.
-
-    A suite's ValueError is a usage error (exit 2); otherwise its output is
-    written and the exit code is 0 on pass, 1 on fail.
-    """
-    def handler(args) -> int:
-        try:
-            output, ok = run(args)
-        except ValueError as err:
-            print(f"usage error: {err}", file=sys.stderr)
-            return EXIT_USAGE
-        write(args, output)
-        return EXIT_PASS if ok else EXIT_FAIL
-    return handler
-
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "check": _cmd_check,
-    "rigidity": _suite_command(_rigidity),
-    "scan": _suite_command(_scan, _write_scan),
-    "lemmas": _suite_command(_lemmas),
-    "eigen": _suite_command(lambda args: suites.eigen_suite()),
-    "admissible": _suite_command(
-        lambda args: suites.admissible_suite(args.alpha, args.beta)),
+# The commands whose only output is their suite's report.
+_SUITES = {
+    "rigidity": lambda args: suites.rigidity_suite(
+        args.alpha, args.beta, args.t, args.radius, args.samples, args.seed),
+    "lemmas": _lemmas,
+    "eigen": lambda args: suites.eigen_suite(),
+    "admissible": lambda args: suites.admissible_suite(args.alpha, args.beta),
 }
 
 
+def _cmd_suite(args) -> int:
+    report = _SUITES[args.command](args)
+    _emit(args.out, render_report(report))
+    return EXIT_PASS if report["results"]["pass"] else EXIT_FAIL
+
+
+_HANDLERS = {"construct": _cmd_construct, "check": _cmd_check,
+             "scan": _cmd_scan, **dict.fromkeys(_SUITES, _cmd_suite)}
+
+
 def main(argv=None) -> int:
-    """Run one command.  In every command, a file that cannot be read or
+    """Run one command.  In every command, an invalid input raises
+    ValueError, a usage error (exit 2), and a file that cannot be read or
     written is an I/O error (exit 3)."""
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except ValueError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO

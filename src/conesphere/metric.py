@@ -240,10 +240,24 @@ def serialize(m: TriangulatedMetric, spec: ConeAngleSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _number(section: dict, where: str, field: str) -> float:
+    """section[field], a number; where names the section in messages."""
+    location = f"{where}.{field}"
+    if field not in section:
+        raise MetricDocumentError(f"missing field {location}",
+                                  location=location)
+    if not isinstance(section[field], float):
+        raise MetricDocumentError(f"{location} must be a number",
+                                  location=location)
+    return section[field]
+
+
 def deserialize(text: str) -> tuple[TriangulatedMetric, ConeAngleSpec]:
     """Parse a metric document; structural and range errors are distinguished."""
     try:
-        doc = json.loads(text)
+        # Every number reads as a float, so an integer beyond the double
+        # range is infinite, as the literal 1e400 is, and out of range.
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as err:
         raise MetricDocumentError(f"not valid JSON: {err}", location="") from err
     if not isinstance(doc, dict):
@@ -252,32 +266,15 @@ def deserialize(text: str) -> tuple[TriangulatedMetric, ConeAngleSpec]:
         if section not in doc or not isinstance(doc[section], dict):
             raise MetricDocumentError(f"missing section {section!r}",
                                       location=section)
-    spec_doc = doc["spec"]
-    for field in ("alpha", "beta"):
-        if field not in spec_doc:
-            raise MetricDocumentError(f"missing field spec.{field}",
-                                      location=f"spec.{field}")
-        if not isinstance(spec_doc[field], (int, float)) or isinstance(spec_doc[field], bool):
-            raise MetricDocumentError(f"spec.{field} must be a number",
-                                      location=f"spec.{field}")
-    lengths_doc = doc["lengths"]
-    vals = []
-    for field in LENGTH_FIELDS:
-        if field not in lengths_doc:
-            raise MetricDocumentError(f"missing field lengths.{field}",
-                                      location=f"lengths.{field}")
-        v = lengths_doc[field]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise MetricDocumentError(f"lengths.{field} must be a number",
-                                      location=f"lengths.{field}")
-        vals.append(float(v))
+    alpha, beta = [_number(doc["spec"], "spec", f) for f in ("alpha", "beta")]
+    vals = [_number(doc["lengths"], "lengths", f) for f in LENGTH_FIELDS]
     for field, v in zip(LENGTH_FIELDS, vals):
         if not (0.0 < v < PI):
             raise MetricRangeError(
                 f"lengths.{field} = {v!r} outside (0, pi)",
                 location=f"lengths.{field}")
     try:
-        spec = ConeAngleSpec(float(spec_doc["alpha"]), float(spec_doc["beta"]))
+        spec = ConeAngleSpec(alpha, beta)
     except ValueError as err:
         raise MetricRangeError(f"spec out of range: {err}", location="spec") from err
     return TriangulatedMetric(*vals), spec

@@ -26,11 +26,6 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(path: str, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
-
-
 SCAN_CSV_HEADER = ("l1", "l2", "l3", "l4", "l5", "l6",
                    "rA", "rB", "rD", "rC", "feasible")
 # One scan row: ten lossless floats (nan for an infeasible cell), then the
@@ -48,8 +43,3 @@ def render_csv(grid) -> str:
         lines.extend(_SCAN_ROW % tuple(row)
                      for row in table[start:start + _CSV_CHUNK].tolist())
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, grid) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv(grid))

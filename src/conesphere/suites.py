@@ -1,6 +1,7 @@
 """Suite runners: wire the library operations to reports and pass/fail verdicts.
 
-Each runner returns (report_dict, ok).  lemma2_suite and step1_suite are
+Each runner returns its report, whose results.pass is the verdict;
+scan_suite returns (report, grid).  lemma2_suite and step1_suite are
 two entries into one uneven-split defect runner; lemma2 is step1 with
 alpha = beta.  The slit-defect suites (lemma2, step1, scan) assert the
 classical sign convention for the corner-angle defect: corner total below
@@ -50,10 +51,9 @@ STEP1_WINDOWS = {"below": (2.11, 2.82), "above": (0.2, 1.06)}
 
 
 def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
-                  results: dict) -> tuple[dict, bool]:
+                  results: dict) -> dict:
     """Uneven-split defect sweeps over every eps and regime window."""
     results["sweeps"] = []
-    ok = True
     margin = 1e-9
     for eps in LEMMA2_EPS:
         for regime, (lo, hi) in windows.items():
@@ -72,27 +72,26 @@ def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
                 r["feasible"] and r["computed_sign"] == expected
                 and abs(r["defect"]) > margin
                 for r in rows)
-            ok = ok and node_ok
             results["sweeps"].append({
                 "eps": eps, "regime": regime,
                 "grid": [float(g) for g in grid],
                 "rows": list(rows), "pass": node_ok,
             })
-    results["pass"] = ok
-    return build_report(command, results), ok
+    results["pass"] = all(sweep["pass"] for sweep in results["sweeps"])
+    return build_report(command, results)
 
 
-def lemma2_suite(beta: float) -> tuple[dict, bool]:
+def lemma2_suite(beta: float) -> dict:
     return _defect_suite("lemmas --suite lemma2", beta, beta,
                          LEMMA2_WINDOWS, {"beta": beta})
 
 
-def step1_suite(alpha: float, beta: float) -> tuple[dict, bool]:
+def step1_suite(alpha: float, beta: float) -> dict:
     return _defect_suite("lemmas --suite step1", alpha, beta,
                          STEP1_WINDOWS, {"alpha": alpha, "beta": beta})
 
 
-def lemma3_suite(ell: float, beta: float) -> tuple[dict, bool]:
+def lemma3_suite(ell: float, beta: float) -> dict:
     extrema = lemmas.lemma3_sweep(ell, beta)
     for e in extrema:
         e["iso_gap"] = abs(e["alpha_crit"] - 0.5 * e["s_crit"])
@@ -119,14 +118,13 @@ def lemma3_suite(ell: float, beta: float) -> tuple[dict, bool]:
         ok = bool(trends) and "not monotone" not in trends
         results["branches"] = list(branches)
     results["pass"] = ok
-    return build_report("lemmas --suite lemma3", results), ok
+    return build_report("lemmas --suite lemma3", results)
 
 
 LEMMA1_GRID = 1000
 
 
-def lemma1_suite(betas: tuple[float, ...]) -> tuple[dict, bool]:
-    ok = True
+def lemma1_suite(betas: tuple[float, ...]) -> dict:
     per_beta = []
     # Grid over (0, pi) omitting the excluded midpoint l1 = pi/2.
     grid = [v for v in np.linspace(0.01, PI - 0.01, LEMMA1_GRID)
@@ -134,7 +132,6 @@ def lemma1_suite(betas: tuple[float, ...]) -> tuple[dict, bool]:
     for beta in betas:
         rows = lemmas.lemma1_caseb_exclusion(beta, grid)
         feasible_caseb = sum(0 if r["incompatible"] else 1 for r in rows)
-        ok = ok and feasible_caseb == 0
         per_beta.append({
             "beta": beta,
             "nodes": len(rows),
@@ -142,8 +139,9 @@ def lemma1_suite(betas: tuple[float, ...]) -> tuple[dict, bool]:
             "min_alpha_scan_margin": min(r["alpha_scan_min"] for r in rows),
             "pass": feasible_caseb == 0,
         })
-    results = {"betas": list(betas), "per_beta": per_beta, "pass": ok}
-    return build_report("lemmas --suite lemma1", results), ok
+    results = {"betas": list(betas), "per_beta": per_beta,
+               "pass": all(b["pass"] for b in per_beta)}
+    return build_report("lemmas --suite lemma1", results)
 
 
 # The eigen check's grid and its residual gate.
@@ -152,7 +150,7 @@ EIGEN_DELTA = 0.1
 EIGEN_RESIDUAL_BOUND = 1e-4
 
 
-def eigen_suite() -> tuple[dict, bool]:
+def eigen_suite() -> dict:
     residual = radial_residual(EIGEN_N, EIGEN_DELTA)
     orders = convergence_orders(EIGEN_N, EIGEN_DELTA)
     ok = (residual < EIGEN_RESIDUAL_BOUND
@@ -164,10 +162,10 @@ def eigen_suite() -> tuple[dict, bool]:
         "convergence_orders": orders,
         "pass": ok,
     }
-    return build_report("eigen", results), ok
+    return build_report("eigen", results)
 
 
-def admissible_suite(alpha: float, beta: float) -> tuple[dict, bool]:
+def admissible_suite(alpha: float, beta: float) -> dict:
     spec = ConeAngleSpec(alpha, beta)
     beta_vec = spec.normalized()
     mp = mp_distance(beta_vec)
@@ -175,14 +173,13 @@ def admissible_suite(alpha: float, beta: float) -> tuple[dict, bool]:
     chi_val = chi(beta_vec)
     chi_closed = (alpha + beta) / PI
     area_checks = []
-    area_ok = True
     for t in (0.6, PI / 2.0, 2.2):
         area = total_area(glued_football(GluedFootballParams(spec, t)))
         gap = abs(area - 2.0 * PI * chi_val)
         area_checks.append({"t": t, "area": area, "gap": gap})
-        area_ok = area_ok and gap < 1e-10
     ok = (abs(mp - 1.0) < 1e-12 and mp == mp_brute
-          and abs(chi_val - chi_closed) < 1e-12 and area_ok)
+          and abs(chi_val - chi_closed) < 1e-12
+          and all(c["gap"] < 1e-10 for c in area_checks))
     results = {
         "alpha": alpha, "beta": beta,
         "beta_vec": list(beta_vec),
@@ -193,23 +190,22 @@ def admissible_suite(alpha: float, beta: float) -> tuple[dict, bool]:
         "area_checks": area_checks,
         "pass": ok,
     }
-    return build_report("admissible", results), ok
+    return build_report("admissible", results)
 
 
 def rigidity_suite(alpha: float, beta: float, t: float, radius: float,
-                   samples: int, seed: int) -> tuple[dict, bool]:
+                   samples: int, seed: int) -> dict:
     results = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
                             radius, samples, seed)
-    ok = results["rigidity_holds"]
-    results["pass"] = ok
+    results["pass"] = results["rigidity_holds"]
     config = {"res_tol": RES_TOL, "rank_tol": RANK_TOL, "dist_tol": DIST_TOL,
               "max_iter": MAX_ITER, "damping0": DAMPING0,
               "radius": radius, "samples": samples, "seed": seed}
-    return {**build_report("rigidity", results), "config": config}, ok
+    return {**build_report("rigidity", results), "config": config}
 
 
 def scan_suite(alpha: float, beta: float, eps: float,
-               branch: str, l3_grid, l4_grid) -> tuple[dict, ScanGrid, bool]:
+               branch: str, l3_grid, l4_grid) -> tuple[dict, ScanGrid]:
     """Defect scan plus the stated per-node sign assertion (eps != 0 only).
 
     A verdict needs at least one checked node: a scan at eps = 0, or one
@@ -230,4 +226,4 @@ def scan_suite(alpha: float, beta: float, eps: float,
         "expected_sign": expected if eps != 0.0 else 0,
         "pass": ok,
     }
-    return build_report("scan", results), grid, ok
+    return build_report("scan", results), grid

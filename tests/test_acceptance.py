@@ -268,8 +268,8 @@ def test_c9_determinism():
     for runner, args in ((rigidity_suite, (PI / 2, PI / 2, PI / 3, 0.05, 30, 7)),
                          (lemma2_suite, (PI / 2,)),
                          (admissible_suite, (1.0, 2.0))):
-        first, _ = runner(*args)
-        second, _ = runner(*args)
+        first = runner(*args)
+        second = runner(*args)
         pairs.append(render_report(first) == render_report(second))
     ok = all(pairs)
     report("9 determinism", ok, f"byte-identical: {pairs}")

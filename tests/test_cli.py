@@ -4,7 +4,12 @@ import math
 import pytest
 
 from conesphere.cli import main
-from conesphere.metric import deserialize
+from conesphere.metric import (
+    LENGTH_FIELDS,
+    MetricDocumentError,
+    MetricRangeError,
+    deserialize,
+)
 from conesphere.sphtrig import PI
 
 ALPHA = "1.5707963"
@@ -100,6 +105,68 @@ class TestConstructCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 1
         assert "range error" in err
+
+    def test_check_non_utf8_is_parse_error(self, tmp_path, capsys):
+        # UnicodeDecodeError is a ValueError, but an unreadable document is
+        # a parse error (exit 3), not a usage error.
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00\x01")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error at <document>: not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("zeros", [400, 5000])
+    def test_check_integer_beyond_double_is_range_error(self, tmp_path,
+                                                        capsys, zeros):
+        # 10**400 has no float; it reads as infinite, like the literal 1e400.
+        # 10**5000 is also past the int() digit limit of Python >= 3.11.
+        doc = json.dumps({"spec": {"alpha": 1.0, "beta": 2.0},
+                          "lengths": dict.fromkeys(LENGTH_FIELDS, 1.0)})
+        path = tmp_path / "huge.json"
+        path.write_text(doc.replace('"l1": 1.0', '"l1": 1' + "0" * zeros))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == ("range error at lengths.l1: "
+                       "lengths.l1 = inf outside (0, pi)\n")
+
+
+SPEC_DOC = {"alpha": 1.0, "beta": 2.0}
+LENGTHS_DOC = dict.fromkeys(LENGTH_FIELDS, 1.0)
+
+
+class TestDocumentErrors:
+    @pytest.mark.parametrize("doc, error, location", [
+        ([SPEC_DOC, LENGTHS_DOC], MetricDocumentError, ""),
+        ({"spec": SPEC_DOC}, MetricDocumentError, "lengths"),
+        ({"spec": {"alpha": 1.0}, "lengths": LENGTHS_DOC},
+         MetricDocumentError, "spec.beta"),
+        ({"spec": {"alpha": "1.0", "beta": 2.0}, "lengths": LENGTHS_DOC},
+         MetricDocumentError, "spec.alpha"),
+        ({"spec": SPEC_DOC, "lengths": {**LENGTHS_DOC, "l4": True}},
+         MetricDocumentError, "lengths.l4"),
+        ({"spec": {"alpha": 1.0, "beta": 3.5}, "lengths": LENGTHS_DOC},
+         MetricRangeError, "spec"),
+    ], ids=["root", "section", "spec-field", "spec-number", "length-number",
+            "spec-range"])
+    def test_error_class_location_and_exit(self, tmp_path, capsys, doc,
+                                           error, location):
+        text = json.dumps(doc)
+        with pytest.raises(ValueError) as exc:
+            deserialize(text)
+        assert type(exc.value) is error
+        assert exc.value.location == location
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        kind, expected = (("range", 1) if error is MetricRangeError
+                          else ("parse", 3))
+        assert code == expected
+        assert out == ""
+        assert err.startswith(f"{kind} error at {location or '<document>'}: ")
+        assert err.count("\n") == 1
 
 
 class TestRigidity:

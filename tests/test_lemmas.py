@@ -495,8 +495,7 @@ class TestLemma3:
         branches = angle_sum_branches(2.5, 0.5)
         assert [b["trend"] for b in branches] == ["increasing", "increasing"]
         assert branches[0]["alpha_max"] < 0.5 < 2.6 < branches[1]["alpha_min"]
-        report, ok = suites.lemma3_suite(2.5, 0.5)
-        assert ok and report["results"]["pass"]
+        assert suites.lemma3_suite(2.5, 0.5)["results"]["pass"]
 
     @pytest.mark.parametrize("ell, beta, trends", [
         (PI / 3, PI / 2, ["not monotone"] * 2),
@@ -511,8 +510,7 @@ class TestLemma3:
         assert [b["trend"] for b in branches] == trends
         monkeypatch.setattr("conesphere.lemmas.lemma3_sweep",
                             lambda ell, beta: ())
-        report, ok = suites.lemma3_suite(ell, beta)
-        assert not ok and not report["results"]["pass"]
+        assert not suites.lemma3_suite(ell, beta)["results"]["pass"]
 
     @pytest.mark.parametrize("ell", [1.0, 0.4])
     def test_narrow_root_intervals_are_sampled(self, ell):
@@ -523,8 +521,7 @@ class TestLemma3:
         assert all(b["samples"] == 32 and b["alpha_max"] - b["alpha_min"] < 0.02
                    for b in branches)
         assert {b["trend"] for b in branches} == {"increasing", "decreasing"}
-        report, ok = suites.lemma3_suite(ell, 0.01)
-        assert ok and report["results"]["pass"]
+        assert suites.lemma3_suite(ell, 0.01)["results"]["pass"]
 
     def test_sub_roundoff_interval_is_skipped(self):
         # At ell = pi/2 the cuts beta and asin(sin(beta)/sin(ell)) coincide,

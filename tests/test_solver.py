@@ -390,6 +390,28 @@ class TestGaussNewton:
         # One Jacobian per accepted point, so fewer than the iterations.
         assert len(points) < result.iterations
 
+    def test_backtracks_out_of_the_validity_region(self, monkeypatch):
+        # The 36th draw of default_rng(3) in [0.05, 3.1]^6 is a valid start
+        # whose full steps leave the region: each such trial point is
+        # rejected, the step halved, and the solve still converges.
+        target = ConeAngleSpec(1.0, 2.0).cone_vector()
+        start = np.random.default_rng(3).uniform(0.05, 3.1, (36, 6))[35]
+        assert not validate(TriangulatedMetric(*start))
+        rejected = []
+
+        def counting(lengths, target):
+            try:
+                return residual(lengths, target)
+            except InvalidTriangleError:
+                rejected.append(tuple(lengths))
+                raise
+
+        monkeypatch.setattr(solver, "residual", counting)
+        result = gauss_newton(start, target)
+        assert rejected
+        assert result.status == "converged"
+        assert not validate(TriangulatedMetric(*result.lengths))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", range(6))
     def test_non_finite_length_is_off_domain(self, bad, index):
@@ -608,8 +630,8 @@ class TestRigidityScan:
         from conesphere.suites import rigidity_suite
         from conesphere.reports import render_report
 
-        rep1, _ = rigidity_suite(PI / 2, PI / 2, PI / 3, 0.05, 15, 7)
-        rep2, _ = rigidity_suite(PI / 2, PI / 2, PI / 3, 0.05, 15, 7)
+        rep1 = rigidity_suite(PI / 2, PI / 2, PI / 3, 0.05, 15, 7)
+        rep2 = rigidity_suite(PI / 2, PI / 2, PI / 3, 0.05, 15, 7)
         assert render_report(rep1) == render_report(rep2)
 
     def test_seed_changes_details_not_verdict(self):
