@@ -3,9 +3,8 @@
 Every report embeds the artifact version and the command; the rigidity
 report also carries a config block: the solver's tolerance constants and
 the probe's radius, sample count and seed.  Serialization is canonical
-(sorted keys, shortest round-trip floats; the scan CSV, the only CSV,
-writes every float at .17g), so two runs with identical inputs produce
-byte-identical files.
+(sorted keys, shortest round-trip floats; the only CSV, the scan's, writes
+each cell at .17g), so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,18 +27,19 @@ def render_report(report: dict) -> str:
 
 SCAN_CSV_HEADER = ("l1", "l2", "l3", "l4", "l5", "l6",
                    "rA", "rB", "rD", "rC", "feasible")
-# One scan row: ten lossless floats (nan for an infeasible cell), then the
-# feasible flag as 0 or 1.
-_SCAN_ROW = ",".join(["%.17g"] * 10 + ["%d"])
-# Rows converted to Python floats at a time, to bound the list's memory.
-_CSV_CHUNK = 4096
 
 
 def render_csv(grid) -> str:
-    """The scan CSV of a solver.ScanGrid: the header, then its rows in order."""
-    table = np.column_stack([grid.lengths, grid.residuals, grid.feasible])
-    lines = [",".join(SCAN_CSV_HEADER)]
-    for start in range(0, len(table), _CSV_CHUNK):
-        lines.extend(_SCAN_ROW % tuple(row)
-                     for row in table[start:start + _CSV_CHUNK].tolist())
-    return "\n".join(lines) + "\n"
+    """The scan CSV of a solver.ScanGrid: the header, then its rows in order.
+
+    Every cell is "%.17g" of a float, feasible as 1.0 or 0.0.  Values repeat
+    down a column, so each column formats each of its bit patterns once
+    (bits keep -0.0 apart from 0.0); column by column, temporaries stay small.
+    """
+    columns = []
+    for column in [*grid.lengths.T, *grid.residuals.T, 1.0 * grid.feasible]:
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = ["%.17g" % v for v in keys.view(np.float64).tolist()]
+        columns.append(np.array(texts, dtype=object)[inverse].tolist())
+    rows = map(",".join, zip(*columns))
+    return "\n".join([",".join(SCAN_CSV_HEADER), *rows, ""])

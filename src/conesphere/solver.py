@@ -227,7 +227,9 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     build, and with a = sin(alpha/2), w = 1 - a^2 sin^2 s the chord has
     l5' = 2a cos s / sqrt(w) and l5'' = 2a (a^2 - 1) sin s / w^(3/2) (l6 with
     beta).  The sign of phi' shrinks the bracket; a step that leaves it, or
-    phi'' <= 0, bisects instead, and a degenerate football bounds it.  It
+    phi'' <= 0, bisects instead, and a degenerate football bounds it.  A
+    step toward the last degenerate football bisects too: the minimum of
+    phi then lies past that end, and Newton would aim there again.  It
     stops after a step below 1e-12, or when the next step rounds to
     nothing, and returns the last s built with math.dist of that build:
     re-measuring glued_football(s_star) reproduces the distance exactly.
@@ -252,6 +254,7 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
                        for f in fams]))
     s, fam = grid[j], fams[j]
     lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    dead = math.nan  # the last slit parameter whose football degenerated
     while True:
         d = [f - x for f, x in zip(fam, lengths)]
         slope = d[2] + d[3] - d[0] - d[1]
@@ -268,7 +271,8 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
         elif slope < 0.0:
             lo = s
         s_new = s - slope / curvature if curvature > 0.0 else math.nan
-        if s_new != s and not lo < s_new < hi:
+        if s_new != s and (not lo < s_new < hi
+                           or (s_new - s) * (dead - s) > 0.0):
             s_new = 0.5 * (lo + hi)
         if s_new == s:
             break
@@ -277,6 +281,7 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
         if fam_new is None:
             # A degenerate football bounds the bracket; s stays.
             lo, hi = (lo, s_new) if s_new > s else (s_new, hi)
+            dead = s_new
         else:
             s, fam = s_new, fam_new
         if step < 1e-12:

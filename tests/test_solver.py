@@ -545,7 +545,7 @@ class TestFamilyDistance:
             fam = glued_football(GluedFootballParams(spec, s_star))
             assert dist == math.dist(fam.lengths(), m.lengths())
 
-    def test_degenerate_end_of_the_family(self):
+    def test_degenerate_end_of_the_family(self, monkeypatch):
         # With alpha within 1.1e-3 of pi the footballs below s = 3.35e-4
         # degenerate, and the closest valid one sits at that end: Newton
         # steps into the degenerate footballs only bound the bracket.  The
@@ -554,7 +554,25 @@ class TestFamilyDistance:
         spec = ConeAngleSpec(3.1405, 1.0)
         m = base_metric(t=4e-4, spec=spec)
         bumped = TriangulatedMetric(m.l1 + 1e-3, m.l2, m.l3, m.l4, m.l5, m.l6)
+        builds = []
+
+        def counting(p):
+            try:
+                fam = glued_football(p)
+            except InvalidTriangleError:
+                builds.append(False)
+                raise
+            builds.append(True)
+            return fam
+
+        monkeypatch.setattr(solver, "glued_football", counting)
         s_star, dist = family_distance(bumped, spec)
+        # Bisecting toward the degenerate end takes 35 builds after the
+        # scan, 17 failed; Newton aiming past it again took 43, 18 failed.
+        newton = builds[200:]
+        assert len(builds) > 200
+        assert len(newton) <= 35
+        assert newton.count(False) <= 17
         fam = glued_football(GluedFootballParams(spec, s_star))
         assert dist == math.dist(fam.lengths(), bumped.lengths())
         s_ref, dist_ref = golden_family_distance(bumped, spec)
