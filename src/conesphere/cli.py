@@ -146,13 +146,13 @@ def _cmd_check(args) -> int:
     violations = validate(metric)
     results = {
         "path": args.path,
-        "lengths": dict(zip(LENGTH_FIELDS, metric.lengths())),
+        "lengths": dict(zip(LENGTH_FIELDS, metric)),
         "spec": {"alpha": spec.alpha, "beta": spec.beta},
         "valid": not violations,
         "violations": violations,
     }
     if not violations:
-        theta = cone_angle_tuple(metric.lengths())
+        theta = cone_angle_tuple(metric)
         res = residual(metric, spec.cone_vector())
         results["cone_angles"] = dict(zip(
             ("theta_A", "theta_B", "theta_D", "theta_C"), theta))

@@ -3,9 +3,10 @@
 In geodesic polar coordinates a football metric is dr^2 + a^2 sin^2(r) dtheta^2;
 for radial functions its Laplacian reduces to u'' + cot(r) u', independent of
 the cone factor a.  The function cos(r) is an eigenfunction with eigenvalue 2.
-The check reads no property of a metric: it measures the central-difference
-residual of cos(r) and its convergence order on a fixed grid, so it tests
-the discretisation and passes whatever metric is at hand.
+The check reads no property of a metric: radial_residual measures the
+central-difference residual of cos(r) on one grid, and suites.eigen_suite
+reads its convergence order off three grids, each halving the spacing, so
+it tests the discretisation and passes whatever metric is at hand.
 """
 
 from __future__ import annotations
@@ -35,12 +36,3 @@ def radial_residual(n: int, delta: float, u=math.cos) -> float:
         worst = max(worst, abs(res))
     return worst
 
-
-def convergence_orders(n: int, delta: float) -> list[float]:
-    """Observed orders log2(res(h)/res(h/2)) over two grid halvings."""
-    residuals = []
-    for _ in range(3):
-        residuals.append(radial_residual(n, delta))
-        n = 2 * (n - 1) + 1
-    return [math.log2(coarse / fine)
-            for coarse, fine in zip(residuals, residuals[1:])]

@@ -9,6 +9,12 @@ remaining corners collect at the 4*pi cone point C.
 The one-parameter family glued_football(alpha, beta, t) cross-glues two
 spherical footballs of cone angles alpha and beta along a meridian slit of
 length t and realizes cone angles (alpha, beta, alpha + beta, 4*pi) exactly.
+
+validate, cone_angle_tuple, total_area and serialize read any sequence of
+the six lengths: a tuple, a list, an ndarray row, or the TriangulatedMetric
+that glued_football and deserialize return.  validate alone names a
+violated inequality, by its triangle T1..T4; the triangle solvers raise
+InvalidTriangleError without naming the triangle.
 """
 
 from __future__ import annotations
@@ -135,26 +141,16 @@ def _validity_rows() -> tuple[np.ndarray, np.ndarray]:
 VALIDITY_ROWS, VALIDITY_BOUNDS = _validity_rows()
 
 
-def solve_triangle(idx: int, solve, a: float, b: float, c: float):
-    """solve(a, b, c), its InvalidTriangleError re-raised naming T<idx>."""
-    try:
-        return solve(a, b, c)
-    except InvalidTriangleError as err:
-        raise InvalidTriangleError(
-            f"triangle T{idx} invalid: {err}", violation=err.violation
-        ) from err
-
-
-def validate(m: TriangulatedMetric) -> list[str]:
-    """Every violated invariant of T1..T4, each named by its triangle.
+def validate(lengths) -> list[str]:
+    """Every violated inequality of T1..T4 in l1..l6, each named by its
+    triangle: the one place a violation is named.
 
     Empty means valid.  Every length is a side of some triangle, so a
     length outside (0, pi) is flagged there.
     """
-    x = m.lengths()
     issues = []
     for idx, ((i, j, k), _) in enumerate(TRIANGLE_LAYOUT, start=1):
-        bad = triangle_violations(x[i], x[j], x[k])
+        bad = triangle_violations(lengths[i], lengths[j], lengths[k])
         if bad:
             issues.extend(f"T{idx}: {b}" for b in bad)
     return issues
@@ -174,8 +170,7 @@ def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
     issues = validate(m)
     if issues:
         raise InvalidTriangleError(
-            f"glued football at t = {t!r} degenerates: {'; '.join(issues)}",
-            violation=issues[0])
+            f"glued football at t = {t!r} degenerates: {'; '.join(issues)}")
     return m
 
 
@@ -183,13 +178,14 @@ def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
     """(theta_A, theta_B, theta_D, theta_C) of lengths l1..l6.
 
     Each triangle is checked as it is solved; an invalid one raises
-    InvalidTriangleError naming it (T1..T4).  Every corner angle is added
-    to the cone point TRIANGLE_LAYOUT assigns it, T1 first.
+    InvalidTriangleError, and validate(lengths) names every violation.
+    Every corner angle is added to the cone point TRIANGLE_LAYOUT assigns
+    it, T1 first.
     """
     x = np.asarray(lengths, dtype=float).tolist()
     theta = [0.0, 0.0, 0.0, 0.0]
-    for idx, ((i, j, k), (p, q, r)) in enumerate(TRIANGLE_LAYOUT, start=1):
-        A, B, C = solve_triangle(idx, sss_angles, x[i], x[j], x[k])
+    for (i, j, k), (p, q, r) in TRIANGLE_LAYOUT:
+        A, B, C = sss_angles(x[i], x[j], x[k])
         theta[p] += A
         theta[q] += B
         theta[r] += C
@@ -222,20 +218,20 @@ def cone_angle_rows(lengths) -> tuple[np.ndarray, np.ndarray]:
     return theta, valid
 
 
-def total_area(m: TriangulatedMetric) -> float:
-    """Surface area by Gauss-Bonnet: sum(theta) - 4*pi.
+def total_area(lengths) -> float:
+    """Surface area of l1..l6 by Gauss-Bonnet: sum(theta) - 4*pi.
 
     The four triangle excesses sum every corner angle, less 4*pi, and the
     corners make up the cone angles.
     """
-    return sum(cone_angle_tuple(m.lengths())) - 2.0 * TWO_PI
+    return sum(cone_angle_tuple(lengths)) - 2.0 * TWO_PI
 
 
-def serialize(m: TriangulatedMetric, spec: ConeAngleSpec) -> str:
-    """Render the metric document (JSON, full double precision)."""
+def serialize(lengths, spec: ConeAngleSpec) -> str:
+    """Render the metric document of l1..l6 (JSON, full double precision)."""
     doc = {
         "spec": {"alpha": spec.alpha, "beta": spec.beta},
-        "lengths": dict(zip(LENGTH_FIELDS, m.lengths())),
+        "lengths": dict(zip(LENGTH_FIELDS, lengths)),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

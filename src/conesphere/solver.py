@@ -16,9 +16,9 @@ target is a 4-vector of cone angles, spec.cone_vector() on the family or a
 point off it.  Each triangle is solved by sphtrig's half-angle rule, through
 metric.cone_angle_tuple and sphtrig.sss_differentials.  Outside the validity
 region residual and jacobian raise InvalidTriangleError, which the solver
-loops treat as a boundary.  The region is a convex polytope in l1..l6
-(metric.VALIDITY_ROWS), so the largest probe ball that fits in it
-(max_feasible_radius) is closed form.
+loops treat as a boundary; metric.validate names the violations.  The
+region is a convex polytope in l1..l6 (metric.VALIDITY_ROWS), so the
+largest probe ball that fits in it (max_feasible_radius) is closed form.
 
 defect_scan runs its whole grid in one pass of array operations: the
 closure, then metric.cone_angle_rows, the batched cone angles and validity
@@ -53,7 +53,6 @@ from .metric import (
     cone_angle_rows,
     cone_angle_tuple,
     glued_football,
-    solve_triangle,
 )
 from .sphtrig import (
     PI,
@@ -98,7 +97,7 @@ def residual(lengths, target) -> np.ndarray:
 
     target is the 4-vector (theta_A, theta_B, theta_D, theta_C) to reach,
     spec.cone_vector() for the glued family.  Invalid lengths raise
-    InvalidTriangleError naming the triangle.
+    InvalidTriangleError.
     """
     return np.subtract(cone_angle_tuple(lengths), target)
 
@@ -126,12 +125,12 @@ def jacobian(lengths) -> np.ndarray:
     Each triangle's sss_differentials go to the cone-point rows and side
     columns TRIANGLE_LAYOUT assigns them (JACOBIAN_PLAN); each entry sums
     its terms from 0.0 in triangle, row, column order.  The target does not
-    enter.  Invalid lengths raise InvalidTriangleError naming the triangle.
+    enter.  Invalid lengths raise InvalidTriangleError.
     """
     x = np.asarray(lengths, dtype=float).tolist()
     terms = []
-    for idx, ((a, b, c), _) in enumerate(TRIANGLE_LAYOUT, start=1):
-        for row in solve_triangle(idx, sss_differentials, x[a], x[b], x[c]):
+    for (a, b, c), _ in TRIANGLE_LAYOUT:
+        for row in sss_differentials(x[a], x[b], x[c]):
             terms.extend(row)
     J = []
     for ks in JACOBIAN_PLAN:
@@ -244,7 +243,7 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
 
     def build(s: float) -> tuple[float, ...] | None:
         try:
-            return glued_football(GluedFootballParams(spec, s)).lengths()
+            return glued_football(GluedFootballParams(spec, s))
         except InvalidTriangleError:
             return None
 

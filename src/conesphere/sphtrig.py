@@ -5,6 +5,8 @@ anywhere.  A valid triangle meets the three triangle inequalities and has
 perimeter below 2*pi, each with margin VALIDITY_MARGIN.  Its SSS solve is the
 half-angle rule on f = sin(s) and fa, fb, fc = sin(s - a), sin(s - b),
 sin(s - c), s = (a + b + c)/2, positive when valid: it needs no acos or clamp.
+An invalid triangle raises InvalidTriangleError with its sides and first
+violation; metric.validate names every violation of T1..T4 by its triangle.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ class NoTriangleError(SphericalGeometryError):
 
 
 class InvalidTriangleError(SphericalGeometryError):
-    """A triangle violates a validity invariant; ``violation`` names it."""
-
-    def __init__(self, message: str, violation: str):
-        super().__init__(message)
-        self.violation = violation
+    """A triangle violates a validity invariant."""
 
 
 def _clamped(fn, name: str, x: float) -> float:
@@ -113,7 +111,7 @@ def _checked_sines(a: float, b: float, c: float) -> tuple[float, float, float, f
     bad = triangle_violations(a, b, c)
     if bad:
         raise InvalidTriangleError(
-            f"invalid spherical triangle {(a, b, c)}: {bad[0]}", violation=bad[0])
+            f"invalid spherical triangle {(a, b, c)}: {bad[0]}")
     return half_angle_sines(a, b, c, math.sin)
 
 

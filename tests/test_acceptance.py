@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from conesphere.admissibility import chi, mp_distance, mp_distance_bruteforce
-from conesphere.eigencheck import convergence_orders, radial_residual
 from conesphere.lemmas import (
     lemma1_caseb_exclusion,
     lemma3_sweep,
@@ -252,13 +251,18 @@ def test_c7_admissibility():
 
 
 def test_c8_eigencheck():
-    residual = radial_residual(1001, 0.1)
-    orders = convergence_orders(1001, 0.1)
+    from conesphere.suites import eigen_suite
+
+    results = eigen_suite()["results"]
+    residual = results["max_residual"]
+    orders = results["convergence_orders"]
     ok = residual < 1e-4 and all(1.9 <= o <= 2.1 for o in orders)
     report("8 eigencheck", ok,
            f"residual {residual:.2e}, orders {[f'{o:.3f}' for o in orders]}")
+    assert results["n"] == 1001 and results["delta"] == 0.1
     assert residual < 1e-4
-    assert all(1.9 <= o <= 2.1 for o in orders)
+    assert len(orders) == 2 and all(1.9 <= o <= 2.1 for o in orders)
+    assert results["pass"]
 
 
 def test_c9_determinism():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from conesphere.metric import (
     MetricDocumentError,
     MetricRangeError,
     deserialize,
+    validate,
 )
 from conesphere.sphtrig import PI
 
@@ -66,7 +68,15 @@ class TestConstructCheck:
         out.write_text(json.dumps(doc))
         code, stdout, _ = run(capsys, "check", str(out))
         assert code == 1
-        assert json.loads(stdout)["results"]["valid"] is False
+        results = json.loads(stdout)["results"]
+        assert results["valid"] is False
+        # The report lists what validate names, every violation by its
+        # triangle, and nothing else.
+        lengths = tuple(doc["lengths"][f] for f in LENGTH_FIELDS)
+        assert results["violations"] == validate(lengths)
+        assert len(results["violations"]) >= 2
+        assert all(re.match(r"^T[1-4]: (triangle inequality|perimeter)", v)
+                   for v in results["violations"])
 
     def test_check_thin_valid_metric(self, tmp_path, capsys):
         # T2 is 1.1e-10 inside its perimeter bound, with sides near 0 and

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from conesphere.eigencheck import convergence_orders, radial_residual
+from conesphere.eigencheck import radial_residual
+from conesphere.suites import eigen_suite
 
 
 class TestRadialResidual:
@@ -15,7 +16,7 @@ class TestRadialResidual:
         assert r1 / r2 == pytest.approx(4.0, rel=0.1)
 
     def test_measured_order_is_two(self):
-        orders = convergence_orders(1001, 0.1)
+        orders = eigen_suite()["results"]["convergence_orders"]
         assert len(orders) == 2
         assert all(1.9 <= o <= 2.1 for o in orders)
 
@@ -23,11 +24,4 @@ class TestRadialResidual:
         # cos(2r) is not an eigenvalue-2 eigenfunction: residual stays O(1).
         res = radial_residual(1001, 0.1, u=lambda r: math.cos(2.0 * r))
         assert res > 0.5
-
-    def test_independent_of_cone_factor(self):
-        # The radial operator never sees the angular factor, so there is
-        # nothing to vary: the residual is a pure function of the grid.
-        a = radial_residual(401, 0.2)
-        b = radial_residual(401, 0.2)
-        assert a == b
 

@@ -164,7 +164,7 @@ class TestConeAngleRows:
     def test_matches_cone_angle_tuple(self, rows):
         theta, valid = cone_angle_rows(np.array(rows))
         for row, angles, ok in zip(rows, theta, valid):
-            assert ok == (not validate(TriangulatedMetric(*row)))
+            assert ok == (not validate(row))
             if ok:
                 assert angles.tolist() == pytest.approx(
                     cone_angle_tuple(row), abs=1e-13)
@@ -183,12 +183,12 @@ class TestConeAngleRows:
         # Walk row[index] one ulp at a time to the last valid double; the
         # next one up must be invalid in both paths too.
         x = list(row)
-        while validate(TriangulatedMetric(*x)):
+        while validate(x):
             x[index] = math.nextafter(x[index], 0.0)
         while True:
             y = list(x)
             y[index] = math.nextafter(x[index], math.inf)
-            issues = validate(TriangulatedMetric(*y))
+            issues = validate(y)
             if issues:
                 break
             x = y
@@ -203,7 +203,7 @@ class TestConeAngleRows:
         # so the 50-digit reference on the same doubles holds only to 1e-7.
         row = (PI / 2, PI / 2, 3.141592587551585, 3.395821253575468e-07,
                3.141592379933989, 3.1415923140076676)
-        assert not validate(TriangulatedMetric(*row))
+        assert not validate(row)
         theta, valid = cone_angle_rows([row])
         assert valid[0]
         assert theta[0].tolist() == pytest.approx(cone_angle_tuple(row),
@@ -232,13 +232,13 @@ class TestValidate:
         # A side outside (0, pi) breaks one of the four inequalities, which
         # bound every side.  l1 = pi is two sides of T1 and takes its
         # perimeter past 2*pi.
-        assert validate(TriangulatedMetric(PI, 1.0, 1.0, 1.0, 1.0, 1.0)) == [
+        assert validate((PI, 1.0, 1.0, 1.0, 1.0, 1.0)) == [
             f"T1: perimeter {PI + PI + 1.0!r} not below 2*pi",
         ]
         # l3 = -0.1 is a side of T2 = (l3, l4, l5) and T4 = (l4, l3, l6);
         # every violation of each is listed, not just the first.
         l3 = -0.1
-        assert validate(TriangulatedMetric(1.0, 1.0, l3, 1.0, 1.0, 1.0)) == [
+        assert validate((1.0, 1.0, l3, 1.0, 1.0, 1.0)) == [
             f"T2: triangle inequality b < a + c violated by {1.0 - (l3 + 1.0)!r}",
             f"T2: triangle inequality c < a + b violated by {1.0 - (l3 + 1.0)!r}",
             f"T4: triangle inequality a < b + c violated by {1.0 - (l3 + 1.0)!r}",
@@ -249,14 +249,43 @@ class TestValidate:
         from conesphere.solver import residual
         from conesphere.sphtrig import InvalidTriangleError
 
-        bad = TriangulatedMetric(1.5, 1.5, 0.5, 0.5, 1.2, 1.4)
-        with pytest.raises(InvalidTriangleError) as err:
-            cone_angle_tuple(bad.lengths())
-        assert "T2" in str(err.value)
+        # T2 = (0.5, 0.5, 1.2) and T4 = (0.5, 0.5, 1.4) are too flat; T1 and
+        # T3 are valid.  validate names both triangles; the solvers only
+        # raise.
+        bad = (1.5, 1.5, 0.5, 0.5, 1.2, 1.4)
+        assert validate(bad) == [
+            f"T2: triangle inequality c < a + b violated by {1.2 - (0.5 + 0.5)!r}",
+            f"T4: triangle inequality c < a + b violated by {1.4 - (0.5 + 0.5)!r}",
+        ]
+        with pytest.raises(InvalidTriangleError):
+            cone_angle_tuple(bad)
         # The solver's residual evaluates through the same path.
-        with pytest.raises(InvalidTriangleError) as err:
+        with pytest.raises(InvalidTriangleError):
             residual(bad, ConeAngleSpec(1.0, 1.0).cone_vector())
-        assert "T2" in str(err.value)
+
+
+GENERIC = (1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
+
+
+@pytest.mark.parametrize("wrap", [
+    tuple, list, lambda x: np.array([x, x])[1], lambda x: TriangulatedMetric(*x),
+], ids=["tuple", "list", "ndarray-row", "metric"])
+def test_plain_lengths_in_every_container(wrap):
+    # validate, total_area and serialize index or iterate the six lengths
+    # and convert nothing, so every container gives the tuple's results.
+    spec = ConeAngleSpec(1.0, 2.0)
+    x = wrap(GENERIC)
+    assert validate(x) == []
+    assert total_area(x) == total_area(GENERIC)
+    assert serialize(x, spec) == serialize(GENERIC, spec)
+    assert deserialize(serialize(x, spec)) == (GENERIC, spec)
+    # An ndarray row's numbers print as numpy scalars, so the violations
+    # are compared up to their values.
+    bad = wrap((1.5, 1.5, 0.5, 0.5, 1.2, 1.4))
+    assert [v.rsplit(" by ", 1)[0] for v in validate(bad)] == [
+        "T2: triangle inequality c < a + b violated",
+        "T4: triangle inequality c < a + b violated",
+    ]
 
 
 class TestArea:
@@ -272,8 +301,7 @@ class TestArea:
         assert max(abs(a - spec_area) for a in areas) < 1e-10
 
     def test_generic_metric_area_bounds(self):
-        m = TriangulatedMetric(1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
-        assert 0.0 < total_area(m) < 8.0 * PI
+        assert 0.0 < total_area(GENERIC) < 8.0 * PI
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
@@ -288,7 +316,7 @@ class TestArea:
         x = [v + radius * f for v, f in zip(base.lengths(), frac)]
         excess = sum(sum(sss_angles(*(x[i] for i in sides))) - PI
                      for sides, _ in TRIANGLE_LAYOUT)
-        assert abs(total_area(TriangulatedMetric(*x)) - excess) < 1e-13
+        assert abs(total_area(x) - excess) < 1e-13
 
 
 class TestSerialization:

@@ -1,9 +1,10 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conesphere import solver
 from conesphere.metric import (
@@ -16,7 +17,6 @@ from conesphere.metric import (
     cone_angle_rows,
     cone_angle_tuple,
     glued_football,
-    solve_triangle,
     validate,
 )
 from conesphere.solver import (
@@ -141,12 +141,24 @@ def jacobian_loops(lengths):
     TRIANGLE_LAYOUT, every entry from 0.0."""
     x = np.asarray(lengths, dtype=float).tolist()
     J = [[0.0] * 6 for _ in range(4)]
-    for idx, (sides, points) in enumerate(TRIANGLE_LAYOUT, start=1):
-        dangs = solve_triangle(idx, sss_differentials, *(x[s] for s in sides))
+    for sides, points in TRIANGLE_LAYOUT:
+        dangs = sss_differentials(*(x[s] for s in sides))
         for p, row in zip(points, dangs):
             for col, d in zip(sides, row):
                 J[p][col] += d
     return np.array(J)
+
+
+def distance_slack(s, spec):
+    """Two float evaluations of a distance to the family near slit
+    parameter s differ by at most this.  Each chord l = 2 asin(sin s
+    sin(angle/2)) carries the rounding of its argument times the asin's
+    condition 1/cos(l/2), which grows as alpha or beta nears pi; against
+    50-digit mpmath one evaluation was off by at most 1.5 eps times the
+    larger condition, on 300 starts and 120 converged points."""
+    fam = glued_football(GluedFootballParams(spec, s))
+    condition = max(1.0 / math.cos(0.5 * fam.l5), 1.0 / math.cos(0.5 * fam.l6))
+    return 4.0 * sys.float_info.epsilon * condition
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -216,10 +228,10 @@ class TestResidual:
     def test_matches_embedding_near_family(self, alpha, beta, t, offset):
         spec = ConeAngleSpec(alpha, beta)
         base = glued_football(GluedFootballParams(spec, t))
-        m = TriangulatedMetric(*(np.array(base.lengths()) + np.array(offset)))
-        assume(not validate(m))
-        assert tuple(residual(m, spec.cone_vector())) == pytest.approx(
-            embedded_residual(m.lengths(), spec), abs=1e-10)
+        x = np.array(base) + np.array(offset)
+        assume(not validate(x))
+        assert tuple(residual(x, spec.cone_vector())) == pytest.approx(
+            embedded_residual(x, spec), abs=1e-10)
 
     def test_antisymmetric_reclosed_perturbation(self):
         # l3/l4 pushed apart with l5, l6 re-closed: the A, B, D residuals
@@ -316,7 +328,7 @@ class TestJacobian:
         if row < len(VALIDITY_ROWS):
             c = VALIDITY_ROWS[row]
             x = x + (VALIDITY_BOUNDS[row] - c @ x - slack) * c / (c @ c)
-        assume(not validate(TriangulatedMetric(*x)))
+        assume(not validate(x))
         np.testing.assert_array_equal(jacobian(x).view(np.int64),
                                       jacobian_loops(x).view(np.int64))
 
@@ -369,7 +381,7 @@ class TestGaussNewton:
             assert result.residual_norm < 1e-11
             assert type(result.lengths) is tuple
             assert all(type(v) is float for v in result.lengths)
-            assert not validate(TriangulatedMetric(*result.lengths))
+            assert not validate(result.lengths)
 
     def test_rejected_step_keeps_the_factorization(self, monkeypatch):
         # The first start a seed-7, radius-0.02 probe draws at t = 0.2 has
@@ -396,7 +408,7 @@ class TestGaussNewton:
         # rejected, the step halved, and the solve still converges.
         target = ConeAngleSpec(1.0, 2.0).cone_vector()
         start = np.random.default_rng(3).uniform(0.05, 3.1, (36, 6))[35]
-        assert not validate(TriangulatedMetric(*start))
+        assert not validate(start)
         rejected = []
 
         def counting(lengths, target):
@@ -410,7 +422,7 @@ class TestGaussNewton:
         result = gauss_newton(start, target)
         assert rejected
         assert result.status == "converged"
-        assert not validate(TriangulatedMetric(*result.lengths))
+        assert not validate(result.lengths)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", range(6))
@@ -419,7 +431,7 @@ class TestGaussNewton:
         # nan or infinite length fails it on each path.
         lengths = list(base_metric().lengths())
         lengths[index] = bad
-        assert validate(TriangulatedMetric(*lengths))
+        assert validate(lengths)
         theta, valid = cone_angle_rows([lengths])
         assert not valid[0] and np.isnan(theta).all()
         with pytest.raises(InvalidTriangleError):
@@ -487,27 +499,30 @@ class TestFamilyDistance:
     @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
            st.floats(0.2, PI - 0.2),
            st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6))
+    # beta near pi: one float distance there is off by up to 3.0e-15.
+    @example(1.5, 2.9375, 1.5625, [0.0, 0.0, 0.0, 0.0, 0.0, 0.015625])
     def test_matches_golden_section(self, alpha, beta, t, offset):
         # Oracle: the same scan refined by golden-section search.  On the
         # start itself the distance is flat to roundoff over about 1e-9 in
         # s, more than the oracle resolves, so only the distances are
-        # compared there; on the converged output s_star is too.
-        # Newton converges quadratically from the grid: 2 to 4 builds on
-        # 4000 such starts, where a wrong or missing phi'' takes up to 12.
+        # compared there, within two evaluation errors; on the converged
+        # output s_star is too.  Newton converges quadratically from the
+        # grid: 2 to 4 builds on 4000 such starts, where a wrong or missing
+        # phi'' takes up to 12.
         spec = ConeAngleSpec(alpha, beta)
-        start = TriangulatedMetric(
-            *(np.array(base_metric(t=t, spec=spec).lengths()) + offset))
+        start = np.array(base_metric(t=t, spec=spec)) + offset
         with mock.patch.object(solver, "glued_football",
                                wraps=glued_football) as build:
-            _, dist = family_distance(start, spec)
+            s_star, dist = family_distance(start, spec)
         assert build.call_count <= 205
-        assert dist <= golden_family_distance(start, spec)[1] + 1e-15
+        assert dist <= (golden_family_distance(start, spec)[1]
+                        + distance_slack(s_star, spec))
         result = gauss_newton(start, spec.cone_vector())
         assume(result.status == "converged")
         s_star, dist = family_distance(result.lengths, spec)
         s_ref, dist_ref = golden_family_distance(result.lengths, spec)
         assert abs(s_star - s_ref) <= 1e-10
-        assert dist <= dist_ref + 1e-15
+        assert dist <= dist_ref + distance_slack(s_star, spec)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
@@ -700,7 +715,7 @@ def ball_corners_valid(base, radius):
     x = np.array(base.lengths())
     for mask in range(64):
         signs = np.array([1.0 if mask & (1 << i) else -1.0 for i in range(6)])
-        if validate(TriangulatedMetric(*(x + radius * signs))):
+        if validate(x + radius * signs):
             return False
     return True
 
