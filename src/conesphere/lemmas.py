@@ -7,11 +7,10 @@ numerical sweep:
   Z2-symmetric half of a glued piece from its apex half-angle, its D-side
   half-angle and the slit length, and returns its outer side and the total
   corner angle collected at the 4*pi cone point, in closed form by Napier's
-  rule.  Corner totals may exceed pi.
-* defect_node measures how far the corner total of two such pieces, with
-  football angles (alpha, beta) and the D-angle split unevenly as
-  (alpha - 2*eps, beta + 2*eps), misses 4*pi; step1_asymmetric_exclusion
-  sweeps it over the slit length.  Lemma 2 is the case alpha = beta.
+  rule.  Corner totals may exceed pi.  Nothing in the package calls it: the
+  lemma2 and step1 suites read the uneven-split defect off the diagonal of
+  solver.defect_scan, and the tests check that diagonal against two half
+  pieces solved here.
 * lemma3_sweep gives the extrema of the base-angle sum of triangles with a
   fixed base and fixed opposite angle in closed form: the isosceles shapes.
   Where there are none, angle_sum_branches shows the sum is monotone on
@@ -21,9 +20,9 @@ numerical sweep:
   non-identical triangles over the chord).  It cannot fail: it takes cos l5
   from the bigon relation itself, so every node restates sin^2 l1 < 1.
 
-Every function takes plain numbers.  defect_node, step1_asymmetric_exclusion,
-lemma3_sweep, angle_sum_branches and lemma1_caseb_exclusion return the
-rows themselves, as dicts; the suites add only their verdict keys.
+Every function takes plain numbers.  lemma3_sweep, angle_sum_branches and
+lemma1_caseb_exclusion return the rows themselves, as dicts; the suites add
+only their verdict keys.
 """
 
 from __future__ import annotations
@@ -63,37 +62,6 @@ def half_piece_solve(apex_half: float, d_half: float, ell: float,
     corner = (math.atan2(1.0, math.cos(side) * math.tan(apex_half))
               + math.atan2(1.0, math.cos(ell) * math.tan(d_half)))
     return side, corner
-
-
-def defect_node(alpha: float, beta: float, eps: float, ell: float,
-                regime: str) -> dict:
-    """Corner-total defect for the D-split (alpha - 2*eps, beta + 2*eps).
-
-    Each piece pairs a football angle with its share of the D-angle; both
-    shares must lie in (0, pi).  regime "below" is the perturbation branch
-    with l1, l2 < pi/2 (slit length ell above pi/2); "above" is the mirror
-    branch.  Returns the report row {"l1", "l2", "alpha1", "alpha2",
-    "defect"}: each piece's outer side and corner, and the defect
-    2*(alpha1 + alpha2) - 4*pi.
-    """
-    d1, d2 = alpha - 2.0 * eps, beta + 2.0 * eps
-    if not (0.0 < d1 < PI and 0.0 < d2 < PI):
-        raise ValueError(f"D-split {d1!r}, {d2!r} leaves (0, pi)")
-    _check_regime(ell, regime)
-    branch = "acute" if regime == "below" else "obtuse"
-    l1, alpha1 = half_piece_solve(0.5 * alpha, 0.5 * d1, ell, branch)
-    l2, alpha2 = half_piece_solve(0.5 * beta, 0.5 * d2, ell, branch)
-    return {"l1": l1, "l2": l2, "alpha1": alpha1, "alpha2": alpha2,
-            "defect": 2.0 * (alpha1 + alpha2) - 4.0 * PI}
-
-
-def _check_regime(ell: float, regime: str) -> None:
-    if regime not in ("below", "above"):
-        raise ValueError(f"regime must be 'below' or 'above', got {regime!r}")
-    if regime == "below" and not (PI / 2.0 < ell < PI):
-        raise ValueError(f"regime 'below' needs ell in (pi/2, pi), got {ell!r}")
-    if regime == "above" and not (0.0 < ell < PI / 2.0):
-        raise ValueError(f"regime 'above' needs ell in (0, pi/2), got {ell!r}")
 
 
 def inequality_sign(ell: float, l1: float, l2: float) -> int:
@@ -259,20 +227,3 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[dict, ...]:
             "alpha_scan_min": scan_min})
     return tuple(rows)
 
-
-def step1_asymmetric_exclusion(alpha: float, beta: float, eps: float,
-                               ell_grid, regime: str) -> tuple[dict, ...]:
-    """defect_node over a grid of slit lengths, one report row per node.
-
-    A feasible node is {"ell", "feasible": True} plus the defect_node row;
-    a node with no triangle (NoTriangleError) is {"ell", "feasible": False}.
-    """
-    rows = []
-    for ell in ell_grid:
-        ell = float(ell)
-        try:
-            rows.append({"ell": ell, "feasible": True,
-                         **defect_node(alpha, beta, eps, ell, regime)})
-        except NoTriangleError:
-            rows.append({"ell": ell, "feasible": False})
-    return tuple(rows)

@@ -83,18 +83,19 @@ def triangle_violations(a: float, b: float, c: float) -> list[str]:
 
     Each check is "not (x < y - margin)", so a nan side fails it.  The four
     imply margin < a < pi - margin: b < a + c - m and c < a + b - m add to
-    a > m, and a < b + c - m with the perimeter to a < pi - m.
+    a > m, and a < b + c - m with the perimeter to a < pi - m.  Each
+    message writes its number as a float, whatever the sides' type.
     """
     m = VALIDITY_MARGIN
     out = []
     if not (a < b + c - m):
-        out.append(f"triangle inequality a < b + c violated by {a - (b + c)!r}")
+        out.append(f"triangle inequality a < b + c violated by {float(a - (b + c))!r}")
     if not (b < a + c - m):
-        out.append(f"triangle inequality b < a + c violated by {b - (a + c)!r}")
+        out.append(f"triangle inequality b < a + c violated by {float(b - (a + c))!r}")
     if not (c < a + b - m):
-        out.append(f"triangle inequality c < a + b violated by {c - (a + b)!r}")
+        out.append(f"triangle inequality c < a + b violated by {float(c - (a + b))!r}")
     if not (a + b + c < TWO_PI - m):
-        out.append(f"perimeter {a + b + c!r} not below 2*pi")
+        out.append(f"perimeter {float(a + b + c)!r} not below 2*pi")
     return out
 
 

@@ -1,15 +1,18 @@
 """Suite runners: wire the library operations to reports and pass/fail verdicts.
 
 Each runner returns its report, whose results.pass is the verdict;
-scan_suite returns (report, grid).  lemma2_suite and step1_suite are
-two entries into one uneven-split defect runner; lemma2 is step1 with
-alpha = beta.  The slit-defect suites (lemma2, step1, scan) assert the
-classical sign convention for the corner-angle defect: corner total below
-4*pi when l1, l2 < pi/2 and above 4*pi in the mirror regime.  The computed
-geometry consistently yields the opposite signs (see the test suite for the
-corrected sign law verified against independent embeddings), so those
-suites report FAIL; the reports carry both the expected and the computed
-sign per node.
+scan_suite returns (report, grid).  lemma2_suite and step1_suite are two
+entries into one uneven-split defect runner; lemma2 is step1 with
+alpha = beta.  It reads each defect off the diagonal l3 = l4 = ell of
+solver.defect_scan, the same closure the scan suite sweeps, so a report
+row carries the piece sides l1, l2 and the corner total's defect, not
+the corner of each piece.  The slit-defect suites (lemma2, step1, scan)
+assert the classical sign convention for the corner-angle defect: corner
+total below 4*pi when l1, l2 < pi/2 and above 4*pi in the mirror regime.
+The computed geometry consistently yields the opposite signs (see the
+test suite for the corrected sign law verified against independent
+embeddings), so those suites report FAIL; the reports carry both the
+expected and the computed sign per node.
 """
 
 from __future__ import annotations
@@ -52,30 +55,42 @@ STEP1_WINDOWS = {"below": (2.11, 2.82), "above": (0.2, 1.06)}
 
 def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
                   results: dict) -> dict:
-    """Uneven-split defect sweeps over every eps and regime window."""
+    """Uneven-split defect sweeps over every eps and regime window.
+
+    Each sweep reads the diagonal l3 = l4 = ell of one defect_scan over its
+    grid, node k at row k * (LEMMA2_GRID + 1): the slit triangles of both
+    pieces then share the slit length, and r_C is the defect.
+    """
+    spec = ConeAngleSpec(alpha, beta)
     results["sweeps"] = []
     margin = 1e-9
     for eps in LEMMA2_EPS:
         for regime, (lo, hi) in windows.items():
             grid = np.linspace(lo, hi, LEMMA2_GRID)
-            rows = lemmas.step1_asymmetric_exclusion(alpha, beta, eps, grid, regime)
+            branch = "acute" if regime == "below" else "obtuse"
+            scan = defect_scan(spec, grid, grid, eps, branch)
             expected = _stated_sign(regime)
-            for r in rows:
-                if r["feasible"]:
-                    defect = r["defect"]
-                    r["expected_sign"] = expected
-                    r["computed_sign"] = (int(math.copysign(1.0, defect))
-                                          if defect else 0)
-                    r["classical_product_sign"] = lemmas.inequality_sign(
-                        r["ell"], r["l1"], r["l2"])
+            rows = []
+            for k, ell in enumerate(grid.tolist()):
+                i = k * (LEMMA2_GRID + 1)
+                if not scan.feasible[i]:
+                    rows.append({"ell": ell, "feasible": False})
+                    continue
+                l1, l2 = scan.lengths[i, :2].tolist()
+                defect = float(scan.residuals[i, 3])
+                rows.append({
+                    "ell": ell, "feasible": True, "l1": l1, "l2": l2,
+                    "defect": defect, "expected_sign": expected,
+                    "computed_sign": (int(math.copysign(1.0, defect))
+                                      if defect else 0),
+                    "classical_product_sign": lemmas.inequality_sign(ell, l1, l2)})
             node_ok = all(
                 r["feasible"] and r["computed_sign"] == expected
                 and abs(r["defect"]) > margin
                 for r in rows)
             results["sweeps"].append({
-                "eps": eps, "regime": regime,
-                "grid": [float(g) for g in grid],
-                "rows": list(rows), "pass": node_ok,
+                "eps": eps, "regime": regime, "grid": grid.tolist(),
+                "rows": rows, "pass": node_ok,
             })
     results["pass"] = all(sweep["pass"] for sweep in results["sweeps"])
     return build_report(command, results)

@@ -6,7 +6,7 @@ extremum kinds that the geometry gives, which mirror the classical
 conventions: the defect is positive in the below regime and negative
 above, and the acute isosceles shape is a maximum.  Both are checked
 against explicit unit-sphere embeddings in tests/test_lemmas.py, and c4
-also against the six-length closure.  The README's acceptance notes record
+also against Napier's rule on the half pieces.  The README's acceptance notes record
 the classical statements as a finding.
 """
 
@@ -16,11 +16,8 @@ import numpy as np
 import pytest
 
 from conesphere.admissibility import chi, mp_distance, mp_distance_bruteforce
-from conesphere.lemmas import (
-    lemma1_caseb_exclusion,
-    lemma3_sweep,
-    step1_asymmetric_exclusion,
-)
+from conesphere import suites
+from conesphere.lemmas import half_piece_solve, lemma1_caseb_exclusion, lemma3_sweep
 from conesphere.metric import (
     ConeAngleSpec,
     GluedFootballParams,
@@ -29,7 +26,7 @@ from conesphere.metric import (
     total_area,
 )
 from conesphere.reports import render_report
-from conesphere.solver import defect_scan, jacobian, numerical_rank, rigidity_scan
+from conesphere.solver import jacobian, numerical_rank, rigidity_scan
 from conesphere.sphtrig import PI
 
 ANGLE_GRID = np.linspace(0.3, PI - 0.3, 9)
@@ -101,61 +98,61 @@ def test_c4_lemma2_sign_structure():
 
     This is the mirror of the classical convention, whose product
     sin(ell) cos(ell) sin((l1 - l2)/2) is +1 on every node and so cannot
-    follow a sign that changes between the regimes.  Each node's defect
-    must also match the C-residual of the six-length closure
-    (solver.defect_scan), so the sign rests on two computations.
+    follow a sign that changes between the regimes.  The lemma2 and step1
+    suites read each defect off the six-length closure (solver.defect_scan);
+    each must also match Napier's rule on the two half pieces
+    (lemmas.half_piece_solve), so the sign rests on two computations.  The
+    rule on the other branch must miss every node.
     """
     margin = 1e-9
     failures = []
     checked = 0
+    other_miss = math.inf
 
-    def check(sweep, spec, eps, regime, label):
-        nonlocal checked
-        expected = 1 if regime == "below" else -1
-        branch = "acute" if regime == "below" else "obtuse"
-        for row in sweep:
-            if not row["feasible"]:
-                continue
-            checked += 1
-            ell, defect = row["ell"], row["defect"]
-            sign = int(math.copysign(1.0, defect))
-            stated_ok = (sign == expected and abs(defect) > margin)
-            law = -int(math.copysign(
-                1.0, math.sin(ell) * math.sin(0.5 * (row["l1"] - row["l2"]))))
-            scan = defect_scan(spec, [ell], [ell], eps, branch)
-            r_C = float(scan.residuals[0, 3])
-            closure_ok = bool(scan.feasible[0]) and abs(r_C - defect) <= 1e-12
-            if not (stated_ok and sign == law and closure_ok):
-                failures.append(
-                    f"{label} ell={ell:.3f}: defect={defect:+.3e} "
-                    f"(expected sign {expected:+d}), corrected law {law:+d}, "
-                    f"closure r_C {r_C}")
+    def napier(alpha, beta, eps, ell, branch):
+        _, c1 = half_piece_solve(0.5 * alpha, 0.5 * (alpha - 2.0 * eps), ell,
+                                 branch)
+        _, c2 = half_piece_solve(0.5 * beta, 0.5 * (beta + 2.0 * eps), ell,
+                                 branch)
+        return 2.0 * (c1 + c2) - 4.0 * PI
 
-    equal = ConeAngleSpec(PI / 2, PI / 2)
-    unequal = ConeAngleSpec(1.0, 2.0)
-    for eps in (0.01, 0.05, 0.1):
-        check(step1_asymmetric_exclusion(PI / 2, PI / 2, eps,
-                                         np.linspace(2.0, 2.6, 5), "below"),
-              equal, eps, "below", f"lemma2 eps={eps} below")
-        check(step1_asymmetric_exclusion(PI / 2, PI / 2, eps,
-                                         np.linspace(0.5, 1.04, 5), "above"),
-              equal, eps, "above", f"lemma2 eps={eps} above")
-        check(step1_asymmetric_exclusion(1.0, 2.0, eps,
-                                         np.linspace(2.11, 2.82, 5), "below"),
-              unequal, eps, "below", f"step1 eps={eps} below")
-        check(step1_asymmetric_exclusion(1.0, 2.0, eps,
-                                         np.linspace(0.2, 1.06, 5), "above"),
-              unequal, eps, "above", f"step1 eps={eps} above")
+    for label, rep in (("lemma2", suites.lemma2_suite(PI / 2)),
+                       ("step1", suites.step1_suite(1.0, 2.0))):
+        results = rep["results"]
+        alpha, beta = results.get("alpha", results["beta"]), results["beta"]
+        for sweep in results["sweeps"]:
+            eps, regime = sweep["eps"], sweep["regime"]
+            expected = 1 if regime == "below" else -1
+            branch, other = (("acute", "obtuse") if regime == "below"
+                             else ("obtuse", "acute"))
+            for row in sweep["rows"]:
+                if not row["feasible"]:
+                    continue
+                checked += 1
+                ell, defect = row["ell"], row["defect"]
+                sign = int(math.copysign(1.0, defect))
+                stated_ok = (sign == expected and abs(defect) > margin)
+                law = -int(math.copysign(
+                    1.0, math.sin(ell) * math.sin(0.5 * (row["l1"] - row["l2"]))))
+                oracle = napier(alpha, beta, eps, ell, branch)
+                other_miss = min(other_miss, abs(
+                    napier(alpha, beta, eps, ell, other) - defect))
+                if not (stated_ok and sign == law
+                        and abs(oracle - defect) <= 1e-12):
+                    failures.append(
+                        f"{label} eps={eps} {regime} ell={ell:.3f}: "
+                        f"defect={defect:+.3e} (expected sign {expected:+d}), "
+                        f"corrected law {law:+d}, Napier {oracle}")
 
     # All 60 grid nodes are feasible; skipping any would weaken the check.
-    ok = not failures and checked == 60
+    ok = not failures and checked == 60 and other_miss > 1.0
     report("4 slit-defect sign structure", ok,
            f"{len(failures)}/{checked} nodes contradict the sign law, "
-           "60 expected")
+           f"60 expected; the other branch misses by at least {other_miss:.2f}")
     assert ok, (
         f"{len(failures)} of {checked} checked nodes (of 60) contradict the "
-        "sign law or the closure path.  Sample nodes:\n  "
-        + "\n  ".join(failures[:6]))
+        f"sign law or Napier's rule, and the other branch misses by "
+        f"{other_miss}.  Sample nodes:\n  " + "\n  ".join(failures[:6]))
 
 
 def test_c5_isosceles_extremality():

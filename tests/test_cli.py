@@ -354,12 +354,13 @@ class TestLemmasCommand:
         assert row["computed_sign"] == -row["expected_sign"]
 
     def test_step1_apex_outside_range_usage_error(self, capsys):
-        # alpha/2 = 1.575 > pi/2: half_piece_solve rejects the apex.
+        # alpha = 3.15 > pi: ConeAngleSpec rejects the angle.
         code, out, err = run(capsys, "lemmas", "--suite", "step1",
                              "--alpha", "3.15", "--beta", "1.0")
         assert code == 2
         assert out == ""
-        assert "usage error" in err and "apex_half" in err
+        assert err == ("usage error: alpha = 3.15 outside the supported "
+                       "range (0, pi)\n")
 
     def test_lemma3_requires_inputs(self, capsys):
         code, _, err = run(capsys, "lemmas", "--suite", "lemma3")
@@ -376,7 +377,7 @@ class TestLemmasCommand:
         assert "usage error" in err
 
 
-DEFECT_ROW_KEYS = {"ell", "feasible", "l1", "l2", "alpha1", "alpha2", "defect",
+DEFECT_ROW_KEYS = {"ell", "feasible", "l1", "l2", "defect",
                    "expected_sign", "computed_sign", "classical_product_sign"}
 
 

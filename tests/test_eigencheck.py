@@ -1,5 +1,4 @@
-import math
-
+import numpy as np
 import pytest
 
 from conesphere.eigencheck import radial_residual
@@ -22,6 +21,6 @@ class TestRadialResidual:
 
     def test_negative_control(self):
         # cos(2r) is not an eigenvalue-2 eigenfunction: residual stays O(1).
-        res = radial_residual(1001, 0.1, u=lambda r: math.cos(2.0 * r))
+        res = radial_residual(1001, 0.1, u=lambda r: np.cos(2.0 * r))
         assert res > 0.5
 

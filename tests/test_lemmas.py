@@ -7,14 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 from conesphere import suites
 from conesphere.lemmas import (
     angle_sum_branches,
-    defect_node,
     half_piece_solve,
     inequality_sign,
     lemma1_caseb_exclusion,
     lemma3_sweep,
-    step1_asymmetric_exclusion,
     _angle_sum_roots,
 )
+from conesphere.metric import ConeAngleSpec
+from conesphere.solver import defect_scan
 from conesphere.sphtrig import PI, NoTriangleError, clamped_acos, sss_angles
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -157,6 +157,13 @@ class TestHalfPiece:
         assert side == pytest.approx(0.9643170952927866, abs=1e-12)
         assert corner == pytest.approx(3.0483413960624732, abs=1e-11)
 
+    def test_other_slit_piece_example(self):
+        # The other piece of the same split (lemma 2 at eps = 0.05).
+        side, corner = half_piece_solve(PI / 4, (PI / 2 + 0.1) / 2, 2 * PI / 3,
+                                        "acute")
+        assert side == pytest.approx(1.1390259991704181, abs=1e-12)
+        assert corner == pytest.approx(3.2501547977606773, abs=1e-11)
+
     def test_infeasible_ratio_raises(self):
         with pytest.raises(NoTriangleError):
             half_piece_solve(0.05, 1.5, 1.5, "acute")
@@ -190,7 +197,7 @@ class TestHalfPiece:
     def test_corner_matches_embedding_in_both_regimes(
             self, apex_half, d_half, frac, branch):
         # Acute pieces have their slit in (pi/2, pi), obtuse ones in
-        # (0, pi/2), as defect_node builds them.
+        # (0, pi/2), as the suites' windows place them.
         ell = 0.5 * PI * (1.0 + frac if branch == "acute" else frac)
         ratio = math.sin(d_half) * math.sin(ell) / math.sin(apex_half)
         assume(ratio < 1.0 - 1e-6)
@@ -200,25 +207,73 @@ class TestHalfPiece:
 
 
 # ---------------------------------------------------------------------------
-# defect_node with alpha = beta (lemma 2)
+# The uneven-split defect.  The lemma2 and step1 suites read it off the
+# diagonal l3 = l4 = ell of solver.defect_scan; napier_defect rebuilds it
+# from two half_piece_solve calls as an independent oracle.
 # ---------------------------------------------------------------------------
+
+def diagonal(alpha, beta, eps, ells, branch):
+    """The scan's {"l1", "l2", "defect"} at each ell, None where infeasible."""
+    n = len(ells)
+    scan = defect_scan(ConeAngleSpec(alpha, beta), ells, ells, eps, branch)
+    nodes = []
+    for i in range(0, n * n, n + 1):
+        l1, l2 = scan.lengths[i, :2].tolist()
+        nodes.append({"l1": l1, "l2": l2, "defect": float(scan.residuals[i, 3])}
+                     if scan.feasible[i] else None)
+    return nodes
+
+
+def diagonal_node(alpha, beta, eps, ell, branch):
+    (node,) = diagonal(alpha, beta, eps, [ell], branch)
+    assert node is not None, f"infeasible node at ell = {ell}"
+    return node
+
+
+def napier_defect(alpha, beta, eps, ell, branch):
+    """{"l1", "l2", "defect"} of the D-split (alpha - 2 eps, beta + 2 eps)
+    by Napier's rule, None when a sine-rule ratio exceeds 1."""
+    try:
+        l1, c1 = half_piece_solve(0.5 * alpha, 0.5 * (alpha - 2.0 * eps),
+                                  ell, branch)
+        l2, c2 = half_piece_solve(0.5 * beta, 0.5 * (beta + 2.0 * eps),
+                                  ell, branch)
+    except NoTriangleError:
+        return None
+    return {"l1": l1, "l2": l2, "defect": 2.0 * (c1 + c2) - 4.0 * PI}
+
+
+@given(alpha=st.floats(0.05, PI - 0.05), beta=st.floats(0.05, PI - 0.05),
+       eps=st.floats(-0.3, 0.3), branch=st.sampled_from(["acute", "obtuse"]),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_diagonal_matches_napier(alpha, beta, eps, branch, fracs):
+    # Slit lengths at least 0.05 inside the regime's interval: (pi/2, pi)
+    # for acute pieces, (0, pi/2) for obtuse ones.
+    assume(0.0 < alpha - 2.0 * eps < PI and 0.0 < beta + 2.0 * eps < PI)
+    lo = PI / 2 + 0.05 if branch == "acute" else 0.05
+    ells = [lo + (PI / 2 - 0.1) * f for f in fracs]
+    for ell, node in zip(ells, diagonal(alpha, beta, eps, ells, branch)):
+        oracle = napier_defect(alpha, beta, eps, ell, branch)
+        assert (node is None) == (oracle is None), (ell, node, oracle)
+        if node is not None:
+            assert node["defect"] == pytest.approx(oracle["defect"], abs=1e-11)
+
 
 class TestLemma2Defect:
     def test_zero_split_is_family(self):
-        for ell, regime in ((2.0, "below"), (1.1, "above")):
-            d = defect_node(PI / 2, PI / 2, 0.0, ell, regime)
+        for ell, branch in ((2.0, "acute"), (1.1, "obtuse")):
+            d = diagonal_node(PI / 2, PI / 2, 0.0, ell, branch)
             assert abs(d["defect"]) < 1e-10
 
     def test_frozen_below_case(self):
-        d = defect_node(PI / 2, PI / 2, 0.05, 2 * PI / 3, "below")
+        d = diagonal_node(PI / 2, PI / 2, 0.05, 2 * PI / 3, "acute")
         assert d["l1"] == pytest.approx(0.9643170952927866, abs=1e-12)
         assert d["l2"] == pytest.approx(1.1390259991704181, abs=1e-12)
-        assert d["alpha1"] == pytest.approx(3.0483413960624732, abs=1e-11)
-        assert d["alpha2"] == pytest.approx(3.2501547977606773, abs=1e-11)
         assert d["defect"] == pytest.approx(0.030621773287128562, abs=1e-11)
 
     def test_frozen_above_case(self):
-        d = defect_node(PI / 2, PI / 2, 0.05, PI / 3, "above")
+        d = diagonal_node(PI / 2, PI / 2, 0.05, PI / 3, "obtuse")
         assert d["defect"] == pytest.approx(-0.030621773287128562, abs=1e-11)
 
     def test_true_sign_structure(self):
@@ -227,47 +282,42 @@ class TestLemma2Defect:
         # classical sign convention.  Acceptance criterion 4 asserts this
         # law over both suites.
         for eps in (0.01, 0.05, 0.1):
-            for ell in np.linspace(2.0, 2.6, 5):
-                d = defect_node(PI / 2, PI / 2, eps, float(ell), "below")
-                assert d["defect"] > 1e-9
-            for ell in np.linspace(0.5, 1.04, 5):
-                d = defect_node(PI / 2, PI / 2, eps, float(ell), "above")
-                assert d["defect"] < -1e-9
+            below = diagonal(PI / 2, PI / 2, eps, np.linspace(2.0, 2.6, 5),
+                             "acute")
+            assert all(d["defect"] > 1e-9 for d in below)
+            above = diagonal(PI / 2, PI / 2, eps, np.linspace(0.5, 1.04, 5),
+                             "obtuse")
+            assert all(d["defect"] < -1e-9 for d in above)
 
-    def test_matches_closure_path(self):
-        # Same configuration through the six-length machinery.
-        from conesphere.metric import ConeAngleSpec
-        from conesphere.solver import defect_scan
-
-        d = defect_node(PI / 2, PI / 2, 0.05, 2.2, "below")
-        scan = defect_scan(ConeAngleSpec(PI / 2, PI / 2), [2.2], [2.2],
-                           eps=0.05, branch="acute")
-        assert scan.feasible[0]
-        assert scan.residuals[0, 3] == pytest.approx(d["defect"], abs=1e-12)
-        assert scan.lengths[0, 0] == pytest.approx(d["l1"], abs=1e-12)
-        assert scan.lengths[0, 1] == pytest.approx(d["l2"], abs=1e-12)
+    def test_matches_napier_oracle(self):
+        # Same configuration by Napier's rule on the two half pieces.
+        d = diagonal_node(PI / 2, PI / 2, 0.05, 2.2, "acute")
+        oracle = napier_defect(PI / 2, PI / 2, 0.05, 2.2, "acute")
+        assert d["defect"] == pytest.approx(oracle["defect"], abs=1e-12)
+        assert d["l1"] == pytest.approx(oracle["l1"], abs=1e-12)
+        assert d["l2"] == pytest.approx(oracle["l2"], abs=1e-12)
 
     def test_matches_embedded_geometry(self):
         beta, eps, ell = PI / 2, 0.05, 2 * PI / 3
-        d = defect_node(beta, beta, eps, ell, "below")
+        d = diagonal_node(beta, beta, eps, ell, "acute")
         a1 = embedded_half_piece_corner(beta / 2, (beta - 2 * eps) / 2, ell, "acute")
         a2 = embedded_half_piece_corner(beta / 2, (beta + 2 * eps) / 2, ell, "acute")
         assert d["defect"] == pytest.approx(2 * (a1 + a2) - 4 * PI, abs=1e-9)
 
     def test_even_in_eps(self):
         for ell in (2.1, 2.5):
-            plus = defect_node(PI / 2, PI / 2, 0.05, ell, "below")["defect"]
-            minus = defect_node(PI / 2, PI / 2, -0.05, ell, "below")["defect"]
+            plus = diagonal_node(PI / 2, PI / 2, 0.05, ell, "acute")["defect"]
+            minus = diagonal_node(PI / 2, PI / 2, -0.05, ell, "acute")["defect"]
             assert plus == minus  # pieces swap roles exactly
         # Quadratic smallness: defect(eps/2) ~ defect(eps)/4.
-        d1 = defect_node(PI / 2, PI / 2, 0.04, 2.2, "below")["defect"]
-        d2 = defect_node(PI / 2, PI / 2, 0.02, 2.2, "below")["defect"]
+        d1 = diagonal_node(PI / 2, PI / 2, 0.04, 2.2, "acute")["defect"]
+        d2 = diagonal_node(PI / 2, PI / 2, 0.02, 2.2, "acute")["defect"]
         assert d1 / d2 == pytest.approx(4.0, rel=0.05)
 
     def test_first_order_cancellation(self):
         for eps in (0.01, 0.02):
-            d = defect_node(PI / 2, PI / 2, eps, 2.3, "below")["defect"]
-            dm = defect_node(PI / 2, PI / 2, -eps, 2.3, "below")["defect"]
+            d = diagonal_node(PI / 2, PI / 2, eps, 2.3, "acute")["defect"]
+            dm = diagonal_node(PI / 2, PI / 2, -eps, 2.3, "acute")["defect"]
             assert abs(d + dm) < 10.0 * eps ** 2
 
     def test_corrected_sign_law(self):
@@ -276,33 +326,40 @@ class TestLemma2Defect:
         # -sign(sin(ell) sin((l1 - l2)/2) / (d1 d2)).  Verified on both
         # regimes; this is the cancellation-corrected version of the
         # product law (no cos(ell) factor).
-        cases = [(0.03, ell, "below") for ell in np.linspace(2.05, 2.55, 4)]
-        cases += [(0.03, ell, "above") for ell in np.linspace(0.6, 1.0, 4)]
-        for eps, ell, regime in cases:
-            d = defect_node(PI / 2, PI / 2, eps, float(ell), regime)
+        cases = [(0.03, ell, "acute") for ell in np.linspace(2.05, 2.55, 4)]
+        cases += [(0.03, ell, "obtuse") for ell in np.linspace(0.6, 1.0, 4)]
+        for eps, ell, branch in cases:
+            d = diagonal_node(PI / 2, PI / 2, eps, float(ell), branch)
             r1 = math.sin(0.5 * (ell + d["l1"])) / math.sin(0.5 * (ell - d["l1"]))
             r2 = math.sin(0.5 * (ell + d["l2"])) / math.sin(0.5 * (ell - d["l2"]))
             assert (d["defect"] < 0.0) == (r1 > r2)
 
-    def test_regime_guard(self):
-        with pytest.raises(ValueError):
-            defect_node(PI / 2, PI / 2, 0.05, 1.0, "below")
-        with pytest.raises(ValueError):
-            defect_node(PI / 2, PI / 2, 0.05, 2.0, "above")
-
     def test_sweep_flags_infeasible(self):
-        rows = step1_asymmetric_exclusion(PI / 2, PI / 2, 0.1, [1.7, 2.2], "below")
-        assert not rows[0]["feasible"]
-        assert rows[1]["feasible"]
+        nodes = diagonal(PI / 2, PI / 2, 0.1, [1.7, 2.2], "acute")
+        assert nodes[0] is None
+        assert nodes[1] is not None
+        assert napier_defect(PI / 2, PI / 2, 0.1, 1.7, "acute") is None
 
     def test_sweep_row_keys(self):
-        infeasible, feasible = step1_asymmetric_exclusion(
-            PI / 2, PI / 2, 0.1, [1.7, 2.2], "below")
-        assert infeasible == {"ell": 1.7, "feasible": False}
-        assert feasible == {"ell": 2.2, "feasible": True,
-                            **defect_node(PI / 2, PI / 2, 0.1, 2.2, "below")}
-        assert set(feasible) == {"ell", "feasible", "l1", "l2", "alpha1",
-                                 "alpha2", "defect"}
+        # A window reaching below the feasible slit lengths: the suite
+        # writes each infeasible node as {"ell", "feasible": False} and
+        # each feasible one as the diagonal node plus the sign keys.
+        report = suites._defect_suite("lemmas --suite lemma2", PI / 2, PI / 2,
+                                      {"below": (1.7, 2.2)}, {})
+        sweeps = report["results"]["sweeps"]
+        feasible = [row["feasible"] for sweep in sweeps for row in sweep["rows"]]
+        assert 0 < sum(feasible) < len(feasible)
+        for sweep in sweeps:
+            nodes = diagonal(PI / 2, PI / 2, sweep["eps"], sweep["grid"], "acute")
+            for ell, row, node in zip(sweep["grid"], sweep["rows"], nodes,
+                                      strict=True):
+                if node is None:
+                    assert row == {"ell": ell, "feasible": False}
+                else:
+                    assert row == {"ell": ell, "feasible": True, **node,
+                                   "expected_sign": -1, "computed_sign": 1,
+                                   "classical_product_sign": inequality_sign(
+                                       ell, node["l1"], node["l2"])}
 
 
 # ---------------------------------------------------------------------------
@@ -600,21 +657,17 @@ class TestLemma1CaseB:
 
 class TestStep1:
     def test_zero_split_vanishes(self):
-        rows = step1_asymmetric_exclusion(1.0, 2.0, 0.0,
-                                          np.linspace(2.2, 2.6, 3), "below")
-        for row in rows:
-            assert abs(row["defect"]) < 1e-10
+        for d in diagonal(1.0, 2.0, 0.0, np.linspace(2.2, 2.6, 3), "acute"):
+            assert abs(d["defect"]) < 1e-10
 
     def test_true_single_sign_per_regime(self):
-        def signs(rows):
-            defects = [r["defect"] for r in rows if r["feasible"]]
+        def signs(nodes):
+            defects = [d["defect"] for d in nodes if d is not None]
             assert defects and 0.0 not in defects
             return {math.copysign(1.0, d) for d in defects}
 
         for eps in (0.01, 0.05, 0.1):
-            below = step1_asymmetric_exclusion(
-                1.0, 2.0, eps, np.linspace(2.11, 2.82, 5), "below")
+            below = diagonal(1.0, 2.0, eps, np.linspace(2.11, 2.82, 5), "acute")
             assert signs(below) == {1.0}
-            above = step1_asymmetric_exclusion(
-                1.0, 2.0, eps, np.linspace(0.2, 1.06, 5), "above")
+            above = diagonal(1.0, 2.0, eps, np.linspace(0.2, 1.06, 5), "obtuse")
             assert signs(above) == {-1.0}
