@@ -33,7 +33,6 @@ from .sphtrig import (
     PI,
     TWO_PI,
     NoTriangleError,
-    clamped_acos,
     sine_rule_side,
 )
 
@@ -90,7 +89,8 @@ def _angle_sum_roots(alpha: float, ell: float, beta: float) -> list[float]:
     if r == 0.0 or abs(cos_beta) > r:
         return []
     phi = math.atan2(y, x)
-    half = clamped_acos(cos_beta / r)
+    # |cos_beta| <= r above, and rounded division is monotone: in [-1, 1].
+    half = math.acos(cos_beta / r)
     us = sorted((phi + sign * half) % TWO_PI for sign in (-1.0, 1.0))
     return [alpha + u for u in us if 1e-9 < u < PI - 1e-9]
 
@@ -129,10 +129,11 @@ def lemma3_sweep(ell: float, beta: float) -> tuple[dict, ...]:
                 f"beta = {beta!r}")
         return min(roots, key=lambda s: abs(s - target))
 
+    # cos_beta >= -1, so fl(cos_ell - cos_beta) <= fl(1 + cos_ell): x <= 1.
     x = math.sqrt((cos_ell - cos_beta) / (1.0 + cos_ell))
     delta = 1e-4
     extrema = []
-    for a in (clamped_acos(x), clamped_acos(-x)):
+    for a in (math.acos(x), math.acos(-x)):
         s = s_near(a, 2.0 * a)
         curvature = s_near(a - delta, s) + s_near(a + delta, s) - 2.0 * s
         kind = "minimum" if curvature > 0.0 else "maximum"

@@ -31,7 +31,6 @@ from .sphtrig import (
     TWO_PI,
     VALIDITY_MARGIN,
     InvalidTriangleError,
-    clamped_asin,
     half_angle_sines,
     sss_angles,
     triangle_violations,
@@ -164,8 +163,9 @@ def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
     result realizes the cone angles of p.spec exactly.
     """
     alpha, beta, t = p.spec.alpha, p.spec.beta, p.t
-    l5 = 2.0 * clamped_asin(math.sin(t) * math.sin(0.5 * alpha))
-    l6 = 2.0 * clamped_asin(math.sin(t) * math.sin(0.5 * beta))
+    # Each asin argument is a product of two sines, so in [-1, 1].
+    l5 = 2.0 * math.asin(math.sin(t) * math.sin(0.5 * alpha))
+    l6 = 2.0 * math.asin(math.sin(t) * math.sin(0.5 * beta))
     m = TriangulatedMetric(PI - t, PI - t, t, t, l5, l6)
     issues = validate(m)
     if issues:

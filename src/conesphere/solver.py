@@ -6,7 +6,7 @@ Around a glued-football point the exact Jacobian of this map is rank
 deficient, damped minimum-norm Gauss-Newton projects perturbed metrics back
 onto the zero set, and the rigidity scan measures how far multistart
 solutions land from the one-parameter glued family.  The defect scan
-sweeps the C-defect over an (l3, l4) grid with the other three
+gives the C-defect at (l3, l4) node pairs with the other three
 constraints closed exactly.
 
 residual(lengths, target), jacobian(lengths), gauss_newton(start, target),
@@ -20,9 +20,10 @@ loops treat as a boundary; metric.validate names the violations.  The
 region is a convex polytope in l1..l6 (metric.VALIDITY_ROWS), so the
 largest probe ball that fits in it (max_feasible_radius) is closed form.
 
-defect_scan runs its whole grid in one pass of array operations: the
-closure, then metric.cone_angle_rows, the batched cone angles and validity
-mask.  It returns a ScanGrid of arrays, with no object per node.
+defect_scan solves all its nodes in one pass of array operations: the
+closure by half-angle sines, with no clamp, then metric.cone_angle_rows,
+the batched cone angles and validity mask.  It returns a ScanGrid of
+arrays, with no object per node.
 Gauss-Newton stays on the scalar path: at a single point the fixed cost of
 the array operations makes the batched kernel slower than cone_angle_tuple.
 
@@ -57,7 +58,7 @@ from .metric import (
 from .sphtrig import (
     PI,
     InvalidTriangleError,
-    clamp_rows,
+    sas_half_sides,
     sss_differentials,
 )
 
@@ -364,43 +365,43 @@ class ScanGrid:
     feasible: np.ndarray
 
 
-def defect_scan(spec: ConeAngleSpec, l3_grid, l4_grid, eps: float = 0.0,
+def defect_scan(spec: ConeAngleSpec, l3, l4, eps: float = 0.0,
                 branch: str = "acute") -> ScanGrid:
-    """C-defect over a (l3, l4) grid with the other constraints closed exactly.
+    """C-defect at (l3, l4) node pairs with the other constraints closed exactly.
 
     The closure: the D-part apex targets are (alpha - 2*eps) for the slit
     triangle at D1 and (beta + 2*eps) at D2; l5 and l6 follow from (l3, l4)
-    by the cosine law, then l1 and l2 are solved so that the A- and
-    B-apexes hit their targets exactly.  branch picks l1, l2 acute or
-    obtuse (the two perturbation regimes).  Only the C-defect stays free.
+    by sphtrig.sas_half_sides, one broadcast call over both targets, then
+    l1 and l2 are solved so that the A- and B-apexes hit their targets
+    exactly.  branch picks l1, l2 acute or obtuse (the two perturbation
+    regimes).  Only the C-defect stays free.
 
-    Rows appear in lexicographic (l3, l4) order; infeasible nodes are
-    kept with feasible False rather than dropped.  A node is infeasible
-    when a closure ratio leaves (0, 1] or the closed lengths (l3 and l4
-    among them) leave the validity region.
+    l3 and l4 are equal-length arrays, node k at (l3[k], l4[k]); the rows
+    follow them in order, and the caller builds any grid.  Infeasible nodes
+    are kept with feasible False rather than dropped.  A node is infeasible
+    when a sine ratio leaves (0, 1] or the closed lengths (l3 and l4 among
+    them) leave the validity region; a nan ratio fails both tests.
     """
     if branch not in ("acute", "obtuse"):
         raise ValueError(f"branch must be 'acute' or 'obtuse', got {branch!r}")
-    if len(l3_grid) == 0 or len(l4_grid) == 0:
-        raise ValueError(f"scan grid needs at least 1 node per axis, "
-                         f"got {len(l3_grid)} x {len(l4_grid)}")
+    l3, l4 = np.asarray(l3, dtype=float), np.asarray(l4, dtype=float)
+    if len(l3) == 0 or len(l3) != len(l4):
+        raise ValueError(f"scan grid needs at least 1 node, as equal-length "
+                         f"l3 and l4, got {len(l3)} and {len(l4)}")
     alpha, beta = spec.alpha, spec.beta
     d1 = alpha - 2.0 * eps
     d2 = beta + 2.0 * eps
     if not (0.0 < d1 < PI and 0.0 < d2 < PI):
         raise ValueError(f"eps = {eps!r} drives a D-apex out of (0, pi)")
-    l3 = np.repeat(np.asarray(l3_grid, dtype=float), len(l4_grid))
-    l4 = np.tile(np.asarray(l4_grid, dtype=float), len(l3_grid))
     with np.errstate(invalid="ignore"):
-        # l5 and l6 by the cosine law (sphtrig.side_from_sas), then l1 and
-        # l2 from the sine ratio that puts each isosceles apex on target.
-        c34, s34 = np.cos(l3) * np.cos(l4), np.sin(l3) * np.sin(l4)
-        l5, ok5 = clamp_rows(c34 + s34 * math.cos(d1))
-        l6, ok6 = clamp_rows(c34 + s34 * math.cos(d2))
-        l5, l6 = np.arccos(l5), np.arccos(l6)
+        # l5 and l6 as in sphtrig.side_from_sas, then l1 and l2 from the
+        # sine ratio that puts each isosceles apex on target.  Lengths
+        # outside [0, pi] can make a half-side negative: its root is nan.
+        h, k = sas_half_sides(l3, l4, np.array([[d1], [d2]]), np.sin, np.cos)
+        l5, l6 = 2.0 * np.arctan2(np.sqrt(h), np.sqrt(k))
         s1 = np.sin(0.5 * l5) / math.sin(0.5 * alpha)
         s2 = np.sin(0.5 * l6) / math.sin(0.5 * beta)
-        feasible = ok5 & ok6 & (0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0)
+        feasible = (0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0)
         l1, l2 = np.arcsin(s1), np.arcsin(s2)
     if branch == "obtuse":
         l1, l2 = PI - l1, PI - l2

@@ -4,7 +4,10 @@ Every length and angle is a plain radian value; there is no degree support
 anywhere.  A valid triangle meets the three triangle inequalities and has
 perimeter below 2*pi, each with margin VALIDITY_MARGIN.  Its SSS solve is the
 half-angle rule on f = sin(s) and fa, fb, fc = sin(s - a), sin(s - b),
-sin(s - c), s = (a + b + c)/2, positive when valid: it needs no acos or clamp.
+sin(s - c), s = (a + b + c)/2, positive when valid.  Its SAS solve sums
+non-negative terms for sides in [0, pi] (sas_half_sides).  Neither takes an
+acos, and nothing is clamped: each scalar asin or acos left in the package
+notes why its argument is in [-1, 1].
 An invalid triangle raises InvalidTriangleError with its sides and first
 violation; metric.validate names every violation of T1..T4 by its triangle.
 """
@@ -13,13 +16,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
-# Inverse-trig arguments may leave [-1, 1] by roundoff; anything beyond
-# CLAMP_TOL signals real trouble rather than noise.
+# sine_rule_side reads a ratio up to CLAMP_TOL above 1 as roundoff of 1;
+# beyond it there is no triangle.
 CLAMP_TOL = 1e-12
 # Margin applied to every triangle inequality; boundary-degenerate
 # triangles are rejected so downstream solvers see a uniform interior.
@@ -30,46 +31,12 @@ class SphericalGeometryError(ValueError):
     """Base error for the kernel."""
 
 
-class NumericalCorruptionError(SphericalGeometryError):
-    """An inverse-trig argument left [-1, 1] by more than CLAMP_TOL."""
-
-
 class NoTriangleError(SphericalGeometryError):
     """The given data cannot be realized by any spherical triangle."""
 
 
 class InvalidTriangleError(SphericalGeometryError):
     """A triangle violates a validity invariant."""
-
-
-def _clamped(fn, name: str, x: float) -> float:
-    """fn(x), with x in a CLAMP_TOL guard band outside [-1, 1] clipped."""
-    if abs(x) > 1.0:
-        if abs(x) > 1.0 + CLAMP_TOL:
-            raise NumericalCorruptionError(
-                f"{name} argument {x!r} leaves [-1, 1] beyond the roundoff clamp")
-        x = math.copysign(1.0, x)
-    return fn(x)
-
-
-def clamped_acos(x: float) -> float:
-    """acos with a CLAMP_TOL guard band outside [-1, 1]."""
-    return _clamped(math.acos, "acos", x)
-
-
-def clamped_asin(x: float) -> float:
-    """asin with a CLAMP_TOL guard band outside [-1, 1]."""
-    return _clamped(math.asin, "asin", x)
-
-
-def clamp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of the clamp: x clipped to [-1, 1], and a mask of the
-    entries inside the CLAMP_TOL guard band.
-
-    An entry outside the band (or nan) is False in the mask where
-    clamped_acos and clamped_asin would raise NumericalCorruptionError.
-    """
-    return np.clip(x, -1.0, 1.0), np.abs(x) <= 1.0 + CLAMP_TOL
 
 
 def _require_range(name: str, value: float, lo: float = 0.0, hi: float = PI) -> None:
@@ -116,13 +83,26 @@ def _checked_sines(a: float, b: float, c: float) -> tuple[float, float, float, f
     return half_angle_sines(a, b, c, math.sin)
 
 
+def sas_half_sides(a, b, C, sin, cos):
+    """(sin^2(c/2), cos^2(c/2)) of the side c opposite the angle C between
+    sides a and b: sin^2((a - b)/2) + sin a sin b sin^2(C/2) and
+    cos^2((a + b)/2) + sin a sin b cos^2(C/2), the cosine law in half
+    angles.  For sides in [0, pi] every term is non-negative, so c/2 is an
+    atan2 of their roots, with no cancellation as c shrinks.  sin, cos are
+    math's for floats, numpy's for arrays (which broadcast)."""
+    p = sin(a) * sin(b)
+    d, e = sin(0.5 * (a - b)), cos(0.5 * (a + b))
+    u, v = sin(0.5 * C), cos(0.5 * C)
+    return d * d + p * u * u, e * e + p * v * v
+
+
 def side_from_sas(a: float, b: float, C: float) -> float:
-    """Third side from two sides and the included angle (spherical cosine law)."""
+    """Third side from two sides and the included angle (sas_half_sides)."""
     _require_range("side a", a)
     _require_range("side b", b)
     _require_range("angle C", C)
-    arg = math.cos(a) * math.cos(b) + math.sin(a) * math.sin(b) * math.cos(C)
-    return clamped_acos(arg)
+    h, k = sas_half_sides(a, b, C, math.sin, math.cos)
+    return 2.0 * math.atan2(math.sqrt(h), math.sqrt(k))
 
 
 def sss_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -183,6 +163,7 @@ def sine_rule_side(A: float, a: float, B: float, branch: str) -> float:
             f"sine-rule ratio {ratio!r} exceeds 1: no such triangle")
     if ratio <= 0.0:
         raise SphericalGeometryError(f"sine-rule ratio {ratio!r} not positive")
-    b = clamped_asin(min(ratio, 1.0))
+    # The checks above leave ratio in (0, 1 + CLAMP_TOL]; min caps it at 1.
+    b = math.asin(min(ratio, 1.0))
     return b if branch == "acute" else PI - b
 

@@ -57,9 +57,9 @@ def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
                   results: dict) -> dict:
     """Uneven-split defect sweeps over every eps and regime window.
 
-    Each sweep reads the diagonal l3 = l4 = ell of one defect_scan over its
-    grid, node k at row k * (LEMMA2_GRID + 1): the slit triangles of both
-    pieces then share the slit length, and r_C is the defect.
+    Each sweep runs one defect_scan on the diagonal l3 = l4 = ell of its
+    grid, node k at row k: the slit triangles of both pieces then share the
+    slit length, and r_C is the defect.
     """
     spec = ConeAngleSpec(alpha, beta)
     results["sweeps"] = []
@@ -72,12 +72,11 @@ def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
             expected = _stated_sign(regime)
             rows = []
             for k, ell in enumerate(grid.tolist()):
-                i = k * (LEMMA2_GRID + 1)
-                if not scan.feasible[i]:
+                if not scan.feasible[k]:
                     rows.append({"ell": ell, "feasible": False})
                     continue
-                l1, l2 = scan.lengths[i, :2].tolist()
-                defect = float(scan.residuals[i, 3])
+                l1, l2 = scan.lengths[k, :2].tolist()
+                defect = float(scan.residuals[k, 3])
                 rows.append({
                     "ell": ell, "feasible": True, "l1": l1, "l2": l2,
                     "defect": defect, "expected_sign": expected,
@@ -228,11 +227,13 @@ def scan_suite(alpha: float, beta: float, eps: float,
                branch: str, l3_grid, l4_grid) -> tuple[dict, ScanGrid]:
     """Defect scan plus the stated per-node sign assertion (eps != 0 only).
 
-    A verdict needs at least one checked node: a scan at eps = 0, or one
-    whose nodes are all infeasible, fails.
+    The scan runs over the (l3, l4) product of the two axes, rows in
+    lexicographic order.  A verdict needs at least one checked node: a scan
+    at eps = 0, or one whose nodes are all infeasible, fails.
     """
     spec = ConeAngleSpec(alpha, beta)
-    grid = defect_scan(spec, l3_grid, l4_grid, eps, branch)
+    grid = defect_scan(spec, np.repeat(l3_grid, len(l4_grid)),
+                       np.tile(l4_grid, len(l3_grid)), eps, branch)
     regime = "below" if branch == "acute" else "above"
     expected = _stated_sign(regime)
     feasible = int(grid.feasible.sum())

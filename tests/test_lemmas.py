@@ -15,7 +15,7 @@ from conesphere.lemmas import (
 )
 from conesphere.metric import ConeAngleSpec
 from conesphere.solver import defect_scan
-from conesphere.sphtrig import PI, NoTriangleError, clamped_acos, sss_angles
+from conesphere.sphtrig import PI, NoTriangleError, sss_angles
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -214,13 +214,12 @@ class TestHalfPiece:
 
 def diagonal(alpha, beta, eps, ells, branch):
     """The scan's {"l1", "l2", "defect"} at each ell, None where infeasible."""
-    n = len(ells)
     scan = defect_scan(ConeAngleSpec(alpha, beta), ells, ells, eps, branch)
     nodes = []
-    for i in range(0, n * n, n + 1):
-        l1, l2 = scan.lengths[i, :2].tolist()
-        nodes.append({"l1": l1, "l2": l2, "defect": float(scan.residuals[i, 3])}
-                     if scan.feasible[i] else None)
+    for k in range(len(ells)):
+        l1, l2 = scan.lengths[k, :2].tolist()
+        nodes.append({"l1": l1, "l2": l2, "defect": float(scan.residuals[k, 3])}
+                     if scan.feasible[k] else None)
     return nodes
 
 
@@ -305,10 +304,19 @@ class TestLemma2Defect:
         assert d["defect"] == pytest.approx(2 * (a1 + a2) - 4 * PI, abs=1e-9)
 
     def test_even_in_eps(self):
-        for ell in (2.1, 2.5):
-            plus = diagonal_node(PI / 2, PI / 2, 0.05, ell, "acute")["defect"]
-            minus = diagonal_node(PI / 2, PI / 2, -0.05, ell, "acute")["defect"]
-            assert plus == minus  # pieces swap roles exactly
+        # At alpha = beta, -eps swaps the pieces: l1 <-> l2 and l5 <-> l6,
+        # bit for bit.  The defect sums the eight corners in another order,
+        # so it agrees only within 4 ulp(4 pi) = 7.1e-15 (the worst over 61
+        # ells in [2.0, 2.6] is 3.6e-15).
+        ells = np.linspace(2.0, 2.6, 61)
+        spec = ConeAngleSpec(PI / 2, PI / 2)
+        plus = defect_scan(spec, ells, ells, 0.05, "acute")
+        minus = defect_scan(spec, ells, ells, -0.05, "acute")
+        assert plus.feasible.all() and minus.feasible.all()
+        np.testing.assert_array_equal(plus.lengths[:, [1, 0, 2, 3, 5, 4]],
+                                      minus.lengths)
+        np.testing.assert_allclose(plus.residuals[:, 3], minus.residuals[:, 3],
+                                   rtol=0, atol=4 * math.ulp(4 * PI))
         # Quadratic smallness: defect(eps/2) ~ defect(eps)/4.
         d1 = diagonal_node(PI / 2, PI / 2, 0.04, 2.2, "acute")["defect"]
         d2 = diagonal_node(PI / 2, PI / 2, 0.02, 2.2, "acute")["defect"]
@@ -389,8 +397,8 @@ def dual_cosine_angle(A, B, c):
     an oracle for the roots of _angle_sum_roots, which solve the same law
     for the base angle in closed form.
     """
-    return clamped_acos(-math.cos(A) * math.cos(B)
-                        + math.sin(A) * math.sin(B) * math.cos(c))
+    arg = -math.cos(A) * math.cos(B) + math.sin(A) * math.sin(B) * math.cos(c)
+    return math.acos(max(-1.0, min(1.0, arg)))
 
 
 class TestDualCosine:
@@ -466,6 +474,13 @@ class TestAngleSumRoots:
         roots = _angle_sum_roots(1.0, 1.0, beta)
         assert len(roots) == 2
         assert roots[1] - roots[0] == pytest.approx(0.0106, abs=1e-4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(*[st.floats(0.0, PI, exclude_min=True, exclude_max=True)] * 3)
+    def test_never_raises(self, alpha, ell, beta):
+        # Its acos argument cos(beta)/R stays in [-1, 1] with no clamp.
+        for s in _angle_sum_roots(alpha, ell, beta):
+            assert alpha < s < alpha + PI
 
     @settings(max_examples=400, deadline=None)
     @given(st.floats(0.01, PI - 0.01), st.floats(0.01, PI - 0.01),

@@ -60,7 +60,8 @@ def test_benchmark_windows_through_the_cli(tmp_path, branch, lo, hi):
               "--l4-min", lo, "--l4-max", hi, "--grid", "101",
               "--out", str(out)])
     axis = np.linspace(float(lo), float(hi), 101)
-    grid = defect_scan(ConeAngleSpec(1.0, 2.0), axis, axis, 0.05, branch)
+    grid = defect_scan(ConeAngleSpec(1.0, 2.0), np.repeat(axis, 101),
+                       np.tile(axis, 101), 0.05, branch)
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(SCAN_CSV_HEADER)
     assert lines[1:] == [expected_line(*row) for row in

@@ -2,11 +2,12 @@ import math
 import sys
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conesphere import solver
+from conesphere import solver, suites
 from conesphere.metric import (
     TRIANGLE_LAYOUT,
     VALIDITY_BOUNDS,
@@ -32,9 +33,6 @@ from conesphere.solver import (
 from conesphere.sphtrig import (
     PI,
     InvalidTriangleError,
-    NumericalCorruptionError,
-    clamped_asin,
-    side_from_sas,
     sss_differentials,
 )
 
@@ -737,25 +735,68 @@ class TestMaxFeasibleRadius:
         assert max_feasible_radius(base) == pytest.approx(0.0213579, abs=5e-8)
 
 
+def product(l3_axis, l4_axis):
+    """The (l3, l4) pairs of the grid over two axes, l3 major."""
+    return ([l3 for l3 in l3_axis for _ in l4_axis],
+            [l4 for _ in l3_axis for l4 in l4_axis])
+
+
+def cosine_law_side(a, b, C):
+    """Third side by acos of the cosine law, its argument clipped to [-1, 1]."""
+    arg = math.cos(a) * math.cos(b) + math.sin(a) * math.sin(b) * math.cos(C)
+    return math.acos(max(-1.0, min(1.0, arg)))
+
+
 def scan_node(spec, l3, l4, closure):
     """Per-node reference for defect_scan: (lengths, residuals), or None
     when the node is infeasible."""
     if not (0.0 < l3 < PI and 0.0 < l4 < PI):
         return None
-    l5 = side_from_sas(l3, l4, spec.alpha - 2.0 * closure["eps"])
-    l6 = side_from_sas(l4, l3, spec.beta + 2.0 * closure["eps"])
+    l5 = cosine_law_side(l3, l4, spec.alpha - 2.0 * closure["eps"])
+    l6 = cosine_law_side(l4, l3, spec.beta + 2.0 * closure["eps"])
     s1 = math.sin(0.5 * l5) / math.sin(0.5 * spec.alpha)
     s2 = math.sin(0.5 * l6) / math.sin(0.5 * spec.beta)
     if not (0.0 < s1 <= 1.0 and 0.0 < s2 <= 1.0):
         return None
-    l1, l2 = clamped_asin(s1), clamped_asin(s2)
+    l1, l2 = math.asin(s1), math.asin(s2)
     if closure["branch"] == "obtuse":
         l1, l2 = PI - l1, PI - l2
     lengths = (l1, l2, l3, l4, l5, l6)
     try:
         return lengths, residual(lengths, spec.cone_vector())
-    except (InvalidTriangleError, NumericalCorruptionError):
+    except InvalidTriangleError:
         return None
+
+
+def mp_diagonal_node(alpha, beta, eps, ell, branch):
+    """(l5, l6, r_C) of the scan node l3 = l4 = ell in 50-digit arithmetic:
+    the cosine law for the chords and for every corner, on LAYOUT."""
+    def side(a, b, C):
+        return mpmath.acos(mpmath.cos(a) * mpmath.cos(b)
+                           + mpmath.sin(a) * mpmath.sin(b) * mpmath.cos(C))
+
+    def angle(a, b, c):
+        return mpmath.acos((mpmath.cos(a) - mpmath.cos(b) * mpmath.cos(c))
+                           / (mpmath.sin(b) * mpmath.sin(c)))
+
+    with mpmath.workdps(50):
+        ell = mpmath.mpf(ell)
+        # The D-apex targets as the scan rounds them.
+        l5 = side(ell, ell, mpmath.mpf(alpha - 2.0 * eps))
+        l6 = side(ell, ell, mpmath.mpf(beta + 2.0 * eps))
+        l1 = mpmath.asin(mpmath.sin(l5 / 2) / mpmath.sin(mpmath.mpf(alpha) / 2))
+        l2 = mpmath.asin(mpmath.sin(l6 / 2) / mpmath.sin(mpmath.mpf(beta) / 2))
+        if branch == "obtuse":
+            l1, l2 = mpmath.pi - l1, mpmath.pi - l2
+        x = (l1, l2, ell, ell, l5, l6)
+        theta_C = -4 * mpmath.pi
+        for sides, points in LAYOUT:
+            a, b, c = (x[k] for k in sides)
+            for point, corner in zip(points, (angle(a, b, c), angle(b, c, a),
+                                              angle(c, a, b))):
+                if point == "C":
+                    theta_C += corner
+        return l5, l6, theta_C
 
 
 class TestDefectScan:
@@ -769,12 +810,12 @@ class TestDefectScan:
     ])
     def test_matches_per_node_closure(self, lo, hi, n, closure):
         spec = ConeAngleSpec(1.0, 2.0)
-        grid = np.linspace(lo, hi, n)
-        scan = defect_scan(spec, grid, grid, **closure)
-        nodes = [(l3, l4) for l3 in grid.tolist() for l4 in grid.tolist()]
-        lengths = np.full((len(nodes), 6), np.nan)
-        residuals = np.full((len(nodes), 4), np.nan)
-        for k, (l3, l4) in enumerate(nodes):
+        axis = np.linspace(lo, hi, n).tolist()
+        l3s, l4s = product(axis, axis)
+        scan = defect_scan(spec, l3s, l4s, **closure)
+        lengths = np.full((len(l3s), 6), np.nan)
+        residuals = np.full((len(l3s), 4), np.nan)
+        for k, (l3, l4) in enumerate(zip(l3s, l4s)):
             lengths[k, 2:4] = l3, l4
             node = scan_node(spec, l3, l4, closure)
             if node is not None:
@@ -785,9 +826,28 @@ class TestDefectScan:
         np.testing.assert_allclose(scan.lengths, lengths, rtol=0, atol=1e-13)
         np.testing.assert_allclose(scan.residuals, residuals, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("ell, branch", [
+        (3.1404, "acute"), (3.13, "acute"), (0.0012, "obtuse"), (0.01, "obtuse")])
+    def test_thin_end_matches_high_precision(self, ell, branch):
+        # At either end of the slit range the chords are about 1e-3.  The
+        # cosine law's acos put l5 4.9e-14 off and r_C 1.55e-10 off at
+        # ell = 3.1404; the half-angle form keeps l5 within 1e-18 and r_C
+        # within 1.7e-13.
+        scan = defect_scan(ConeAngleSpec(1.0, 2.0), [ell], [ell], 0.05, branch)
+        assert scan.feasible[0]
+        l5, l6, r_C = mp_diagonal_node(1.0, 2.0, 0.05, ell, branch)
+        assert abs(scan.lengths[0, 4] - l5) < 1e-16
+        assert abs(scan.lengths[0, 5] - l6) < 1e-16
+        assert abs(scan.residuals[0, 3] - r_C) < 1e-12
+
     def test_unknown_branch_rejected(self):
         with pytest.raises(ValueError, match="branch must be"):
             defect_scan(SPEC, [PI / 3], [PI / 3], eps=0.0, branch="bogus")
+
+    @pytest.mark.parametrize("l3, l4", [([], []), ([1.0, 1.1], [1.0])])
+    def test_empty_or_unequal_pairs_rejected(self, l3, l4):
+        with pytest.raises(ValueError, match="scan grid needs at least 1 node"):
+            defect_scan(SPEC, l3, l4, eps=0.0, branch="acute")
 
     def test_family_slice_rows_are_flat(self):
         scan = defect_scan(SPEC, [PI / 3], [PI / 3],
@@ -796,14 +856,27 @@ class TestDefectScan:
         assert abs(scan.residuals[0, 3]) < 1e-12
 
     def test_rows_in_lexicographic_order(self):
-        scan = defect_scan(SPEC, [1.0, 1.1], [0.9, 1.0],
-                           eps=0.0, branch="obtuse")
-        keys = [tuple(row) for row in scan.lengths[:, 2:4].tolist()]
-        assert keys == sorted(keys)
+        # The scan suite builds the grid: l3 major, each axis in its order.
+        _, scan = suites.scan_suite(PI / 2, PI / 2, 0.0, "obtuse",
+                                    [1.1, 1.0], [1.0, 0.9, 0.95])
+        assert scan.lengths[:, 2:4].tolist() == [
+            [1.1, 1.0], [1.1, 0.9], [1.1, 0.95],
+            [1.0, 1.0], [1.0, 0.9], [1.0, 0.95]]
+
+    def test_rows_in_input_order(self):
+        l3s, l4s = [1.1, 1.0, 1.05], [0.9, 1.0, 0.95]
+        scan = defect_scan(SPEC, l3s, l4s, eps=0.0, branch="obtuse")
+        assert scan.lengths[:, 2].tolist() == l3s
+        assert scan.lengths[:, 3].tolist() == l4s
+        # Each row is the node solved alone.
+        for k, (l3, l4) in enumerate(zip(l3s, l4s)):
+            alone = defect_scan(SPEC, [l3], [l4], eps=0.0, branch="obtuse")
+            np.testing.assert_array_equal(alone.lengths[0], scan.lengths[k])
+            np.testing.assert_array_equal(alone.residuals[0], scan.residuals[k])
 
     def test_infeasible_nodes_flagged_not_dropped(self):
         # eps large enough that the B-side closure ratio exceeds 1.
-        scan = defect_scan(SPEC, [1.9, 2.6], [1.9, 2.6],
+        scan = defect_scan(SPEC, *product([1.9, 2.6], [1.9, 2.6]),
                            eps=0.1, branch="acute")
         assert len(scan.feasible) == 4
         flags = {(round(l3, 2), round(l4, 2)): ok for (l3, l4), ok in
@@ -812,7 +885,8 @@ class TestDefectScan:
         assert flags[(2.6, 2.6)] is True
 
     def test_closure_pins_a_b_d_exactly(self):
-        scan = defect_scan(ConeAngleSpec(1.0, 2.0), [2.2, 2.4], [2.2, 2.3],
+        scan = defect_scan(ConeAngleSpec(1.0, 2.0),
+                           *product([2.2, 2.4], [2.2, 2.3]),
                            eps=0.05, branch="acute")
         for (r_A, r_B, r_D, r_C), ok in zip(scan.residuals, scan.feasible):
             if ok:
@@ -825,7 +899,7 @@ class TestDefectScan:
         # With an even split, the diagonal nodes are family points and the
         # off-diagonal ones carry a strictly nonzero C-defect.
         grid = [1.0, 1.05, 1.1]
-        scan = defect_scan(SPEC, grid, grid, eps=0.0, branch="obtuse")
+        scan = defect_scan(SPEC, *product(grid, grid), eps=0.0, branch="obtuse")
         for (l3, l4), r_C, ok in zip(scan.lengths[:, 2:4], scan.residuals[:, 3],
                                      scan.feasible):
             assert ok
