@@ -23,23 +23,14 @@ def mp_distance(beta_vec) -> float:
     """L1 distance from beta_vec - 1 to the odd integer lattice.
 
     The lattice is the integer vectors with odd coordinate sum: round each
-    coordinate, then if the rounded sum is even flip the single coordinate
-    whose flip costs least, ties broken at the lowest index.
+    x to m; on an even sum, move the first m farthest from its x to the
+    other integer next to x, the cheapest flip, which adds 1 - 2*|x - m|.
     """
     x = [b - 1.0 for b in beta_vec]
     rounded = [round(xi) for xi in x]
-    if sum(rounded) % 2 != 0:
-        return math.fsum(abs(xi - mi) for xi, mi in zip(x, rounded))
-    # Flipping coordinate j to its second-nearest integer raises the cost
-    # by 1 - 2*|x_j - m_j|; pick the cheapest flip, lowest index on ties.
-    best_j = 0
-    best_extra = None
-    for j, (xi, mi) in enumerate(zip(x, rounded)):
-        extra = 1.0 - 2.0 * abs(xi - mi)
-        if best_extra is None or extra < best_extra:
-            best_j, best_extra = j, extra
-    xj, mj = x[best_j], rounded[best_j]
-    rounded[best_j] = mj + 1 if xj >= mj else mj - 1
+    if sum(rounded) % 2 == 0:
+        j = max(range(len(x)), key=lambda i: abs(x[i] - rounded[i]))
+        rounded[j] += 1 if x[j] >= rounded[j] else -1
     # fsum keeps the result identical to the enumeration oracle even when
     # a mathematically tied lattice point sums in a different order.
     return math.fsum(abs(xi - mi) for xi, mi in zip(x, rounded))

@@ -131,11 +131,12 @@ def lemma3_sweep(ell: float, beta: float) -> tuple[dict, ...]:
 
     # cos_beta >= -1, so fl(cos_ell - cos_beta) <= fl(1 + cos_ell): x <= 1.
     x = math.sqrt((cos_ell - cos_beta) / (1.0 + cos_ell))
-    delta = 1e-4
     extrema = []
     for a in (math.acos(x), math.acos(-x)):
         s = s_near(a, 2.0 * a)
-        curvature = s_near(a - delta, s) + s_near(a + delta, s) - 2.0 * s
+        # Beta near pi puts the extrema within 1e-4 of 0 and pi.
+        h = min(1e-4, 0.5 * a, 0.5 * (PI - a))
+        curvature = s_near(a - h, s) + s_near(a + h, s) - 2.0 * s
         kind = "minimum" if curvature > 0.0 else "maximum"
         extrema.append({"alpha_crit": a, "s_crit": s, "kind": kind})
     return tuple(extrema)

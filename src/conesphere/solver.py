@@ -28,12 +28,10 @@ Gauss-Newton stays on the scalar path: at a single point the fixed cost of
 the array operations makes the batched kernel slower than cone_angle_tuple.
 
 A rigidity start is scalar work on six floats, so its cost is mostly per
-call: at (alpha, beta, t) = (1, 2, 1.2) one gauss_newton (27 iterations,
-one exact Jacobian of about 12 us per accepted point) takes about 1.1 ms
-and one family_distance (about 203 glued_football builds) about 0.8 ms,
-best of timeit repeats on a 2-vCPU Xeon.  The per-point arithmetic
+call: one gauss_newton makes one exact Jacobian per accepted point, and one
+family_distance about 203 glued_football builds.  The per-point arithmetic
 therefore avoids numpy temporaries: lengths become a Python list once per
-residual or Jacobian, the Jacobian sums its entries along JACOBIAN_PLAN,
+residual or Jacobian, the Jacobian sums into a flat list of its 24 entries,
 norms are math.sqrt of a dot product (what np.linalg.norm computes for a
 1-D float array, to the bit), and family distances are math.dist.
 """
@@ -103,42 +101,23 @@ def residual(lengths, target) -> np.ndarray:
     return np.subtract(cone_angle_tuple(lengths), target)
 
 
-def _jacobian_plan() -> tuple[tuple[int, ...], ...]:
-    """For each of the 24 entries of the 4x6 Jacobian, row-major, the
-    indices of its terms in the flat list of sss_differentials values of
-    T1..T4 (triangle, then row, then column), in that order."""
-    plan = [[] for _ in range(24)]
-    k = 0
-    for sides, points in TRIANGLE_LAYOUT:
-        for p in points:
-            for col in sides:
-                plan[6 * p + col].append(k)
-                k += 1
-    return tuple(map(tuple, plan))
-
-
-JACOBIAN_PLAN = _jacobian_plan()
-
-
 def jacobian(lengths) -> np.ndarray:
     """Exact 4x6 Jacobian of the residual (the cone angles) in l1..l6.
 
     Each triangle's sss_differentials go to the cone-point rows and side
-    columns TRIANGLE_LAYOUT assigns them (JACOBIAN_PLAN); each entry sums
-    its terms from 0.0 in triangle, row, column order.  The target does not
-    enter.  Invalid lengths raise InvalidTriangleError.
+    columns TRIANGLE_LAYOUT assigns them; each entry sums its terms from
+    0.0 in triangle, row, column order.  The target does not enter.
+    Invalid lengths raise InvalidTriangleError.
     """
     x = np.asarray(lengths, dtype=float).tolist()
-    terms = []
-    for (a, b, c), _ in TRIANGLE_LAYOUT:
-        for row in sss_differentials(x[a], x[b], x[c]):
-            terms.extend(row)
-    J = []
-    for ks in JACOBIAN_PLAN:
-        entry = 0.0
-        for k in ks:
-            entry += terms[k]
-        J.append(entry)
+    J = [0.0] * 24
+    for (a, b, c), points in TRIANGLE_LAYOUT:
+        dangs = sss_differentials(x[a], x[b], x[c])
+        for p, (da, db, dc) in zip(points, dangs):
+            r = 6 * p
+            J[r + a] += da
+            J[r + b] += db
+            J[r + c] += dc
     return np.array(J).reshape(4, 6)
 
 
@@ -233,10 +212,12 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     stops after a step below 1e-12, or when the next step rounds to
     nothing, and returns the last s built with math.dist of that build:
     re-measuring glued_football(s_star) reproduces the distance exactly.
+    When no grid football is valid (the valid slit window can be narrower
+    than the grid step) the call raises ValueError.
 
-    Each probe is one scalar glued_football build with its validate, about
-    3 us: the 200-point scan plus a few Newton builds (2-4 on the benchmark
-    plans) make a call.  The builds stay scalar and uncached because the
+    Each probe is one scalar glued_football build with its validate: the
+    200-point scan plus a few Newton builds (2-4 on the benchmark plans)
+    make a call.  The builds stay scalar and uncached because the
     benchmark traces glued_football and counts them; the closed-form
     projection that replaces the scan waits on that count.
     """
@@ -253,6 +234,8 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     j = int(np.argmin([math.inf if f is None else math.dist(f, lengths)
                        for f in fams]))
     s, fam = grid[j], fams[j]
+    if fam is None:
+        raise ValueError(f"no grid slit gives a valid football for {spec!r}")
     lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
     dead = math.nan  # the last slit parameter whose football degenerated
     while True:

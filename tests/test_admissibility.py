@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conesphere.admissibility import (
     chi,
@@ -49,6 +49,12 @@ class TestMpDistance:
 
     @given(st.lists(st.floats(0.01, 3.99), min_size=1, max_size=5))
     @settings(max_examples=150)
+    # Ties that uniform draws almost never produce: equal distances to the
+    # rounded integers, integers, and two coordinates an ulp apart.
+    @example([1.5, 1.5])
+    @example([2.0, 2.0])
+    @example([1.3, math.nextafter(1.3, 2.0)])
+    @example([0.5, 1.5, 2.5, 3.5])
     def test_matches_bruteforce_exactly(self, entries):
         vec = tuple(entries)
         assert mp_distance(vec) == mp_distance_bruteforce(vec)

@@ -545,6 +545,18 @@ class TestLemma3:
                 assert ext["kind"] == embedded_extremum_kind(
                     ext["alpha_crit"], ext["s_crit"], ell, beta), (ell, beta, ext)
 
+    @pytest.mark.parametrize("beta", [3.14158, 3.141592, 3.1415926])
+    def test_kind_near_beta_pi(self, beta):
+        # The extrema sit within 1e-5 of 0 and pi, nearer than the 1e-4 of
+        # the second difference elsewhere; the oracle steps half the way to
+        # the nearer end.
+        extrema = lemma3_sweep(1.0, beta)
+        assert [e["kind"] for e in extrema] == ["maximum", "minimum"]
+        for ext in extrema:
+            a = ext["alpha_crit"]
+            assert ext["kind"] == embedded_extremum_kind(
+                a, ext["s_crit"], 1.0, beta, delta=0.5 * min(a, PI - a))
+
     def test_agrees_with_golden_section_oracle(self):
         for ext in lemma3_sweep(1.0, 2.0):
             a = ext["alpha_crit"]

@@ -317,8 +317,8 @@ class TestJacobian:
            st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6),
            st.integers(0, len(VALIDITY_ROWS)), st.floats(1e-12, 1e-9))
     @settings(max_examples=200, deadline=None)
-    def test_plan_is_bit_identical_to_nested_loops(self, alpha, beta, t, offset,
-                                                   row, slack):
+    def test_bit_identical_to_nested_loops(self, alpha, beta, t, offset, row,
+                                           slack):
         # Points near the family; unless row is past the last validity row,
         # moved along that row's normal to within slack of its bound.
         spec = ConeAngleSpec(alpha, beta)
@@ -470,6 +470,15 @@ class TestFamilyDistance:
         s, dist = family_distance(base_metric(t=1.2, spec=spec), spec)
         assert s == pytest.approx(1.2, abs=1e-9)
         assert dist < 1e-12
+
+    def test_no_valid_football_on_the_grid(self):
+        # alpha within 1e-6 of pi: the footballs are valid only in a slit
+        # window narrower than the scan's grid step, so the scan measures
+        # nothing and the spec is named.
+        spec = ConeAngleSpec(PI - 1e-6, 2.0)
+        m = glued_football(GluedFootballParams(spec, PI / 2))
+        with pytest.raises(ValueError, match="alpha=3.14159165"):
+            family_distance(m, spec)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
