@@ -79,18 +79,24 @@ def _angle_sum_roots(alpha: float, ell: float, beta: float) -> list[float]:
     The law is cos(beta) = -cos(alpha)cos(u) + sin(alpha)sin(u)cos(ell) for
     the second base angle u = s - alpha.  It reads R cos(u - phi) = cos(beta),
     where (R cos phi, R sin phi) = (-cos alpha, sin alpha cos ell), so the
-    roots are u = phi -+ acos(cos(beta) / R) (mod 2*pi), kept inside
-    (1e-9, pi - 1e-9) and returned in ascending order.  There is none when
-    |cos beta| > R.
+    roots are u = phi -+ half (mod 2*pi), kept inside (1e-9, pi - 1e-9) and
+    returned in ascending order, with cos(half) = cos(beta) / R.  Since
+    R^2 = 1 - sin^2(alpha) sin^2(ell), R sin(half) is the square root of
+    D = (sin beta - sin alpha sin ell)(sin beta + sin alpha sin ell), which is
+    R^2 - cos^2(beta) factored, and half = atan2(sqrt(D), cos beta).  There
+    is no root when D < 0.  Where the two roots meet, D is near 0 and
+    acos(cos(beta) / R) would read an argument next to +-1, losing half the
+    digits of half; the factors of D keep them.
     """
-    cos_beta = math.cos(beta)
     x, y = -math.cos(alpha), math.sin(alpha) * math.cos(ell)
-    r = math.hypot(x, y)
-    if r == 0.0 or abs(cos_beta) > r:
+    if math.hypot(x, y) == 0.0:
+        return []
+    sin_beta, prod = math.sin(beta), math.sin(alpha) * math.sin(ell)
+    disc = (sin_beta - prod) * (sin_beta + prod)
+    if disc < 0.0:
         return []
     phi = math.atan2(y, x)
-    # |cos_beta| <= r above, and rounded division is monotone: in [-1, 1].
-    half = math.acos(cos_beta / r)
+    half = math.atan2(math.sqrt(disc), math.cos(beta))
     us = sorted((phi + sign * half) % TWO_PI for sign in (-1.0, 1.0))
     return [alpha + u for u in us if 1e-9 < u < PI - 1e-9]
 

@@ -77,9 +77,13 @@ class ConeAngleSpec:
                 (self.alpha + self.beta) / TWO_PI, 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GluedFootballParams:
-    """A cone-angle target plus the slit length t in (0, pi)."""
+    """A cone-angle target plus the slit length t in (0, pi).
+
+    Slotted: family_distance builds one per probe, and a slotted record is
+    cheaper to construct.
+    """
 
     spec: ConeAngleSpec
     t: float
@@ -139,6 +143,10 @@ def _validity_rows() -> tuple[np.ndarray, np.ndarray]:
 
 VALIDITY_ROWS, VALIDITY_BOUNDS = _validity_rows()
 
+# Each triangle's message prefix with its sides, for validate.
+_NAMED_SIDES = tuple((f"T{idx}: ", sides)
+                    for idx, (sides, _) in enumerate(TRIANGLE_LAYOUT, start=1))
+
 
 def validate(lengths) -> list[str]:
     """Every violated inequality of T1..T4 in l1..l6, each named by its
@@ -148,10 +156,10 @@ def validate(lengths) -> list[str]:
     length outside (0, pi) is flagged there.
     """
     issues = []
-    for idx, ((i, j, k), _) in enumerate(TRIANGLE_LAYOUT, start=1):
+    for name, (i, j, k) in _NAMED_SIDES:
         bad = triangle_violations(lengths[i], lengths[j], lengths[k])
         if bad:
-            issues.extend(f"T{idx}: {b}" for b in bad)
+            issues.extend(name + b for b in bad)
     return issues
 
 
@@ -162,11 +170,12 @@ def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
     opened slit is l5 = 2*asin(sin t * sin(alpha/2)) (l6 with beta).  The
     result realizes the cone angles of p.spec exactly.
     """
-    alpha, beta, t = p.spec.alpha, p.spec.beta, p.t
+    spec, t = p.spec, p.t
+    sin_t, u = math.sin(t), PI - t
     # Each asin argument is a product of two sines, so in [-1, 1].
-    l5 = 2.0 * math.asin(math.sin(t) * math.sin(0.5 * alpha))
-    l6 = 2.0 * math.asin(math.sin(t) * math.sin(0.5 * beta))
-    m = TriangulatedMetric(PI - t, PI - t, t, t, l5, l6)
+    l5 = 2.0 * math.asin(sin_t * math.sin(0.5 * spec.alpha))
+    l6 = 2.0 * math.asin(sin_t * math.sin(0.5 * spec.beta))
+    m = TriangulatedMetric(u, u, t, t, l5, l6)
     issues = validate(m)
     if issues:
         raise InvalidTriangleError(

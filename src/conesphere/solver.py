@@ -33,7 +33,9 @@ family_distance about 203 glued_football builds.  The per-point arithmetic
 therefore avoids numpy temporaries: lengths become a Python list once per
 residual or Jacobian, the Jacobian sums into a flat list of its 24 entries,
 norms are math.sqrt of a dot product (what np.linalg.norm computes for a
-1-D float array, to the bit), and family distances are math.dist.
+1-D float array, to the bit), and family distances are math.dist.  The
+fixed inputs are converted once: gauss_newton makes its target an ndarray
+once per call, and family_distance scans a grid built once at import.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import (
+    LENGTH_FIELDS,
     TRIANGLE_LAYOUT,
     VALIDITY_BOUNDS,
     VALIDITY_ROWS,
@@ -60,9 +63,11 @@ from .sphtrig import (
     sss_differentials,
 )
 
-# Slit parameter window scanned when projecting onto the family.
+# Slit parameter window scanned when projecting onto the family, and the
+# 200 slit parameters of family_distance's coarse scan, built once.
 FAMILY_T_MIN = 1e-4
 FAMILY_T_MAX = PI - 1e-4
+FAMILY_GRID = np.linspace(FAMILY_T_MIN, FAMILY_T_MAX, 200).tolist()
 
 # Gauss-Newton converges below RES_TOL within MAX_ITER steps; singular
 # values under RANK_TOL times the largest count as zero; rigidity holds
@@ -132,9 +137,10 @@ def numerical_rank(J: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _damped_min_norm_step(U: np.ndarray, s: np.ndarray, Vt: np.ndarray,
                           r: np.ndarray, lam: float) -> np.ndarray:
-    """Minimum-norm Levenberg step -V diag(s/(s^2+lam^2)) U^T r from J's SVD."""
+    """Minus the minimum-norm Levenberg step: V diag(s/(s^2+lam^2)) U^T r
+    from J's SVD, which gauss_newton subtracts."""
     factors = s / (s * s + lam * lam)
-    return -(Vt.T @ (factors * (U.T @ r)))
+    return Vt.T @ (factors * (U.T @ r))
 
 
 def gauss_newton(start, target) -> GaussNewtonResult:
@@ -150,6 +156,7 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     tuple of floats, or None when start itself is outside the region.
     """
     x = np.array(start, dtype=float)
+    target = np.asarray(target, dtype=float)
     try:
         r = residual(x, target)
     except InvalidTriangleError:
@@ -172,7 +179,7 @@ def gauss_newton(start, target) -> GaussNewtonResult:
         # Backtrack into the validity region.
         shrink = 0
         while True:
-            x_new = x + step
+            x_new = x - step
             try:
                 r_new = residual(x_new, target)
                 break
@@ -197,29 +204,32 @@ def gauss_newton(start, target) -> GaussNewtonResult:
 def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     """Closest glued football to l1..l6: (s_star, Euclidean distance).
 
-    A 200-point coarse scan over the slit parameter picks the well; scan
-    ties resolve toward smaller s.  A slit parameter whose football
-    degenerates (alpha or beta near pi, at the ends of the window) counts as
-    infinitely far.  A safeguarded Newton iteration on
-    phi(s) = |F(s) - x|^2 / 2 then refines the best grid point inside its
-    two neighbours: F(s) = (pi - s, pi - s, s, s, l5, l6) is a glued_football
-    build, and with a = sin(alpha/2), w = 1 - a^2 sin^2 s the chord has
-    l5' = 2a cos s / sqrt(w) and l5'' = 2a (a^2 - 1) sin s / w^(3/2) (l6 with
-    beta).  The sign of phi' shrinks the bracket; a step that leaves it, or
-    phi'' <= 0, bisects instead, and a degenerate football bounds it.  A
-    step toward the last degenerate football bisects too: the minimum of
-    phi then lies past that end, and Newton would aim there again.  It
-    stops after a step below 1e-12, or when the next step rounds to
-    nothing, and returns the last s built with math.dist of that build:
-    re-measuring glued_football(s_star) reproduces the distance exactly.
-    When no grid football is valid (the valid slit window can be narrower
-    than the grid step) the call raises ValueError.
+    A length that is not finite is a ValueError that names it: no football
+    is nearest to it.  A coarse scan over the 200 slit parameters of
+    FAMILY_GRID picks the well; scan ties resolve toward smaller s.  A slit
+    parameter whose football degenerates (alpha or beta near pi, at the
+    ends of the window) counts as infinitely far.  A safeguarded Newton
+    iteration on phi(s) = |F(s) - x|^2 / 2 then refines the best grid point
+    inside its two neighbours: F(s) = (pi - s, pi - s, s, s, l5, l6) is a
+    glued_football build, and with a = sin(alpha/2), w = 1 - a^2 sin^2 s
+    the chord has l5' = 2a cos s / sqrt(w) and
+    l5'' = 2a (a^2 - 1) sin s / w^(3/2) (l6 with beta).  The sign of phi'
+    shrinks the bracket; a step that leaves it, or phi'' <= 0, bisects
+    instead, and a degenerate football bounds it.  A step toward the last
+    degenerate football bisects too: the minimum of phi then lies past that
+    end, and Newton would aim there again.  It stops after a step below
+    1e-12, or when the next step rounds to nothing, and returns the last s
+    built with math.dist of that build: re-measuring glued_football(s_star)
+    reproduces the distance exactly.  When no grid football is valid (the
+    valid slit window can be narrower than the grid step) the call raises
+    ValueError.
 
     Each probe is one scalar glued_football build with its validate: the
     200-point scan plus a few Newton builds (2-4 on the benchmark plans)
-    make a call.  The builds stay scalar and uncached because the
-    benchmark traces glued_football and counts them; the closed-form
-    projection that replaces the scan waits on that count.
+    make a call.  The scan is one pass that keeps the running minimum, with
+    no list of builds or distances.  The builds stay scalar and uncached
+    because the benchmark traces glued_football and counts them; the
+    closed-form projection that replaces the scan waits on that count.
     """
     half = (math.sin(0.5 * spec.alpha), math.sin(0.5 * spec.beta))
 
@@ -229,13 +239,24 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
         except InvalidTriangleError:
             return None
 
-    grid = np.linspace(FAMILY_T_MIN, FAMILY_T_MAX, 200).tolist()
-    fams = [build(s) for s in grid]
-    j = int(np.argmin([math.inf if f is None else math.dist(f, lengths)
-                       for f in fams]))
-    s, fam = grid[j], fams[j]
+    for field, x in zip(LENGTH_FIELDS, lengths):
+        if not math.isfinite(x):
+            raise ValueError(f"{field} = {float(x)!r} is not finite")
+    # One pass keeps the nearest build; strict < keeps the first of equal
+    # distances, and a degenerate build is never nearest.
+    grid = FAMILY_GRID
+    best, j, fam = math.inf, 0, None
+    for i, s in enumerate(grid):
+        try:
+            f = glued_football(GluedFootballParams(spec, s))
+        except InvalidTriangleError:
+            continue
+        d = math.dist(f, lengths)
+        if d < best:
+            best, j, fam = d, i, f
     if fam is None:
         raise ValueError(f"no grid slit gives a valid football for {spec!r}")
+    s = grid[j]
     lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
     dead = math.nan  # the last slit parameter whose football degenerated
     while True:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -465,6 +466,20 @@ def golden_extremize(ell, beta, lo, hi, kind):
     return 0.5 * (lo + hi)
 
 
+def mp_angle_sum_roots(alpha, ell, beta, dps=50):
+    """_angle_sum_roots in dps digits, from acos(cos(beta) / R) directly:
+    the digits that formula loses where two roots meet are far below dps."""
+    with mpmath.workdps(dps):
+        a, e, b = (mpmath.mpf(v) for v in (alpha, ell, beta))
+        x, y = -mpmath.cos(a), mpmath.sin(a) * mpmath.cos(e)
+        r = mpmath.hypot(x, y)
+        if abs(mpmath.cos(b)) > r:
+            return []
+        phi, half = mpmath.atan2(y, x), mpmath.acos(mpmath.cos(b) / r)
+        us = sorted((phi + sign * half) % (2 * mpmath.pi) for sign in (-1, 1))
+        return [a + u for u in us if 1e-9 < u < mpmath.pi - 1e-9]
+
+
 class TestAngleSumRoots:
     def test_two_roots_near_the_fold(self):
         # Near the fold (cos(beta) just below R) the two roots sit 0.0106
@@ -475,10 +490,24 @@ class TestAngleSumRoots:
         assert len(roots) == 2
         assert roots[1] - roots[0] == pytest.approx(0.0106, abs=1e-4)
 
+    def test_roots_keep_their_digits_where_two_roots_meet(self):
+        # ell = 1, beta = 1e-7: on (1.006e-7, 1.183e-7) the two roots are
+        # about to meet and cos(beta) / R is next to 1, where its acos
+        # loses half the digits.  The roots stay within a few ulps of
+        # 50-digit ones.
+        lo, hi = 1.006e-7, 1.183e-7
+        for k in range(1, 33):
+            alpha = lo + (hi - lo) * k / 33
+            roots = _angle_sum_roots(alpha, 1.0, 1e-7)
+            exact = mp_angle_sum_roots(alpha, 1.0, 1e-7)
+            assert len(roots) == len(exact) == 2
+            for s, s_exact in zip(roots, exact):
+                assert abs(s - float(s_exact)) <= 2e-15, (alpha, s, s_exact)
+
     @settings(max_examples=400, deadline=None)
     @given(*[st.floats(0.0, PI, exclude_min=True, exclude_max=True)] * 3)
     def test_never_raises(self, alpha, ell, beta):
-        # Its acos argument cos(beta)/R stays in [-1, 1] with no clamp.
+        # sqrt reads only a discriminant D >= 0, and atan2 needs no clamp.
         for s in _angle_sum_roots(alpha, ell, beta):
             assert alpha < s < alpha + PI
 
@@ -556,6 +585,33 @@ class TestLemma3:
             a = ext["alpha_crit"]
             assert ext["kind"] == embedded_extremum_kind(
                 a, ext["s_crit"], 1.0, beta, delta=0.5 * min(a, PI - a))
+
+    def test_kinds_where_the_roots_meet(self):
+        # ell = 0.001, beta = 3.14159: the extrema sit within 1.4e-6 of 0
+        # and pi, where the two roots nearly meet.  The kinds are the signs
+        # of the 50-digit second difference of s, taken at the same nodes,
+        # and far below the roundoff of an acos next to -1.
+        ell, beta = 0.001, 3.14159
+        extrema = lemma3_sweep(ell, beta)
+        assert [e["kind"] for e in extrema] == ["maximum", "minimum"]
+        for ext in extrema:
+            a = ext["alpha_crit"]
+            h = min(1e-4, 0.5 * a, 0.5 * (PI - a))
+
+            def s_near(alpha):
+                return min(mp_angle_sum_roots(alpha, ell, beta),
+                           key=lambda s: abs(s - 2 * a))
+
+            curvature = s_near(a - h) + s_near(a + h) - 2 * s_near(a)
+            assert ext["kind"] == ("minimum" if curvature > 0 else "maximum")
+
+    def test_monotone_where_the_roots_meet(self):
+        # ell = 1, beta = 1e-7 has no isosceles shape: every branch is
+        # monotone, also the two 1.8e-8 wide ones next to 0 and pi.
+        report = suites.lemma3_suite(1.0, 1e-7)["results"]
+        assert {b["trend"] for b in report["branches"]} == {
+            "increasing", "decreasing"}
+        assert report["pass"]
 
     def test_agrees_with_golden_section_oracle(self):
         for ext in lemma3_sweep(1.0, 2.0):

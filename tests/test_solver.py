@@ -480,6 +480,32 @@ class TestFamilyDistance:
         with pytest.raises(ValueError, match="alpha=3.14159165"):
             family_distance(m, spec)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 5])
+    def test_non_finite_length_is_named(self, bad, index):
+        # No football is nearest to a point with a nan or infinite length,
+        # so no distance is returned and the length is named.
+        lengths = list(glued_football(GluedFootballParams(
+            ConeAngleSpec(1.0, 2.0), 1.2)))
+        lengths[index] = bad
+        with pytest.raises(ValueError, match=f"l{index + 1} = {bad!r} is not"):
+            family_distance(lengths, ConeAngleSpec(1.0, 2.0))
+
+    def test_scan_builds_the_grid_in_order(self, monkeypatch):
+        # The first 200 builds are the coarse grid, in order and to the bit,
+        # before any Newton build.
+        slits = []
+
+        def counting(p):
+            slits.append(p.t)
+            return glued_football(p)
+
+        monkeypatch.setattr(solver, "glued_football", counting)
+        family_distance(base_metric(t=1.2), SPEC)
+        grid = np.linspace(solver.FAMILY_T_MIN, solver.FAMILY_T_MAX, 200)
+        assert slits[:200] == grid.tolist()
+        assert len(slits) > 200
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
            st.floats(0.3, PI - 0.3),
