@@ -135,13 +135,21 @@ def lemma3_sweep(ell: float, beta: float) -> tuple[dict, ...]:
                 f"beta = {beta!r}")
         return min(roots, key=lambda s: abs(s - target))
 
-    # cos_beta >= -1, so fl(cos_ell - cos_beta) <= fl(1 + cos_ell): x <= 1.
-    x = math.sqrt((cos_ell - cos_beta) / (1.0 + cos_ell))
+    # tan(alpha) = cos(beta/2) / sqrt(sin((beta + ell)/2) sin((beta - ell)/2)),
+    # with beta > ell here: no acos next to 1 where the extrema near 0, pi.
+    y = math.cos(0.5 * beta)
+    x = math.sqrt(math.sin(0.5 * (beta + ell)) * math.sin(0.5 * (beta - ell)))
+    # Triangles exist only for sin(alpha) <= sin(beta)/sin(ell): the acute
+    # extremum lies below the end of that interval, and the obtuse one
+    # above pi minus it.  The ratio is positive, and asin reads it below 1.
+    ratio = math.sin(beta) / math.sin(ell)
+    end = math.asin(ratio) if ratio < 1.0 else math.inf
     extrema = []
-    for a in (math.acos(x), math.acos(-x)):
+    for a in (math.atan2(y, x), math.atan2(y, -x)):
         s = s_near(a, 2.0 * a)
-        # Beta near pi puts the extrema within 1e-4 of 0 and pi.
-        h = min(1e-4, 0.5 * a, 0.5 * (PI - a))
+        # Beta near pi puts the extrema within 1e-4 of 0 and pi, and within
+        # 1e-4 of the end of their interval.
+        h = min(1e-4, 0.5 * a, 0.5 * (PI - a), 0.5 * (end - min(a, PI - a)))
         curvature = s_near(a - h, s) + s_near(a + h, s) - 2.0 * s
         kind = "minimum" if curvature > 0.0 else "maximum"
         extrema.append({"alpha_crit": a, "s_crit": s, "kind": kind})

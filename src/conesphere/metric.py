@@ -10,7 +10,7 @@ The one-parameter family glued_football(alpha, beta, t) cross-glues two
 spherical footballs of cone angles alpha and beta along a meridian slit of
 length t and realizes cone angles (alpha, beta, alpha + beta, 4*pi) exactly.
 
-validate, cone_angle_tuple, total_area and serialize read any sequence of
+validate, cone_angle_pass, total_area and serialize read any sequence of
 the six lengths: a tuple, a list, an ndarray row, or the TriangulatedMetric
 that glued_football and deserialize return.  validate alone names a
 violated inequality, by its triangle T1..T4; the triangle solvers raise
@@ -32,7 +32,7 @@ from .sphtrig import (
     VALIDITY_MARGIN,
     InvalidTriangleError,
     half_angle_sines,
-    sss_angles,
+    sss_solve,
     triangle_violations,
 )
 
@@ -183,22 +183,29 @@ def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
     return m
 
 
-def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
-    """(theta_A, theta_B, theta_D, theta_C) of lengths l1..l6.
-
-    Each triangle is checked as it is solved; an invalid one raises
-    InvalidTriangleError, and validate(lengths) names every violation.
-    Every corner angle is added to the cone point TRIANGLE_LAYOUT assigns
-    it, T1 first.
-    """
+def cone_angle_pass(lengths) -> tuple[tuple[float, ...], list[float]]:
+    """(theta_A, theta_B, theta_D, theta_C) of l1..l6 and their exact Jacobian,
+    a flat list with d theta_p/d l at 6*p + l, from one sss_solve per
+    triangle; an invalid one raises InvalidTriangleError (validate names
+    every violation).  Each sum runs from 0.0 along TRIANGLE_LAYOUT, in
+    triangle (T1 first), corner and side order."""
     x = np.asarray(lengths, dtype=float).tolist()
-    theta = [0.0, 0.0, 0.0, 0.0]
+    theta, J = [0.0] * 4, [0.0] * 24
     for (i, j, k), (p, q, r) in TRIANGLE_LAYOUT:
-        A, B, C = sss_angles(x[i], x[j], x[k])
+        (A, B, C), (dA, dB, dC) = sss_solve(x[i], x[j], x[k])
         theta[p] += A
         theta[q] += B
         theta[r] += C
-    return tuple(theta)
+        for row, (di, dj, dk) in ((6 * p, dA), (6 * q, dB), (6 * r, dC)):
+            J[row + i] += di
+            J[row + j] += dj
+            J[row + k] += dk
+    return tuple(theta), J
+
+
+def cone_angle_tuple(lengths) -> tuple[float, float, float, float]:
+    """The cone angles of cone_angle_pass."""
+    return cone_angle_pass(lengths)[0]
 
 
 def cone_angle_rows(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +213,8 @@ def cone_angle_rows(lengths) -> tuple[np.ndarray, np.ndarray]:
 
     lengths has shape (n, 6).  Validity and angles are those of
     cone_angle_tuple, in the same operations: the four comparisons of
-    triangle_violations, then the half-angle rule of sss_angles, summed in
-    the same order.  An invalid row's angles are nan.
+    triangle_violations, then the half-angle rule of sphtrig.sss_solve,
+    summed in the same order.  An invalid row's angles are nan.
     """
     x = np.asarray(lengths, dtype=float)
     m = VALIDITY_MARGIN

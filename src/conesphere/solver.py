@@ -13,10 +13,10 @@ residual(lengths, target), jacobian(lengths), gauss_newton(start, target),
 max_feasible_radius(lengths) and family_distance(lengths, spec) read any
 sequence of the six lengths l1..l6 (a tuple, a metric or an ndarray row);
 target is a 4-vector of cone angles, spec.cone_vector() on the family or a
-point off it.  Each triangle is solved by sphtrig's half-angle rule, through
-metric.cone_angle_tuple and sphtrig.sss_differentials.  Outside the validity
-region residual and jacobian raise InvalidTriangleError, which the solver
-loops treat as a boundary; metric.validate names the violations.  The
+point off it.  Each point is solved once, by metric.cone_angle_pass: one
+sphtrig.sss_solve per triangle gives its cone angles and exact Jacobian.
+Outside the validity region the pass raises InvalidTriangleError, which the
+solver loops treat as a boundary; metric.validate names the violations.  The
 region is a convex polytope in l1..l6 (metric.VALIDITY_ROWS), so the
 largest probe ball that fits in it (max_feasible_radius) is closed form.
 
@@ -25,15 +25,15 @@ closure by half-angle sines, with no clamp, then metric.cone_angle_rows,
 the batched cone angles and validity mask.  It returns a ScanGrid of
 arrays, with no object per node.
 Gauss-Newton stays on the scalar path: at a single point the fixed cost of
-the array operations makes the batched kernel slower than cone_angle_tuple.
+the array operations makes the batched kernel slower than cone_angle_pass.
 
 A rigidity start is scalar work on six floats, so its cost is mostly per
-call: one gauss_newton makes one exact Jacobian per accepted point, and one
-family_distance about 203 glued_football builds.  The per-point arithmetic
-therefore avoids numpy temporaries: lengths become a Python list once per
-residual or Jacobian, the Jacobian sums into a flat list of its 24 entries,
-norms are math.sqrt of a dot product (what np.linalg.norm computes for a
-1-D float array, to the bit), and family distances are math.dist.  The
+call: one gauss_newton makes one pass per trial point and one SVD per
+accepted point, and one family_distance about 203 glued_football builds.
+The per-point arithmetic therefore avoids numpy temporaries: lengths become
+a Python list once per pass, the Jacobian sums into a flat list of its 24
+entries, norms are math.sqrt of a dot product (what np.linalg.norm computes
+for a 1-D float array, to the bit), and family distances are math.dist.  The
 fixed inputs are converted once: gauss_newton makes its target an ndarray
 once per call, and family_distance scans a grid built once at import.
 """
@@ -47,11 +47,11 @@ import numpy as np
 
 from .metric import (
     LENGTH_FIELDS,
-    TRIANGLE_LAYOUT,
     VALIDITY_BOUNDS,
     VALIDITY_ROWS,
     ConeAngleSpec,
     GluedFootballParams,
+    cone_angle_pass,
     cone_angle_rows,
     cone_angle_tuple,
     glued_football,
@@ -60,7 +60,6 @@ from .sphtrig import (
     PI,
     InvalidTriangleError,
     sas_half_sides,
-    sss_differentials,
 )
 
 # Slit parameter window scanned when projecting onto the family, and the
@@ -107,23 +106,10 @@ def residual(lengths, target) -> np.ndarray:
 
 
 def jacobian(lengths) -> np.ndarray:
-    """Exact 4x6 Jacobian of the residual (the cone angles) in l1..l6.
-
-    Each triangle's sss_differentials go to the cone-point rows and side
-    columns TRIANGLE_LAYOUT assigns them; each entry sums its terms from
-    0.0 in triangle, row, column order.  The target does not enter.
-    Invalid lengths raise InvalidTriangleError.
-    """
-    x = np.asarray(lengths, dtype=float).tolist()
-    J = [0.0] * 24
-    for (a, b, c), points in TRIANGLE_LAYOUT:
-        dangs = sss_differentials(x[a], x[b], x[c])
-        for p, (da, db, dc) in zip(points, dangs):
-            r = 6 * p
-            J[r + a] += da
-            J[r + b] += db
-            J[r + c] += dc
-    return np.array(J).reshape(4, 6)
+    """Exact 4x6 Jacobian of the residual (the cone angles) in l1..l6, from
+    cone_angle_pass; the target does not enter.  Invalid lengths raise
+    InvalidTriangleError."""
+    return np.array(cone_angle_pass(lengths)[1]).reshape(4, 6)
 
 
 def numerical_rank(J: np.ndarray) -> tuple[int, np.ndarray]:
@@ -150,17 +136,20 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     the exact Jacobian, backtracked to stay inside the validity region.
     Success requires the residual norm below RES_TOL; the iteration
     then polishes until the step size stalls so that the quadratically flat
-    directions are fully resolved.  A rejected step changes only the
-    damping, so the SVD is kept until a step is accepted and computed only
-    when an iteration needs it.  The result carries the final lengths as a
+    directions are fully resolved.  Each trial point is solved once, by
+    cone_angle_pass: its angles give the residual, and an accepted point
+    keeps its Jacobian.  A rejected step changes only the damping, so the
+    SVD is kept until a step is accepted and computed only when an
+    iteration needs it.  The result carries the final lengths as a
     tuple of floats, or None when start itself is outside the region.
     """
     x = np.array(start, dtype=float)
     target = np.asarray(target, dtype=float)
     try:
-        r = residual(x, target)
+        theta, J = cone_angle_pass(x)
     except InvalidTriangleError:
         return GaussNewtonResult("boundary", None, math.inf, 0)
+    r = np.subtract(theta, target)
     rnorm = math.sqrt(r.dot(r))
     lam = DAMPING0
     last_step = math.inf
@@ -174,14 +163,14 @@ def gauss_newton(start, target) -> GaussNewtonResult:
             polish += 1
         iterations += 1
         if svd is None:
-            svd = np.linalg.svd(jacobian(x), full_matrices=False)
+            svd = np.linalg.svd(np.array(J).reshape(4, 6), full_matrices=False)
         step = _damped_min_norm_step(*svd, r, lam)
         # Backtrack into the validity region.
         shrink = 0
         while True:
             x_new = x - step
             try:
-                r_new = residual(x_new, target)
+                theta, J_new = cone_angle_pass(x_new)
                 break
             except InvalidTriangleError:
                 step = 0.5 * step
@@ -189,10 +178,11 @@ def gauss_newton(start, target) -> GaussNewtonResult:
                 if shrink > 60:
                     return GaussNewtonResult("boundary", tuple(x.tolist()),
                                              rnorm, iterations)
+        r_new = np.subtract(theta, target)
         rnorm_new = math.sqrt(r_new.dot(r_new))
         if rnorm_new <= rnorm or rnorm_new < RES_TOL:
             last_step = math.sqrt(step.dot(step))
-            x, r, rnorm = x_new, r_new, rnorm_new
+            x, r, rnorm, J = x_new, r_new, rnorm_new, J_new
             svd = None
             lam = max(lam / 3.0, DAMPING_FLOOR)
         else:
@@ -304,13 +294,15 @@ def max_feasible_radius(lengths) -> float:
     return float(np.min(slack / np.abs(VALIDITY_ROWS).sum(axis=1)))
 
 
-def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
-                  seed: int) -> dict:
+def rigidity_scan(p: GluedFootballParams, target, radius: float,
+                  samples: int, seed: int) -> dict:
     """Multistart probe of local rigidity around one glued football.
 
     Draws samples starts uniformly in the max-norm ball of the given
-    radius, projects each with gauss_newton and returns the rigidity
-    report's results: the Jacobian spectrum at the base point, convergence
+    radius, projects each with gauss_newton onto the cone-angle 4-vector
+    target (p.spec.cone_vector() to probe the family itself) and returns the
+    rigidity report's results: the Jacobian spectrum at the base point,
+    convergence
     counts, and per converged start its lengths, residual norm, nearest
     slit parameter s_star and family distance, with the largest of those
     distances.  Deterministic for a fixed seed.  An empty probe (radius not
@@ -329,7 +321,6 @@ def rigidity_scan(p: GluedFootballParams, radius: float, samples: int,
     rank, svals = numerical_rank(jacobian(base))
     rng = np.random.default_rng(seed)
     starts = np.array(base) + rng.uniform(-radius, radius, size=(samples, 6))
-    target = p.spec.cone_vector()
     results = [gauss_newton(s, target) for s in starts]
     statuses = [res.status for res in results]
     solutions = []

@@ -2,8 +2,9 @@
 
 Every length and angle is a plain radian value; there is no degree support
 anywhere.  A valid triangle meets the three triangle inequalities and has
-perimeter below 2*pi, each with margin VALIDITY_MARGIN.  Its SSS solve is the
-half-angle rule on f = sin(s) and fa, fb, fc = sin(s - a), sin(s - b),
+perimeter below 2*pi, each with margin VALIDITY_MARGIN.  Its SSS solve
+(sss_solve) gives the angles and their exact Jacobian from one set of
+half-angle sines f = sin(s), fa, fb, fc = sin(s - a), sin(s - b),
 sin(s - c), s = (a + b + c)/2, positive when valid.  Its SAS solve sums
 non-negative terms for sides in [0, pi] (sas_half_sides).  Neither takes an
 acos, and nothing is clamped: each scalar asin or acos left in the package
@@ -105,44 +106,45 @@ def side_from_sas(a: float, b: float, C: float) -> float:
     return 2.0 * math.atan2(math.sqrt(h), math.sqrt(k))
 
 
-def sss_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Angles (A, B, C) opposite sides (a, b, c) by the half-angle rule:
-    tan(A/2) = sqrt(fb fc/(f fa)) = root/(f fa), root = sqrt(f fa fb fc), and
-    cyclically.  Tiny sides keep their digits, where the cosine law's
-    numerator cancels.  Invalid sides raise InvalidTriangleError.
+def sss_solve(a: float, b: float, c: float) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """((A, B, C), J) of sides (a, b, c): the angles opposite them and their
+    exact Jacobian J, rows A, B, C and columns a, b, c, from one set of
+    half-angle sines.  Invalid sides raise InvalidTriangleError.
+    tan(A/2) = root/(f fa), root = sqrt(f fa fb fc), keeps the digits of
+    tiny sides, where the cosine law's numerator cancels.  Its differential
+    (Todhunter, Spherical Trigonometry, small variations of a triangle's
+    parts) is dA/da = sin a/(sin b sin c sin A) = sin a/(2 root), dA/db =
+    -cos C dA/da, dA/dc = -cos B dA/da, with cos A = (f fa - fb fc)/(f fa +
+    fb fc) from tan^2(A/2) = fb fc/(f fa); all of it holds cyclically.
     """
     f, fa, fb, fc = _checked_sines(a, b, c)
     root = math.sqrt(f * fa * fb * fc)
-    return (2.0 * math.atan2(root, f * fa), 2.0 * math.atan2(root, f * fb),
-            2.0 * math.atan2(root, f * fc))
-
-
-def sss_differentials(a: float, b: float, c: float) -> tuple[tuple[float, float, float], ...]:
-    """Exact Jacobian of sss_angles: rows A, B, C, columns a, b, c.
-
-    The differential of the cosine law (Todhunter, Spherical Trigonometry,
-    small variations of a triangle's parts): dA/da = sin a/(sin b sin c sin A),
-    dA/db = -cos C dA/da, dA/dc = -cos B dA/da, and cyclically for B and C.
-    No angle is solved: sin A = 2 sqrt(f fa fb fc)/(sin b sin c) makes each
-    denominator W = 2 sqrt(f fa fb fc), twice sss_angles' root, and tan^2(A/2) =
-    fb fc/(f fa) gives cos A = (f fa - fb fc)/(f fa + fb fc).  Invalid sides
-    raise as in sss_angles.
-    """
-    f, fa, fb, fc = _checked_sines(a, b, c)
-    W = 2.0 * math.sqrt(f * fa * fb * fc)
     cA = (f * fa - fb * fc) / (f * fa + fb * fc)
     cB = (f * fb - fa * fc) / (f * fb + fa * fc)
     cC = (f * fc - fa * fb) / (f * fc + fa * fb)
+    W = 2.0 * root
     dAa, dBb, dCc = math.sin(a) / W, math.sin(b) / W, math.sin(c) / W
-    return ((dAa, -cC * dAa, -cB * dAa),
-            (-cC * dBb, dBb, -cA * dBb),
-            (-cB * dCc, -cA * dCc, dCc))
+    return ((2.0 * math.atan2(root, f * fa), 2.0 * math.atan2(root, f * fb),
+             2.0 * math.atan2(root, f * fc)),
+            ((dAa, -cC * dAa, -cB * dAa),
+             (-cC * dBb, dBb, -cA * dBb),
+             (-cB * dCc, -cA * dCc, dCc)))
+
+
+def sss_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """The angles (A, B, C) of sss_solve."""
+    return sss_solve(a, b, c)[0]
+
+
+def sss_differentials(a: float, b: float, c: float) -> tuple[tuple[float, float, float], ...]:
+    """The Jacobian of sss_angles, as sss_solve gives it."""
+    return sss_solve(a, b, c)[1]
 
 
 def angles_from_sss(a: float, b: float, c: float) -> tuple[float, float, float]:
     """sss_angles(a, b, c), under the name perfbench traces.  A function of
     its own, not an alias: the tracer wraps every name bound to the same
-    object, and would then wrap each triangle solve of the cone angles."""
+    object."""
     return sss_angles(a, b, c)
 
 

@@ -214,7 +214,8 @@ def admissible_suite(alpha: float, beta: float) -> dict:
 
 def rigidity_suite(alpha: float, beta: float, t: float, radius: float,
                    samples: int, seed: int) -> dict:
-    results = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
+    spec = ConeAngleSpec(alpha, beta)
+    results = rigidity_scan(GluedFootballParams(spec, t), spec.cone_vector(),
                             radius, samples, seed)
     results["pass"] = results["rigidity_holds"]
     config = {"res_tol": RES_TOL, "rank_tol": RANK_TOL, "dist_tol": DIST_TOL,

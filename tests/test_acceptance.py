@@ -64,7 +64,8 @@ def test_c1_family_realization():
     (PI / 2, PI / 2, PI / 2),
 ])
 def test_c2_rigidity(alpha, beta, t):
-    rep = rigidity_scan(GluedFootballParams(ConeAngleSpec(alpha, beta), t),
+    spec = ConeAngleSpec(alpha, beta)
+    rep = rigidity_scan(GluedFootballParams(spec, t), spec.cone_vector(),
                         radius=0.05, samples=500, seed=7)
     frac = rep["converged"] / rep["starts"]
     ok = frac >= 0.95 and rep["max_family_distance"] < 1e-6

@@ -338,6 +338,17 @@ class TestLemmasCommand:
         assert results["extrema"] == [] and results["pass"] is True
         assert len(results["branches"]) == 6
 
+    @pytest.mark.parametrize("ell, beta", [("2.6", "3.141586"),
+                                           ("0.001", "3.14159")])
+    def test_lemma3_beta_near_pi_exits_zero(self, capsys, ell, beta):
+        # The extrema sit within 1.3e-5 of 0 and pi; at (2.6, 3.141586) the
+        # acute one is 4.7e-7 from the end of its triangle interval.
+        code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
+                              "--ell", ell, "--beta-angle", beta)
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        assert [e["kind"] for e in results["extrema"]] == ["maximum", "minimum"]
+
     def test_lemma1_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma1",
                               "--beta-angle", "1.0")

@@ -605,6 +605,51 @@ class TestLemma3:
             curvature = s_near(a - h) + s_near(a + h) - 2 * s_near(a)
             assert ext["kind"] == ("minimum" if curvature > 0 else "maximum")
 
+    @pytest.mark.parametrize("ell, beta", [
+        (0.001, 3.14159), (1.0, 3.141592), (2.6, 3.141586), (1.0, 2.0),
+        (1.0471976, 1.5707963)])
+    def test_alpha_crit_keeps_its_digits(self, ell, beta):
+        # cos^2(alpha) = (cos(ell) - cos(beta))/(1 + cos(ell)) in 50 digits.
+        # Near 0 and pi an acos of its root, next to 1, lost half the
+        # digits (relative error 4.4e-6 at (0.001, 3.14159)).
+        with mpmath.workdps(50):
+            e, b = mpmath.mpf(ell), mpmath.mpf(beta)
+            ref = mpmath.acos(mpmath.sqrt(
+                (mpmath.cos(e) - mpmath.cos(b)) / (1 + mpmath.cos(e))))
+            lo, hi = lemma3_sweep(ell, beta)
+            for got, want in ((lo, ref), (hi, mpmath.pi - ref)):
+                assert abs(got["alpha_crit"] - want) / want < 1e-15
+
+    def test_plan_input_keeps_its_bits(self):
+        # The benchmark's lemma3 input reads the same extrema as with acos.
+        lo, hi = lemma3_sweep(1.0471976, 1.5707963)
+        assert (lo["alpha_crit"], hi["alpha_crit"]) == (
+            0.9553166569952698, 2.1862759965945235)
+        assert (lo["s_crit"], hi["s_crit"]) == (
+            1.9106333139905398, 4.372551993189047)
+
+    @pytest.mark.parametrize("ell, beta", [(2.6, 3.141586)] + [
+        (0.01 + (PI - 0.02) * k / 11, PI - 10.0 ** -(5 + k % 4))
+        for k in range(12)])
+    def test_kinds_with_beta_near_pi(self, ell, beta):
+        # Within 1e-5 of pi the acute extremum can lie closer than its own
+        # step h to the end of the interval where triangles exist,
+        # sin(alpha) = sin(beta)/sin(ell): h stops halfway there.  The kinds
+        # are the signs of the 50-digit second difference at the same nodes.
+        extrema = lemma3_sweep(ell, beta)
+        assert [e["kind"] for e in extrema] == ["maximum", "minimum"]
+        end = math.asin(math.sin(beta) / math.sin(ell))
+        for ext in extrema:
+            a = ext["alpha_crit"]
+            h = min(1e-4, 0.5 * a, 0.5 * (PI - a), 0.5 * (end - min(a, PI - a)))
+
+            def s_near(alpha):
+                return min(mp_angle_sum_roots(alpha, ell, beta),
+                           key=lambda s: abs(s - 2 * a))
+
+            curvature = s_near(a - h) + s_near(a + h) - 2 * s_near(a)
+            assert ext["kind"] == ("minimum" if curvature > 0 else "maximum")
+
     def test_monotone_where_the_roots_meet(self):
         # ell = 1, beta = 1e-7 has no isosceles shape: every branch is
         # monotone, also the two 1.8e-8 wide ones next to 0 and pi.

@@ -15,12 +15,21 @@ from conesphere.metric import (
     ConeAngleSpec,
     GluedFootballParams,
     TriangulatedMetric,
+    cone_angle_pass,
     cone_angle_rows,
     cone_angle_tuple,
     glued_football,
     validate,
 )
 from conesphere.solver import (
+    DAMPING0,
+    DAMPING_FLOOR,
+    DAMPING_MAX,
+    MAX_ITER,
+    POLISH_LIMIT,
+    RES_TOL,
+    STEP_TOL,
+    GaussNewtonResult,
     defect_scan,
     family_distance,
     gauss_newton,
@@ -145,6 +154,65 @@ def jacobian_loops(lengths):
             for col, d in zip(sides, row):
                 J[p][col] += d
     return np.array(J)
+
+
+def two_solve_gauss_newton(start, target):
+    """Reference Gauss-Newton that solves each point twice: residual at
+    every trial point, then jacobian at each accepted one.  Otherwise the
+    iteration of solver.gauss_newton, step for step."""
+    x = np.array(start, dtype=float)
+    target = np.asarray(target, dtype=float)
+    try:
+        r = residual(x, target)
+    except InvalidTriangleError:
+        return GaussNewtonResult("boundary", None, math.inf, 0)
+    rnorm = math.sqrt(r.dot(r))
+    lam, last_step, polish, iterations, svd = DAMPING0, math.inf, 0, 0, None
+    for _ in range(MAX_ITER):
+        if rnorm < RES_TOL:
+            if last_step < STEP_TOL or polish >= POLISH_LIMIT:
+                break
+            polish += 1
+        iterations += 1
+        if svd is None:
+            svd = np.linalg.svd(jacobian(x), full_matrices=False)
+        U, sv, Vt = svd
+        step = Vt.T @ (sv / (sv * sv + lam * lam) * (U.T @ r))
+        shrink = 0
+        while True:
+            x_new = x - step
+            try:
+                r_new = residual(x_new, target)
+                break
+            except InvalidTriangleError:
+                step = 0.5 * step
+                shrink += 1
+                if shrink > 60:
+                    return GaussNewtonResult("boundary", tuple(x.tolist()),
+                                             rnorm, iterations)
+        rnorm_new = math.sqrt(r_new.dot(r_new))
+        if rnorm_new <= rnorm or rnorm_new < RES_TOL:
+            last_step = math.sqrt(step.dot(step))
+            x, r, rnorm, svd = x_new, r_new, rnorm_new, None
+            lam = max(lam / 3.0, DAMPING_FLOOR)
+        else:
+            lam = min(lam * 10.0, DAMPING_MAX)
+    status = "converged" if rnorm < RES_TOL else "max_iter"
+    return GaussNewtonResult(status, tuple(x.tolist()), rnorm, iterations)
+
+
+# The rigidity and rigidity-edge benchmark plans at (alpha, beta) = (1, 2):
+# (t, radius), and the start seed of their first input at benchmark seed 7.
+BENCH_PLANS = ((1.2, 0.05), (0.2, 0.02))
+BENCH_FIRST_SEED = 1390851128
+
+
+def bench_starts(t, radius, samples=100, seed=BENCH_FIRST_SEED):
+    """The starts rigidity_scan draws for one benchmark input."""
+    base = np.array(glued_football(
+        GluedFootballParams(ConeAngleSpec(1.0, 2.0), t)).lengths())
+    return base + np.random.default_rng(seed).uniform(
+        -radius, radius, size=(samples, 6))
 
 
 def distance_slack(s, spec):
@@ -331,6 +399,45 @@ class TestJacobian:
                                       jacobian_loops(x).view(np.int64))
 
 
+class TestConeAnglePass:
+    @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
+           st.floats(0.2, PI - 0.2),
+           st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6),
+           st.integers(0, len(VALIDITY_ROWS)), st.floats(1e-12, 1e-9))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_both_paths(self, alpha, beta, t, offset, row,
+                                         slack):
+        # Points drawn as in TestJacobian::test_bit_identical_to_nested_loops.
+        # The one pass gives the scalar angles and the nested-loop Jacobian
+        # to the bit.  The batched angles take numpy's sin and arctan2,
+        # which may differ from libm's by an ulp: they agree to 1e-13, as
+        # in test_metric, and the validity mask exactly.
+        spec = ConeAngleSpec(alpha, beta)
+        x = np.array(base_metric(t=t, spec=spec).lengths()) + offset
+        if row < len(VALIDITY_ROWS):
+            c = VALIDITY_ROWS[row]
+            x = x + (VALIDITY_BOUNDS[row] - c @ x - slack) * c / (c @ c)
+        assume(not validate(x))
+        theta, J = cone_angle_pass(x)
+        rows, valid = cone_angle_rows(x[None, :])
+        assert valid[0]
+        np.testing.assert_array_equal(
+            np.array(theta).view(np.int64),
+            np.array(cone_angle_tuple(x)).view(np.int64))
+        assert rows[0].tolist() == pytest.approx(theta, abs=1e-13)
+        np.testing.assert_array_equal(
+            np.array(J).reshape(4, 6).view(np.int64),
+            jacobian_loops(x).view(np.int64))
+
+    def test_invalid_triangle_raises(self):
+        # l5 past l3 + l4 breaks T2 = (l3, l4, l5): the pass raises.
+        m = base_metric()
+        bad = (m.l1, m.l2, m.l3, m.l4, m.l3 + m.l4 + 1e-3, m.l6)
+        assert validate(bad)
+        with pytest.raises(InvalidTriangleError):
+            cone_angle_pass(bad)
+
+
 class TestNumericalRank:
     def test_zero_matrix(self):
         rank, svals = numerical_rank(np.zeros((4, 6)))
@@ -383,44 +490,75 @@ class TestGaussNewton:
 
     def test_rejected_step_keeps_the_factorization(self, monkeypatch):
         # The first start a seed-7, radius-0.02 probe draws at t = 0.2 has
-        # rejected steps.  A rejection changes only the damping, so the
-        # next iteration must not recompute the Jacobian at the same point.
+        # rejected steps.  A rejection changes only the damping, so no
+        # point is factored twice: the SVDs are those of the two-solve
+        # reference, one per accepted point, Jacobian for Jacobian.
         spec = ConeAngleSpec(1.0, 2.0)
         base = np.array(glued_football(GluedFootballParams(spec, 0.2)).lengths())
-        offset = np.random.default_rng(7).uniform(-0.02, 0.02, size=6)
-        points = []
+        start = base + np.random.default_rng(7).uniform(-0.02, 0.02, size=6)
+        svd = np.linalg.svd
+        factored = []
 
-        def recording(lengths):
-            points.append(tuple(float(v) for v in lengths))
-            return jacobian(lengths)
+        def recording(J, full_matrices=True):
+            factored.append(np.array(J))
+            return svd(J, full_matrices=full_matrices)
 
-        monkeypatch.setattr(solver, "jacobian", recording)
-        result = gauss_newton(base + offset, spec.cone_vector())
-        assert all(a != b for a, b in zip(points, points[1:]))
-        # One Jacobian per accepted point, so fewer than the iterations.
-        assert len(points) < result.iterations
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        result = gauss_newton(start, spec.cone_vector())
+        ours, factored[:] = factored[:], []
+        reference = two_solve_gauss_newton(start, spec.cone_vector())
+        assert result == reference
+        assert len(ours) == len(factored)
+        for J, K in zip(ours, factored):
+            np.testing.assert_array_equal(J.view(np.int64), K.view(np.int64))
+        assert all(not np.array_equal(J, K) for J, K in zip(ours, ours[1:]))
+        # One SVD per accepted point, so fewer than the iterations.
+        assert len(ours) < result.iterations
+        np.testing.assert_array_equal(ours[0], jacobian(start))
 
     def test_backtracks_out_of_the_validity_region(self, monkeypatch):
         # The 36th draw of default_rng(3) in [0.05, 3.1]^6 is a valid start
-        # whose full steps leave the region: each such trial point is
-        # rejected, the step halved, and the solve still converges.
+        # whose full steps leave the region: each such trial point raises
+        # in the pass, the step is halved from the same point, and the
+        # solve still converges.
         target = ConeAngleSpec(1.0, 2.0).cone_vector()
         start = np.random.default_rng(3).uniform(0.05, 3.1, (36, 6))[35]
         assert not validate(start)
-        rejected = []
+        trials = []  # (point, valid) in evaluation order
 
-        def counting(lengths, target):
+        def counting(lengths):
+            point = np.array(lengths, dtype=float)
             try:
-                return residual(lengths, target)
+                out = cone_angle_pass(lengths)
             except InvalidTriangleError:
-                rejected.append(tuple(lengths))
+                trials.append((point, False))
                 raise
+            trials.append((point, True))
+            return out
 
-        monkeypatch.setattr(solver, "residual", counting)
+        monkeypatch.setattr(solver, "cone_angle_pass", counting)
         result = gauss_newton(start, target)
+        rejected = [k for k, (_, ok) in enumerate(trials) if not ok]
         assert rejected
+        for k in rejected:
+            assert validate(trials[k][0])
+            # The next trial point halves the step from some earlier valid
+            # point x: x - next = (x - rejected) / 2 up to roundoff.
+            nxt = trials[k + 1][0]
+            gaps = [np.max(np.abs((x - nxt) - 0.5 * (x - trials[k][0])))
+                    for x, ok in trials[:k] if ok]
+            assert min(gaps) < 1e-14
         assert result.status == "converged"
         assert not validate(result.lengths)
+
+    @pytest.mark.parametrize("t, radius", BENCH_PLANS)
+    def test_matches_the_two_solve_reference(self, t, radius):
+        # The one-solve iteration changes no bit: every result of the first
+        # 100-start benchmark input equals the reference's.
+        target = ConeAngleSpec(1.0, 2.0).cone_vector()
+        for start in bench_starts(t, radius):
+            assert gauss_newton(start, target) == two_solve_gauss_newton(
+                start, target)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", range(6))
@@ -575,7 +713,8 @@ class TestFamilyDistance:
         # builds after the 200-point scan, and the distance is that of a
         # fresh build at s_star, to the bit.
         spec = ConeAngleSpec(1.0, 2.0)
-        report = rigidity_scan(GluedFootballParams(spec, t), radius, 20, 7)
+        report = rigidity_scan(GluedFootballParams(spec, t), spec.cone_vector(),
+                               radius, 20, 7)
         assert report["converged"] > 0
         builds = []
 
@@ -671,11 +810,29 @@ class TestFoldControl:
         # The closest the solver gets is the fold itself, about |eps| away.
         assert min(r.residual_norm for r in results) > 0.5e-6
 
+    def test_whole_probe_reads_the_fold(self):
+        # rigidity_scan with its verdict, on the starts of solve: pushed
+        # outward, every start converges more than 1e-3 from the family and
+        # the probe fails; pushed inward, no start converges.  A sign error
+        # in w or in the layout fails one of the two.
+        p = GluedFootballParams(self.spec, self.t)
+        theta0 = np.array(self.spec.cone_vector())
+        out = rigidity_scan(p, theta0 + 1e-6 * self.cokernel(), radius=0.01,
+                            samples=20, seed=7)
+        assert out["converged"] == 20
+        assert min(sol["family_distance"] for sol in out["solutions"]) > 1e-3
+        assert out["rigidity_holds"] is False
+        inward = rigidity_scan(p, theta0 - 1e-6 * self.cokernel(),
+                               radius=0.01, samples=20, seed=7)
+        assert (inward["converged"], inward["nonconverged"]) == (0, 20)
+        assert inward["rigidity_holds"] is False
+
 
 class TestRigidityScan:
     def test_small_scan_converges_onto_family(self):
         report = rigidity_scan(GluedFootballParams(SPEC, PI / 3),
-                               radius=0.05, samples=40, seed=7)
+                               SPEC.cone_vector(), radius=0.05, samples=40,
+                               seed=7)
         assert report["converged"] == 40
         assert report["max_family_distance"] < 1e-6
         assert report["rigidity_holds"]
@@ -686,7 +843,8 @@ class TestRigidityScan:
         # at the recorded lengths.
         spec = ConeAngleSpec(1.0, 2.0)
         report = rigidity_scan(GluedFootballParams(spec, 1.2),
-                               radius=0.05, samples=8, seed=7)
+                               spec.cone_vector(), radius=0.05, samples=8,
+                               seed=7)
         assert report["converged"] == 8
         for sol in report["solutions"]:
             assert sol["residual_norm"] == float(
@@ -702,8 +860,9 @@ class TestRigidityScan:
 
     def test_seed_changes_details_not_verdict(self):
         p = GluedFootballParams(SPEC, PI / 3)
-        rep1 = rigidity_scan(p, radius=0.05, samples=25, seed=7)
-        rep2 = rigidity_scan(p, radius=0.05, samples=25, seed=8)
+        target = p.spec.cone_vector()
+        rep1 = rigidity_scan(p, target, radius=0.05, samples=25, seed=7)
+        rep2 = rigidity_scan(p, target, radius=0.05, samples=25, seed=8)
         assert rep1["rigidity_holds"] == rep2["rigidity_holds"]
         assert rep1["solutions"] != rep2["solutions"]
 
@@ -716,13 +875,15 @@ class TestRigidityScan:
         offsets = np.random.default_rng(7).uniform(-0.02, 0.02, size=(12, 6))
         statuses = [gauss_newton(base + off, p.spec.cone_vector()).status
                     for off in offsets]
-        report = rigidity_scan(p, radius=0.02, samples=12, seed=7)
+        report = rigidity_scan(p, p.spec.cone_vector(), radius=0.02,
+                               samples=12, seed=7)
         counts = (report["converged"], report["nonconverged"],
                   report["boundary_failures"])
         assert counts == (statuses.count("converged"), statuses.count("max_iter"),
                           statuses.count("boundary"))
         assert report["nonconverged"] > 0
-        lone = rigidity_scan(p, radius=0.02, samples=1, seed=7)
+        lone = rigidity_scan(p, p.spec.cone_vector(), radius=0.02, samples=1,
+                             seed=7)
         assert statuses[0] == "max_iter"
         assert lone["converged"] == 0 and lone["max_family_distance"] == 0.0
         assert lone["rigidity_holds"] is False
@@ -730,15 +891,18 @@ class TestRigidityScan:
     def test_radius_bound_is_strict_at_the_closed_form(self):
         p = GluedFootballParams(ConeAngleSpec(1.0, 2.0), 0.2)
         r = max_feasible_radius(glued_football(p))
-        rigidity_scan(p, radius=r * (1 - 1e-9), samples=1, seed=7)
+        rigidity_scan(p, p.spec.cone_vector(), radius=r * (1 - 1e-9),
+                      samples=1, seed=7)
         for radius in (r, r * (1 + 1e-9)):
             with pytest.raises(ValueError, match="leaves the validity region"):
-                rigidity_scan(p, radius=radius, samples=1, seed=7)
+                rigidity_scan(p, p.spec.cone_vector(), radius=radius,
+                              samples=1, seed=7)
 
     def test_oversized_radius_names_feasible_bound(self):
         p = GluedFootballParams(SPEC, 0.1)
         with pytest.raises(ValueError) as err:
-            rigidity_scan(p, radius=0.5, samples=5, seed=7)
+            rigidity_scan(p, p.spec.cone_vector(), radius=0.5, samples=5,
+                          seed=7)
         feasible = max_feasible_radius(glued_football(p))
         assert f"{feasible:.6f}" in str(err.value)
 
