@@ -153,7 +153,7 @@ def _cmd_check(args) -> int:
     }
     if not violations:
         theta = cone_angle_tuple(metric)
-        res = residual(metric, spec.cone_vector())
+        res = np.subtract(theta, spec.cone_vector())
         results["cone_angles"] = dict(zip(
             ("theta_A", "theta_B", "theta_D", "theta_C"), theta))
         results["residual"] = res.tolist()

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 
-from .sphtrig import (
-    PI,
-    TWO_PI,
-    NoTriangleError,
-    sine_rule_side,
-)
+from .sphtrig import PI, TWO_PI
+
+
+class NoTriangleError(ValueError):
+    """The given data cannot be realized by any spherical triangle."""
 
 
 def half_piece_solve(apex_half: float, d_half: float, ell: float,
@@ -43,9 +42,12 @@ def half_piece_solve(apex_half: float, d_half: float, ell: float,
 
     apex_half and d_half are the halves of the apex cone angle and of the
     D-side cone angle carried by this piece, both in (0, pi/2) so that the
-    doubled piece keeps proper apexes; ell is the slit length l3 = l4.  The
-    outer side follows from the sine rule on the acute or obtuse branch
-    (sine_rule_side checks ell and branch); a ratio above 1 raises
+    doubled piece keeps proper apexes; ell is the slit length l3 = l4, in
+    (0, pi).  The outer side follows from the sine rule,
+    sin(side) = sin(d_half) sin(ell) / sin(apex_half), on the acute branch
+    in (0, pi/2] or the obtuse one in [pi/2, pi), which the rule alone
+    cannot tell apart.  It reads a ratio up to 1e-12 above 1 as roundoff of
+    1; beyond that, or at a ratio that underflows to 0, it raises
     NoTriangleError.  Doubled across its symmetry axis, the half piece is a
     kite whose chord between the two corner copies splits it into two
     isosceles triangles: legs side with apex angle 2*apex_half, and legs ell
@@ -57,7 +59,18 @@ def half_piece_solve(apex_half: float, d_half: float, ell: float,
     for name, v in (("apex_half", apex_half), ("d_half", d_half)):
         if not (0.0 < v < PI / 2.0):
             raise ValueError(f"{name} = {v!r} outside (0, pi/2)")
-    side = sine_rule_side(apex_half, ell, d_half, branch)
+    if not (0.0 < ell < PI):
+        raise ValueError(f"ell = {ell!r} outside (0, pi)")
+    if branch not in ("acute", "obtuse"):
+        raise ValueError(f"branch must be 'acute' or 'obtuse', got {branch!r}")
+    ratio = math.sin(d_half) * math.sin(ell) / math.sin(apex_half)
+    if not 0.0 < ratio <= 1.0 + 1e-12:
+        raise NoTriangleError(f"sine-rule ratio {ratio!r} outside (0, 1]: "
+                              f"no such triangle")
+    # min caps the roundoff window at 1, so asin reads its argument in (0, 1].
+    side = math.asin(min(ratio, 1.0))
+    if branch == "obtuse":
+        side = PI - side
     corner = (math.atan2(1.0, math.cos(side) * math.tan(apex_half))
               + math.atan2(1.0, math.cos(ell) * math.tan(d_half)))
     return side, corner
@@ -78,9 +91,10 @@ def _angle_sum_roots(alpha: float, ell: float, beta: float) -> list[float]:
 
     The law is cos(beta) = -cos(alpha)cos(u) + sin(alpha)sin(u)cos(ell) for
     the second base angle u = s - alpha.  It reads R cos(u - phi) = cos(beta),
-    where (R cos phi, R sin phi) = (-cos alpha, sin alpha cos ell), so the
-    roots are u = phi -+ half (mod 2*pi), kept inside (1e-9, pi - 1e-9) and
-    returned in ascending order, with cos(half) = cos(beta) / R.  Since
+    where (R cos phi, R sin phi) = (-cos alpha, sin alpha cos ell), and
+    R > 0 since no double alpha has cos(alpha) == 0.0.  So the roots are
+    u = phi -+ half (mod 2*pi), kept inside (1e-9, pi - 1e-9) and returned
+    in ascending order, with cos(half) = cos(beta) / R.  Since
     R^2 = 1 - sin^2(alpha) sin^2(ell), R sin(half) is the square root of
     D = (sin beta - sin alpha sin ell)(sin beta + sin alpha sin ell), which is
     R^2 - cos^2(beta) factored, and half = atan2(sqrt(D), cos beta).  There
@@ -89,8 +103,6 @@ def _angle_sum_roots(alpha: float, ell: float, beta: float) -> list[float]:
     digits of half; the factors of D keep them.
     """
     x, y = -math.cos(alpha), math.sin(alpha) * math.cos(ell)
-    if math.hypot(x, y) == 0.0:
-        return []
     sin_beta, prod = math.sin(beta), math.sin(alpha) * math.sin(ell)
     disc = (sin_beta - prod) * (sin_beta + prod)
     if disc < 0.0:

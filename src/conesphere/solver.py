@@ -256,13 +256,6 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     closed-form projection that replaces the scan waits on that count.
     """
     half = (math.sin(0.5 * spec.alpha), math.sin(0.5 * spec.beta))
-
-    def build(s: float) -> tuple[float, ...] | None:
-        try:
-            return glued_football(GluedFootballParams(spec, s))
-        except InvalidTriangleError:
-            return None
-
     for field, x in zip(LENGTH_FIELDS, lengths):
         if not math.isfinite(x):
             raise ValueError(f"{field} = {float(x)!r} is not finite")
@@ -304,14 +297,15 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
             s_new = 0.5 * (lo + hi)
         if s_new == s:
             break
-        fam_new = build(s_new)
         step = abs(s_new - s)
-        if fam_new is None:
+        try:
+            fam = glued_football(GluedFootballParams(spec, s_new))
+        except InvalidTriangleError:
             # A degenerate football bounds the bracket; s stays.
             lo, hi = (lo, s_new) if s_new > s else (s_new, hi)
             dead = s_new
         else:
-            s, fam = s_new, fam_new
+            s = s_new
         if step < 1e-12 or (not math.isnan(dead) and hi - lo < 1e-9):
             break
     return s, math.dist(fam, lengths)

@@ -20,30 +20,13 @@ import math
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
-# sine_rule_side reads a ratio up to CLAMP_TOL above 1 as roundoff of 1;
-# beyond it there is no triangle.
-CLAMP_TOL = 1e-12
 # Margin applied to every triangle inequality; boundary-degenerate
 # triangles are rejected so downstream solvers see a uniform interior.
 VALIDITY_MARGIN = 1e-10
 
 
-class SphericalGeometryError(ValueError):
-    """Base error for the kernel."""
-
-
-class NoTriangleError(SphericalGeometryError):
-    """The given data cannot be realized by any spherical triangle."""
-
-
-class InvalidTriangleError(SphericalGeometryError):
+class InvalidTriangleError(ValueError):
     """A triangle violates a validity invariant."""
-
-
-def _require_range(name: str, value: float, lo: float = 0.0, hi: float = PI) -> None:
-    if not (lo < value < hi):
-        raise SphericalGeometryError(
-            f"{name} = {value!r} outside the open interval ({lo}, {hi})")
 
 
 def triangle_violations(a: float, b: float, c: float) -> list[str]:
@@ -75,15 +58,6 @@ def half_angle_sines(a, b, c, sin):
             sin(0.5 * (a + c - b)), sin(0.5 * (a + b - c)))
 
 
-def _checked_sines(a: float, b: float, c: float) -> tuple[float, float, float, float]:
-    """half_angle_sines, or InvalidTriangleError naming the first violation."""
-    bad = triangle_violations(a, b, c)
-    if bad:
-        raise InvalidTriangleError(
-            f"invalid spherical triangle {(a, b, c)}: {bad[0]}")
-    return half_angle_sines(a, b, c, math.sin)
-
-
 def sas_half_sides(a, b, C, sin, cos):
     """(sin^2(c/2), cos^2(c/2)) of the side c opposite the angle C between
     sides a and b: sin^2((a - b)/2) + sin a sin b sin^2(C/2) and
@@ -99,9 +73,9 @@ def sas_half_sides(a, b, C, sin, cos):
 
 def side_from_sas(a: float, b: float, C: float) -> float:
     """Third side from two sides and the included angle (sas_half_sides)."""
-    _require_range("side a", a)
-    _require_range("side b", b)
-    _require_range("angle C", C)
+    for name, v in (("side a", a), ("side b", b), ("angle C", C)):
+        if not (0.0 < v < PI):
+            raise ValueError(f"{name} = {v!r} outside (0, pi)")
     h, k = sas_half_sides(a, b, C, math.sin, math.cos)
     return 2.0 * math.atan2(math.sqrt(h), math.sqrt(k))
 
@@ -117,7 +91,11 @@ def sss_solve(a: float, b: float, c: float) -> tuple[tuple[float, ...], tuple[tu
     -cos C dA/da, dA/dc = -cos B dA/da, with cos A = (f fa - fb fc)/(f fa +
     fb fc) from tan^2(A/2) = fb fc/(f fa); all of it holds cyclically.
     """
-    f, fa, fb, fc = _checked_sines(a, b, c)
+    bad = triangle_violations(a, b, c)
+    if bad:
+        raise InvalidTriangleError(
+            f"invalid spherical triangle {(a, b, c)}: {bad[0]}")
+    f, fa, fb, fc = half_angle_sines(a, b, c, math.sin)
     root = math.sqrt(f * fa * fb * fc)
     cA = (f * fa - fb * fc) / (f * fa + fb * fc)
     cB = (f * fb - fa * fc) / (f * fb + fa * fc)
@@ -131,41 +109,6 @@ def sss_solve(a: float, b: float, c: float) -> tuple[tuple[float, ...], tuple[tu
              (-cB * dCc, -cA * dCc, dCc)))
 
 
-def sss_angles(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """The angles (A, B, C) of sss_solve."""
-    return sss_solve(a, b, c)[0]
-
-
-def sss_differentials(a: float, b: float, c: float) -> tuple[tuple[float, float, float], ...]:
-    """The Jacobian of sss_angles, as sss_solve gives it."""
-    return sss_solve(a, b, c)[1]
-
-
 def angles_from_sss(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """sss_angles(a, b, c), under the name perfbench traces.  A function of
-    its own, not an alias: the tracer wraps every name bound to the same
-    object."""
-    return sss_angles(a, b, c)
-
-
-def sine_rule_side(A: float, a: float, B: float, branch: str) -> float:
-    """Side opposite B from the sine rule, with an explicit branch choice.
-
-    branch selects the acute solution in (0, pi/2] or the obtuse one in
-    [pi/2, pi); the rule alone cannot disambiguate.
-    """
-    _require_range("angle A", A)
-    _require_range("angle B", B)
-    _require_range("side a", a)
-    if branch not in ("acute", "obtuse"):
-        raise ValueError(f"branch must be 'acute' or 'obtuse', got {branch!r}")
-    ratio = math.sin(B) * math.sin(a) / math.sin(A)
-    if ratio > 1.0 + CLAMP_TOL:
-        raise NoTriangleError(
-            f"sine-rule ratio {ratio!r} exceeds 1: no such triangle")
-    if ratio <= 0.0:
-        raise SphericalGeometryError(f"sine-rule ratio {ratio!r} not positive")
-    # The checks above leave ratio in (0, 1 + CLAMP_TOL]; min caps it at 1.
-    b = math.asin(min(ratio, 1.0))
-    return b if branch == "acute" else PI - b
-
+    """The angles (A, B, C) of sss_solve, under the name perfbench traces."""
+    return sss_solve(a, b, c)[0]

@@ -96,6 +96,9 @@ def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
 
 
 def lemma2_suite(beta: float) -> dict:
+    # Checked here: the spec's own check would name the alpha it copies.
+    if not (0.0 < beta < PI):
+        raise ValueError(f"beta = {beta!r} outside the supported range (0, pi)")
     return _defect_suite("lemmas --suite lemma2", beta, beta,
                          LEMMA2_WINDOWS, {"beta": beta})
 

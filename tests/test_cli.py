@@ -373,13 +373,25 @@ class TestLemmasCommand:
         assert err == ("usage error: alpha = 3.15 outside the supported "
                        "range (0, pi)\n")
 
+    @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
+    def test_beta_angle_outside_range_names_beta(self, capsys, suite):
+        # lemma2 runs step1 at alpha = beta; its error names the option the
+        # user gave, not the alpha it was copied into.
+        code, out, err = run(capsys, "lemmas", "--suite", suite,
+                             "--beta-angle", "3.2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: beta = 3.2 outside")
+
     def test_lemma3_requires_inputs(self, capsys):
         code, _, err = run(capsys, "lemmas", "--suite", "lemma3")
         assert code == 2
 
     @pytest.mark.parametrize("ell, beta", [
         ("-1.0", "1.5"), ("7.0", "1.5"), ("1.0", "4.0"), ("1.0", "-1"),
-        ("1.0", "0.0")])
+        ("1.0", "0.0"),
+        # Inside (0, pi), but sin(ell) < 1e-12: lemma3_sweep rejects those too.
+        ("1e-13", "1.0"), ("3.1415926535897", "1.0")])
     def test_lemma3_outside_zero_pi_usage_error(self, capsys, ell, beta):
         code, out, err = run(capsys, "lemmas", "--suite", "lemma3",
                              "--ell", ell, "--beta-angle", beta)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conesphere import suites
 from conesphere.lemmas import (
+    NoTriangleError,
     angle_sum_branches,
     half_piece_solve,
     inequality_sign,
@@ -16,7 +17,7 @@ from conesphere.lemmas import (
 )
 from conesphere.metric import ConeAngleSpec
 from conesphere.solver import defect_scan
-from conesphere.sphtrig import PI, NoTriangleError, sss_angles
+from conesphere.sphtrig import PI, sss_solve
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -36,15 +37,14 @@ def embedded_half_piece_corner(apex_half, d_half, ell, branch):
     """Corner angle at the slit vertex, via explicit unit vectors.
 
     The apex sits at the north pole, the slit vertex C at azimuth
-    +apex_half, and the D vertex on the azimuth-0 symmetry plane at
+    +apex_half and arc length from the pole the sine-rule side of
+    half_piece_solve (the corner alone is measured), and the D vertex on the azimuth-0 symmetry plane at
     distance ell from C, selected so the angle it makes with the symmetry
     axis equals d_half.  The corner angle is measured as the tangent sweep
     from the apex direction to the D direction on the side of the region,
     which may exceed pi.
     """
-    from conesphere.sphtrig import sine_rule_side
-
-    side = sine_rule_side(apex_half, ell, d_half, branch)
+    side, _ = half_piece_solve(apex_half, d_half, ell, branch)
     A = np.array([0.0, 0.0, 1.0])
     C = np.array([math.sin(side) * math.cos(apex_half),
                   math.sin(side) * math.sin(apex_half),
@@ -386,6 +386,10 @@ class TestInequalitySign:
     def test_equal_sides_zero(self):
         assert inequality_sign(1.0, 1.2, 1.2) == 0
 
+    def test_mixed_signs_product_is_negative(self):
+        # ell < pi/2 with l1 < l2: sin, cos > 0 and sin((l1-l2)/2) < 0.
+        assert inequality_sign(PI / 3, 1.0, 1.2) == -1
+
 
 # ---------------------------------------------------------------------------
 # lemma3_sweep
@@ -435,7 +439,7 @@ class TestDualCosine:
         hi = min(a + b, 2.0 * PI - a - b) - 1e-3
         assume(lo < hi)
         c = lo + frac * (hi - lo)
-        A, B, C = sss_angles(a, b, c)
+        A, B, C = sss_solve(a, b, c)[0]
         assert dual_cosine_angle(A, B, c) == pytest.approx(C, abs=1e-10)
 
 
@@ -777,6 +781,13 @@ class TestLemma1CaseB:
     def test_midpoint_is_rejected(self):
         with pytest.raises(ValueError):
             lemma1_caseb_exclusion(1.0, [PI / 2])
+
+    @pytest.mark.parametrize("beta, l1, name", [
+        (0.0, 1.0, "beta"), (PI, 1.0, "beta"), (math.nan, 1.0, "beta"),
+        (1.0, 0.0, "l1"), (1.0, PI, "l1"), (1.0, math.nan, "l1")])
+    def test_beta_and_l1_outside_zero_pi_rejected(self, beta, l1, name):
+        with pytest.raises(ValueError, match=f"{name} = .* outside"):
+            lemma1_caseb_exclusion(beta, [1.2, l1])
 
 
 # ---------------------------------------------------------------------------

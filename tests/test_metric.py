@@ -21,7 +21,7 @@ from conesphere.metric import (
     validate,
 )
 from conesphere.solver import max_feasible_radius
-from conesphere.sphtrig import PI, VALIDITY_MARGIN, sss_angles
+from conesphere.sphtrig import PI, VALIDITY_MARGIN, sss_solve
 
 TARGET = 4.0 * PI
 
@@ -93,7 +93,7 @@ class TestConeAngles:
     def test_family_per_vertex_totals_are_flat(self):
         # Each of C1..C4 collects exactly pi at a glued football.
         x = family(1.1, 2.3, 0.9).lengths()
-        t1, t2, t3, t4 = (sss_angles(*(x[i] for i in sides))
+        t1, t2, t3, t4 = (sss_solve(*(x[i] for i in sides))[0]
                           for sides, _ in TRIANGLE_LAYOUT)
         assert t1[0] + t2[1] == pytest.approx(PI, abs=1e-12)  # at C1
         assert t1[1] + t2[0] == pytest.approx(PI, abs=1e-12)  # at C2
@@ -314,7 +314,7 @@ class TestArea:
         base = family(alpha, beta, t)
         radius = max_feasible_radius(base)
         x = [v + radius * f for v, f in zip(base.lengths(), frac)]
-        excess = sum(sum(sss_angles(*(x[i] for i in sides))) - PI
+        excess = sum(sum(sss_solve(*(x[i] for i in sides))[0]) - PI
                      for sides, _ in TRIANGLE_LAYOUT)
         assert abs(total_area(x) - excess) < 1e-13
 

@@ -41,11 +41,7 @@ from conesphere.solver import (
     residual,
     rigidity_scan,
 )
-from conesphere.sphtrig import (
-    PI,
-    InvalidTriangleError,
-    sss_differentials,
-)
+from conesphere.sphtrig import PI, InvalidTriangleError, sss_solve
 
 SPEC = ConeAngleSpec(PI / 2, PI / 2)
 
@@ -146,12 +142,12 @@ def embedded_jacobian(x, spec, layout=LAYOUT):
 
 def jacobian_loops(lengths):
     """Reference assembly of the exact Jacobian: each triangle's
-    sss_differentials added into a 4x6 list of lists by nested loops over
+    sss_solve Jacobian added into a 4x6 list of lists by nested loops over
     TRIANGLE_LAYOUT, every entry from 0.0."""
     x = np.asarray(lengths, dtype=float).tolist()
     J = [[0.0] * 6 for _ in range(4)]
     for sides, points in TRIANGLE_LAYOUT:
-        dangs = sss_differentials(*(x[s] for s in sides))
+        dangs = sss_solve(*(x[s] for s in sides))[1]
         for p, row in zip(points, dangs):
             for col, d in zip(sides, row):
                 J[p][col] += d
@@ -616,7 +612,7 @@ class TestGaussNewton:
         with pytest.raises(InvalidTriangleError):
             cone_angle_tuple(lengths)
         with pytest.raises(InvalidTriangleError):
-            sss_differentials(bad, 1.0, 1.0)
+            sss_solve(bad, 1.0, 1.0)
         assert gauss_newton(lengths, SPEC.cone_vector()).status == "boundary"
 
     def test_invalid_start_is_boundary_failure(self):
@@ -1098,6 +1094,13 @@ class TestDefectScan:
     def test_unknown_branch_rejected(self):
         with pytest.raises(ValueError, match="branch must be"):
             defect_scan(SPEC, [PI / 3], [PI / 3], eps=0.0, branch="bogus")
+
+    @pytest.mark.parametrize("eps", [0.8, -1.1])
+    def test_eps_driving_a_d_apex_out_rejected(self, eps):
+        # (1, 2): eps = 0.8 puts alpha - 2 eps below 0, eps = -1.1 puts it
+        # above pi.
+        with pytest.raises(ValueError, match="drives a D-apex out"):
+            defect_scan(ConeAngleSpec(1.0, 2.0), [2.0], [2.0], eps, "acute")
 
     @pytest.mark.parametrize("l3, l4", [([], []), ([1.0, 1.1], [1.0])])
     def test_empty_or_unequal_pairs_rejected(self, l3, l4):

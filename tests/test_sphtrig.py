@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conesphere.lemmas import NoTriangleError, half_piece_solve
 from conesphere.sphtrig import (
     PI,
     InvalidTriangleError,
-    CLAMP_TOL,
-    NoTriangleError,
     angles_from_sss,
     side_from_sas,
-    sine_rule_side,
-    sss_angles,
-    sss_differentials,
+    sss_solve,
     triangle_violations,
 )
 
@@ -34,7 +31,7 @@ def valid_triangles():
 
 def excess(a, b, c):
     """The spherical area of a triangle: its angle sum less pi."""
-    return sum(sss_angles(a, b, c)) - PI
+    return sum(sss_solve(a, b, c)[0]) - PI
 
 
 def embedded_side(a, b, C):
@@ -97,23 +94,23 @@ class TestSideFromSas:
 
 class TestAnglesFromSss:
     def test_octant(self):
-        assert sss_angles(PI / 2, PI / 2, PI / 2) == pytest.approx(
+        assert sss_solve(PI / 2, PI / 2, PI / 2)[0] == pytest.approx(
             (PI / 2,) * 3, abs=1e-15)
 
     def test_isosceles_with_right_angles(self):
-        A, B, C = sss_angles(PI / 2, PI / 2, PI / 3)
+        A, B, C = sss_solve(PI / 2, PI / 2, PI / 3)[0]
         assert A == pytest.approx(PI / 2, abs=1e-12)
         assert B == pytest.approx(PI / 2, abs=1e-12)
         assert C == pytest.approx(PI / 3, abs=1e-12)
 
     def test_isosceles_symmetry_exact(self):
         c = side_from_sas(0.8, 0.8, 1.1)
-        A, B, _ = sss_angles(0.8, 0.8, c)
+        A, B, _ = sss_solve(0.8, 0.8, c)[0]
         assert A == B
 
     def test_invalid_triangle_names_violation(self):
         with pytest.raises(InvalidTriangleError) as err:
-            sss_angles(2.0, 0.7, 0.7)
+            sss_solve(2.0, 0.7, 0.7)
         first = triangle_violations(2.0, 0.7, 0.7)[0]
         assert first.startswith("triangle inequality a < b + c")
         assert str(err.value).endswith(f": {first}")
@@ -122,7 +119,7 @@ class TestAnglesFromSss:
     @settings(max_examples=100)
     def test_round_trip_sas(self, tri):
         a, b, c = tri
-        A, B, C = sss_angles(a, b, c)
+        A, B, C = sss_solve(a, b, c)[0]
         # Rebuild each side from the other two plus the included angle.
         assert side_from_sas(b, c, A) == pytest.approx(a, abs=1e-10)
         assert side_from_sas(a, c, B) == pytest.approx(b, abs=1e-10)
@@ -131,10 +128,8 @@ class TestAnglesFromSss:
     @given(valid_triangles())
     @settings(max_examples=50)
     def test_traced_name_is_sss_angles(self, tri):
-        # Same values, but not an alias: a tracer wraps every name bound to
-        # the object, so an alias would wrap sss_angles as well.
-        assert angles_from_sss is not sss_angles
-        assert angles_from_sss(*tri) == sss_angles(*tri)
+        # The traced name gives the angles of the one SSS solve.
+        assert angles_from_sss(*tri) == sss_solve(*tri)[0]
 
     @given(st.floats(1e-9, 1e-6), st.floats(0.4, 1.0), st.floats(0.4, 1.0),
            st.floats(0.1, 0.9))
@@ -148,25 +143,25 @@ class TestAnglesFromSss:
         assume(not triangle_violations(a, b, c))
         planar = [math.acos((y * y + z * z - x * x) / (2.0 * y * z))
                   for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
-        assert sss_angles(a, b, c) == pytest.approx(planar, abs=1e-9)
+        assert sss_solve(a, b, c)[0] == pytest.approx(planar, abs=1e-9)
 
     @given(valid_triangles())
     @settings(max_examples=100)
     def test_angle_sum_window(self, tri):
-        assert PI < sum(sss_angles(*tri)) < 3.0 * PI
+        assert PI < sum(sss_solve(*tri)[0]) < 3.0 * PI
 
 
 class TestSssDifferentials:
     def test_octant_is_identity(self):
         # All angles right: dA/da = 1 and every cross term carries a cos 0.
-        D = sss_differentials(PI / 2, PI / 2, PI / 2)
+        D = sss_solve(PI / 2, PI / 2, PI / 2)[1]
         for i in range(3):
             for j in range(3):
                 assert D[i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
 
     def test_invalid_triangle_raises(self):
         with pytest.raises(InvalidTriangleError):
-            sss_differentials(2.0, 0.7, 0.7)
+            sss_solve(2.0, 0.7, 0.7)
 
     @given(valid_triangles())
     @settings(max_examples=100)
@@ -175,29 +170,33 @@ class TestSssDifferentials:
         # the O((h / margin)**2) truncation error stays near 1e-8.
         h = 1e-7
         sides = list(tri)
-        D = sss_differentials(*sides)
+        D = sss_solve(*sides)[1]
         scale = max(1.0, max(abs(v) for row in D for v in row))
         for j in range(3):
             plus, minus = list(sides), list(sides)
             plus[j] += h
             minus[j] -= h
             fd = [(p - m) / (2 * h) for p, m in
-                  zip(sss_angles(*plus), sss_angles(*minus))]
+                  zip(sss_solve(*plus)[0], sss_solve(*minus)[0])]
             for i in range(3):
                 assert abs(D[i][j] - fd[i]) < 1e-6 * scale
 
 
 class TestSineRuleSide:
-    def test_isosceles_branch_match(self):
-        assert sine_rule_side(0.7, 1.1, 0.7, "acute") == pytest.approx(1.1, abs=1e-14)
-        assert sine_rule_side(0.7, 2.5, 0.7, "obtuse") == pytest.approx(2.5, abs=1e-14)
+    """The sine rule as lemmas.half_piece_solve, its one caller, solves it:
+    sin(side) = sin(d_half) sin(ell) / sin(apex_half), with both half
+    angles in (0, pi/2)."""
 
-    def test_polar_relation(self):
-        b = sine_rule_side(PI / 2, PI / 2, 0.9, "acute")
-        assert math.sin(b) == pytest.approx(math.sin(0.9), abs=1e-15)
+    @staticmethod
+    def side(apex_half, d_half, ell, branch):
+        return half_piece_solve(apex_half, d_half, ell, branch)[0]
+
+    def test_isosceles_branch_match(self):
+        assert self.side(0.7, 0.7, 1.1, "acute") == pytest.approx(1.1, abs=1e-14)
+        assert self.side(0.7, 0.7, 2.5, "obtuse") == pytest.approx(2.5, abs=1e-14)
 
     def test_slit_piece_example(self):
-        b = sine_rule_side(PI / 4, 2 * PI / 3, PI / 4 - 0.05, "acute")
+        b = self.side(PI / 4, PI / 4 - 0.05, 2 * PI / 3, "acute")
         assert b == pytest.approx(0.9643170952927866, abs=1e-12)
         assert math.sin(b) == pytest.approx(
             math.sin(2 * PI / 3) * math.sin(PI / 4 - 0.05) / math.sin(PI / 4),
@@ -205,23 +204,28 @@ class TestSineRuleSide:
 
     def test_ratio_above_one_raises(self):
         with pytest.raises(NoTriangleError):
-            sine_rule_side(0.2, PI / 2, 1.5, "acute")
+            self.side(0.2, 1.5, PI / 2, "acute")
 
     def test_ratio_in_clamp_window_gives_right_angle(self):
-        # A = B, a = pi/2 makes the ratio exactly 1 up to roundoff.
-        assert sine_rule_side(0.8, PI / 2, 0.8, "acute") == pytest.approx(PI / 2)
-        # A ratio up to CLAMP_TOL above 1 is 1; beyond it, no triangle.
+        # Equal half angles and ell = pi/2 make the ratio 1 up to roundoff.
+        assert self.side(0.8, 0.8, PI / 2, "acute") == pytest.approx(PI / 2)
+        # A ratio up to 1e-12 above 1 is 1; beyond it, no triangle.
         for excess, ok in ((0.5, True), (2.0, False)):
-            B = math.asin(math.sin(0.8) * (1.0 + excess * CLAMP_TOL))
+            d_half = math.asin(math.sin(0.8) * (1.0 + excess * 1e-12))
             if ok:
-                assert sine_rule_side(0.8, PI / 2, B, "acute") == PI / 2
+                assert self.side(0.8, d_half, PI / 2, "acute") == PI / 2
             else:
                 with pytest.raises(NoTriangleError):
-                    sine_rule_side(0.8, PI / 2, B, "acute")
+                    self.side(0.8, d_half, PI / 2, "acute")
 
     def test_branch_flag_is_mandatory_semantics(self):
-        with pytest.raises(ValueError):
-            sine_rule_side(0.7, 1.1, 0.7, "auto")
+        with pytest.raises(ValueError, match="branch must be"):
+            self.side(0.7, 0.7, 1.1, "auto")
+
+    @pytest.mark.parametrize("ell", [0.0, PI, math.nan])
+    def test_ell_outside_zero_pi_rejected(self, ell):
+        with pytest.raises(ValueError, match="ell = .* outside"):
+            self.side(0.7, 0.7, ell, "acute")
 
 
 class TestExcess:
