@@ -39,9 +39,14 @@ once per call, and family_distance scans a grid built once at import.
 
 The glued family is a curve of double roots, where Gauss-Newton converges
 only linearly and each step halves the one before.  gauss_newton doubles
-such a step, which cancels the leading error (Decker and Kelley), and so
-takes about 18.4 iterations per start on the rigidity benchmark plan
-instead of 27.6.
+such a step, which cancels the leading error (Decker and Kelley).  Near a
+singular root the residual can rise for one step while the iterate still
+closes in, so a trial point is accepted against the larger residual of the
+last two accepted points (Grippo, Lampariello and Lucidi), and the polish
+stops where the steps stop halving: the iterate is then at the roundoff
+floor.  That makes about 14.6 iterations per start on the rigidity
+benchmark plan (18.4 with a monotone test and a fixed polish budget, 27.6
+without doubling) and about 25.2 on rigidity-edge (38.6).
 """
 
 from __future__ import annotations
@@ -80,7 +85,8 @@ FAMILY_GRID = np.linspace(FAMILY_T_MIN, FAMILY_T_MAX, 200).tolist()
 RES_TOL = 1e-11
 MAX_ITER = 50
 # A step within HALVING_TOL (relative) of half the step before it is the
-# linear rate of a double root: gauss_newton then takes twice the step.
+# linear rate of a double root: gauss_newton then takes twice the step.  A
+# polish step not HALVING_TOL shorter than the step before it has stalled.
 HALVING_TOL = 0.1
 RANK_TOL = 1e-6
 DIST_TOL = 1e-6
@@ -90,10 +96,10 @@ DIST_TOL = 1e-6
 DAMPING0 = 1e-3
 DAMPING_FLOOR = 1e-8
 DAMPING_MAX = 1e3
-# Once RES_TOL is met, polish until steps stall: the quadratically flat
-# kernel directions need the extra steps to pull tight onto the solution set.
+# Once RES_TOL is met, polish until steps stall or fall below STEP_TOL: the
+# quadratically flat kernel directions need the extra steps to pull tight
+# onto the solution set.
 STEP_TOL = 1e-10
-POLISH_LIMIT = 15
 
 
 @dataclass(frozen=True)
@@ -152,21 +158,33 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     """Project the six lengths start onto the zero set of residual(., target).
 
     Steps are damped minimum-norm least-squares solutions from the SVD of
-    the exact Jacobian, backtracked to stay inside the validity region.
-    Success requires the residual norm below RES_TOL; the iteration
-    then polishes until the step size stalls so that the quadratically flat
-    directions are fully resolved.  Near the family, a curve of double
-    roots, the steps halve: a step within HALVING_TOL of half the step
-    computed at the point before, both at the damping floor, is taken
-    twice over, and the step after it is not compared.  Above the floor
-    the test also fires on chance halvings far from the family, and
+    the exact Jacobian, backtracked to stay inside the validity region.  A
+    trial point is accepted when its residual norm is at most the larger of
+    the norms at the current and the previous accepted points, or below
+    RES_TOL.  A rejected step multiplies the damping by 10, an accepted
+    one divides it by 3.  Near a double root a damped step can raise the
+    residual once and still close in; rejecting it would raise the damping
+    and can hold it in a x10 / /3 cycle above the smallest singular value
+    until MAX_ITER.
+
+    Success requires the residual norm below RES_TOL; the iteration then
+    polishes the quadratically flat directions.  It stops after an
+    accepted step, taken below RES_TOL, that is not HALVING_TOL shorter
+    than the step before it, since steps stop halving at the roundoff
+    floor, or once the last step is below STEP_TOL.  Near the family, a
+    curve of double roots, the steps halve: a step within HALVING_TOL of
+    half the step computed at the point before, both at the damping floor,
+    is taken twice over, and the step after it is not compared.  Above the
+    floor the test also fires on chance halvings far from the family, and
     doubling those lost converged starts near the validity boundary.  A
-    rejected step forgets the step before it.  Each trial point is solved
-    once, by cone_angle_pass: its angles give the residual, and an
-    accepted point keeps its Jacobian.  A rejected step changes only the
-    damping, so the SVD is kept until a step is accepted and computed only
-    when an iteration needs it.  The result carries the final lengths as a
-    tuple of floats, or None when start itself is outside the region.
+    rejected step forgets the step before it.
+
+    Each trial point is solved once, by cone_angle_pass: its angles give
+    the residual, and an accepted point keeps its Jacobian.  A rejected
+    step changes only the damping, so the SVD is kept until a step is
+    accepted and computed only when an iteration needs it.  The result
+    carries the final lengths as a tuple of floats, or None when start
+    itself is outside the region.
     """
     x = np.array(start, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -176,17 +194,15 @@ def gauss_newton(start, target) -> GaussNewtonResult:
         return GaussNewtonResult("boundary", None, math.inf, 0)
     r = np.subtract(theta, target)
     rnorm = math.sqrt(r.dot(r))
+    rnorm_prev = rnorm  # the norm at the accepted point before x
     lam = DAMPING0
     last_step = math.inf
-    polish = 0
     iterations = 0
     svd = None
     prev = None  # the undoubled floor-damped step at the last accepted point
     for _ in range(MAX_ITER):
-        if rnorm < RES_TOL:
-            if last_step < STEP_TOL or polish >= POLISH_LIMIT:
-                break
-            polish += 1
+        if rnorm < RES_TOL and last_step < STEP_TOL:
+            break
         iterations += 1
         if svd is None:
             svd = np.linalg.svd(np.array(J).reshape(4, 6), full_matrices=False)
@@ -212,11 +228,18 @@ def gauss_newton(start, target) -> GaussNewtonResult:
                                              rnorm, iterations)
         r_new = np.subtract(theta, target)
         rnorm_new = math.sqrt(r_new.dot(r_new))
-        if rnorm_new <= rnorm or rnorm_new < RES_TOL:
-            last_step = math.sqrt(step.dot(step))
-            x, r, rnorm, J = x_new, r_new, rnorm_new, J_new
+        # Near a double root |r| may rise for one step on the way in.
+        if rnorm_new <= max(rnorm, rnorm_prev) or rnorm_new < RES_TOL:
+            new_step = math.sqrt(step.dot(step))
+            # A polish step that no longer halves is at the roundoff floor.
+            stalled = (rnorm < RES_TOL
+                       and new_step > (1.0 - HALVING_TOL) * last_step)
+            x, r, rnorm_prev, rnorm, J = x_new, r_new, rnorm, rnorm_new, J_new
             svd = None
             lam = max(lam / 3.0, DAMPING_FLOOR)
+            last_step = new_step
+            if stalled:
+                break
         else:
             lam = min(lam * 10.0, DAMPING_MAX)
             prev = None

@@ -28,7 +28,6 @@ from conesphere.solver import (
     DIST_TOL,
     HALVING_TOL,
     MAX_ITER,
-    POLISH_LIMIT,
     RES_TOL,
     STEP_TOL,
     GaussNewtonResult,
@@ -154,24 +153,28 @@ def jacobian_loops(lengths):
     return np.array(J)
 
 
-def two_solve_gauss_newton(start, target, double=True):
+def two_solve_gauss_newton(start, target, double=True, monotone=False):
     """Reference Gauss-Newton that solves each point twice: residual at
     every trial point, then jacobian at each accepted one.  Otherwise the
     iteration of solver.gauss_newton, step for step: a step at the damping
     floor that halves the floor-damped step computed at the point before is
-    doubled.  double=False never doubles, the iteration before that rule."""
+    doubled; a trial point is accepted against the larger norm of the last
+    two accepted points; the polish stops at a step not HALVING_TOL shorter
+    than the step before it.  double=False never doubles.  monotone=True
+    accepts only a trial point whose norm does not grow and polishes up to
+    15 steps, the rules before the two-point test and the stall stop."""
     x = np.array(start, dtype=float)
     target = np.asarray(target, dtype=float)
     try:
         r = residual(x, target)
     except InvalidTriangleError:
         return GaussNewtonResult("boundary", None, math.inf, 0)
-    rnorm = math.sqrt(r.dot(r))
+    rnorm = rnorm_prev = math.sqrt(r.dot(r))
     lam, last_step, polish, iterations, svd = DAMPING0, math.inf, 0, 0, None
     prev = None
     for _ in range(MAX_ITER):
         if rnorm < RES_TOL:
-            if last_step < STEP_TOL or polish >= POLISH_LIMIT:
+            if last_step < STEP_TOL or (monotone and polish >= 15):
                 break
             polish += 1
         iterations += 1
@@ -203,10 +206,16 @@ def two_solve_gauss_newton(start, target, double=True):
                     return GaussNewtonResult("boundary", tuple(x.tolist()),
                                              rnorm, iterations)
         rnorm_new = math.sqrt(r_new.dot(r_new))
-        if rnorm_new <= rnorm or rnorm_new < RES_TOL:
-            last_step = math.sqrt(step.dot(step))
-            x, r, rnorm, svd = x_new, r_new, rnorm_new, None
+        bound = rnorm if monotone else max(rnorm, rnorm_prev)
+        if rnorm_new <= bound or rnorm_new < RES_TOL:
+            new_step = math.sqrt(step.dot(step))
+            stalled = (not monotone and rnorm < RES_TOL
+                       and new_step > (1.0 - HALVING_TOL) * last_step)
+            x, r, rnorm_prev, rnorm, svd = x_new, r_new, rnorm, rnorm_new, None
             lam = max(lam / 3.0, DAMPING_FLOOR)
+            last_step = new_step
+            if stalled:
+                break
         else:
             lam = min(lam * 10.0, DAMPING_MAX)
             prev = None
@@ -226,6 +235,17 @@ def bench_starts(t, radius, samples=100, seed=BENCH_FIRST_SEED):
         GluedFootballParams(ConeAngleSpec(1.0, 2.0), t)).lengths())
     return base + np.random.default_rng(seed).uniform(
         -radius, radius, size=(samples, 6))
+
+
+def inward_fold_problem(samples=20):
+    """TestFoldControl's unreachable problem: its starts within 0.01 of the
+    football at t = 1.2 (seed 7), and its target pushed 1e-6 along the
+    cokernel w, out of the realizable half-space.  No start reaches it."""
+    fold = TestFoldControl()
+    base = np.array(glued_football(GluedFootballParams(fold.spec, fold.t)))
+    starts = base + np.random.default_rng(7).uniform(
+        -0.01, 0.01, size=(samples, 6))
+    return starts, np.array(fold.spec.cone_vector()) - 1e-6 * fold.cokernel()
 
 
 def distance_slack(s, spec):
@@ -502,13 +522,12 @@ class TestGaussNewton:
             assert not validate(result.lengths)
 
     def test_rejected_step_keeps_the_factorization(self, monkeypatch):
-        # The first start a seed-7, radius-0.02 probe draws at t = 0.2 has
-        # rejected steps.  A rejection changes only the damping, so no
-        # point is factored twice: the SVDs are those of the two-solve
+        # The first start of the unreachable fold problem ends max_iter
+        # after rejected steps.  A rejection changes only the damping, so
+        # no point is factored twice: the SVDs are those of the two-solve
         # reference, one per accepted point, Jacobian for Jacobian.
-        spec = ConeAngleSpec(1.0, 2.0)
-        base = np.array(glued_football(GluedFootballParams(spec, 0.2)).lengths())
-        start = base + np.random.default_rng(7).uniform(-0.02, 0.02, size=6)
+        starts, target = inward_fold_problem(1)
+        start = starts[0]
         svd = np.linalg.svd
         factored = []
 
@@ -517,10 +536,11 @@ class TestGaussNewton:
             return svd(J, full_matrices=full_matrices)
 
         monkeypatch.setattr(np.linalg, "svd", recording)
-        result = gauss_newton(start, spec.cone_vector())
+        result = gauss_newton(start, target)
         ours, factored[:] = factored[:], []
-        reference = two_solve_gauss_newton(start, spec.cone_vector())
+        reference = two_solve_gauss_newton(start, target)
         assert result == reference
+        assert result.status == "max_iter"
         assert len(ours) == len(factored)
         for J, K in zip(ours, factored):
             np.testing.assert_array_equal(J.view(np.int64), K.view(np.int64))
@@ -564,6 +584,30 @@ class TestGaussNewton:
         assert result.status == "converged"
         assert not validate(result.lengths)
 
+    def test_exhausted_backtracking_is_a_boundary(self, monkeypatch):
+        # A pass that solves the start and raises at every trial point
+        # halves the first step until the backtracking gives up: the solve
+        # stops at the start, inside its first iteration.
+        start = tuple(np.array(base_metric()) + 1e-3 * np.array(
+            [1, -1, 1, 1, -1, 1]))
+        passes = []
+
+        def start_only(lengths):
+            passes.append(lengths)
+            if len(passes) > 1:
+                raise InvalidTriangleError("trial point")
+            return cone_angle_pass(lengths)
+
+        monkeypatch.setattr(solver, "cone_angle_pass", start_only)
+        result = gauss_newton(start, SPEC.cone_vector())
+        assert result.status == "boundary"
+        assert result.lengths == start
+        assert result.iterations == 1
+        assert result.residual_norm == float(
+            np.linalg.norm(residual(start, SPEC.cone_vector())))
+        # The start, the full step and 60 halvings of it.
+        assert len(passes) == 1 + 61
+
     @pytest.mark.parametrize("t, radius", BENCH_PLANS)
     def test_matches_the_two_solve_reference(self, t, radius):
         # The one-solve iteration changes no bit: every result of the first
@@ -575,14 +619,15 @@ class TestGaussNewton:
 
     def test_halving_steps_are_doubled(self):
         # On the first 100-start input of the rigidity plan every start
-        # converges onto the family, in at most 22 passes per start on
-        # average: with steps never doubled that is 28.6.
+        # converges onto the family, in at most 17 passes per start on
+        # average: 15.6 now, 19.6 with the polish run to 15 steps and 28.6
+        # with steps never doubled either.
         spec = ConeAngleSpec(1.0, 2.0)
         starts = bench_starts(*BENCH_PLANS[0])
         with mock.patch.object(solver, "cone_angle_pass",
                                wraps=cone_angle_pass) as solve:
             results = [gauss_newton(s, spec.cone_vector()) for s in starts]
-        assert solve.call_count <= 22 * len(starts)
+        assert solve.call_count <= 17 * len(starts)
         for result in results:
             assert result.status == "converged"
             assert family_distance(result.lengths, spec)[1] < DIST_TOL
@@ -590,12 +635,21 @@ class TestGaussNewton:
     @pytest.mark.parametrize("t, radius", BENCH_PLANS)
     def test_doubling_loses_no_converged_start(self, t, radius):
         # Every start of the first benchmark input that converges with
-        # steps never doubled still converges.  Doubling steps compared at
-        # any damping, not only at its floor, loses the tenth start of the
-        # rigidity-edge input to max_iter.
+        # steps never doubled still converges.
         target = ConeAngleSpec(1.0, 2.0).cone_vector()
         for start in bench_starts(t, radius):
             if two_solve_gauss_newton(start, target, double=False).status == (
+                    "converged"):
+                assert gauss_newton(start, target).status == "converged"
+
+    @pytest.mark.parametrize("t, radius", BENCH_PLANS)
+    def test_two_point_test_loses_no_converged_start(self, t, radius):
+        # Every start of the first benchmark input that converges under
+        # the monotone test with 15 polish steps still converges.  On the
+        # rigidity-edge input 61 of 100 did, and 100 of 100 do now.
+        target = ConeAngleSpec(1.0, 2.0).cone_vector()
+        for start in bench_starts(t, radius):
+            if two_solve_gauss_newton(start, target, monotone=True).status == (
                     "converged"):
                 assert gauss_newton(start, target).status == "converged"
 
@@ -808,6 +862,86 @@ class TestFamilyDistance:
         assert dist < dist_ref + 1e-9
 
 
+def mp_cone_system(x, target):
+    """Residual and Jacobian of the cone angles at mpmath lengths x, from
+    the cosine law and its differentials along LAYOUT: for a triangle with
+    sides (a, b, c) and opposite corners (A, B, C), dA/da = sin a /
+    (sin A sin b sin c), dA/db = -cos C dA/da and dA/dc = -cos B dA/da."""
+    theta = dict.fromkeys("ABDC", mpmath.mpf(0))
+    rows = {point: [mpmath.mpf(0)] * 6 for point in "ABDC"}
+    for sides, points in LAYOUT:
+        cos_s = [mpmath.cos(x[k]) for k in sides]
+        sin_s = [mpmath.sin(x[k]) for k in sides]
+        cyclic = [(i, (i + 1) % 3, (i + 2) % 3) for i in range(3)]
+        corners = [mpmath.acos((cos_s[i] - cos_s[j] * cos_s[k])
+                               / (sin_s[j] * sin_s[k])) for i, j, k in cyclic]
+        for i, j, k in cyclic:
+            d = sin_s[i] / (mpmath.sin(corners[i]) * sin_s[j] * sin_s[k])
+            row = rows[points[i]]
+            theta[points[i]] += corners[i]
+            row[sides[i]] += d
+            row[sides[j]] -= mpmath.cos(corners[k]) * d
+            row[sides[k]] -= mpmath.cos(corners[j]) * d
+    r = mpmath.matrix([theta[p] - v for p, v in zip("ABDC", target)])
+    return r, mpmath.matrix([rows[p] for p in "ABDC"])
+
+
+def mp_endgame(lengths, spec, dps=50):
+    """50-digit minimum-norm Newton, x <- x - J^T (J J^T)^-1 r, from
+    lengths onto the zero set of the exact spec's cone angles.  At the
+    family's double roots each step halves the distance, so it stops after
+    a step below 1e-13, that far from the zero set; it returns floats."""
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(spec.alpha), mpmath.mpf(spec.beta)
+        target = (a, b, a + b, 4 * mpmath.pi)
+        x = mpmath.matrix([mpmath.mpf(v) for v in lengths])
+        for _ in range(MAX_ITER):
+            r, J = mp_cone_system(x, target)
+            step = J.T * mpmath.lu_solve(J * J.T, r)
+            x -= step
+            if mpmath.norm(step) < 1e-13:
+                return tuple(float(v) for v in x)
+    raise AssertionError(f"no endgame from {lengths!r}")
+
+
+class TestEndgameOracle:
+    """The program's converged points against an independent endgame.
+
+    The rigidity-edge probe at seed 7 with 20 starts: each converged end
+    point, refined by mp_endgame, must land on the family and within
+    DIST_TOL of where the program stopped.
+    """
+
+    spec = ConeAngleSpec(1.0, 2.0)
+    p = GluedFootballParams(spec, 0.2)
+
+    def test_every_converged_point_is_on_the_family(self):
+        # Every start converges, start 17 among them, which the monotone
+        # test stopped 5.05e-6 from the family (the control below).
+        report = rigidity_scan(self.p, self.spec.cone_vector(), radius=0.02,
+                               samples=20, seed=7)
+        assert report["converged"] == 20
+        for sol in report["solutions"]:
+            end = mp_endgame(sol["lengths"], self.spec)
+            assert family_distance(end, self.spec)[1] < 1e-11
+            assert math.dist(end, sol["lengths"]) < DIST_TOL
+        assert report["rigidity_holds"]
+
+    def test_start_17_stopped_short_under_the_monotone_test(self):
+        # Negative control: the monotone test with 15 polish steps stops
+        # start 17 about 5.05e-6 from the family, and the endgame from
+        # there lands that far away.
+        target = self.spec.cone_vector()
+        base = np.array(glued_football(self.p))
+        start = base + np.random.default_rng(7).uniform(
+            -0.02, 0.02, size=(20, 6))[17]
+        old = two_solve_gauss_newton(start, target, monotone=True)
+        assert old.status == "converged"
+        end = mp_endgame(old.lengths, self.spec)
+        assert family_distance(end, self.spec)[1] < 1e-11
+        assert math.dist(end, old.lengths) > 4 * DIST_TOL
+
+
 class TestFoldControl:
     """Positive control for the rigidity probe: the family is a fold.
 
@@ -919,23 +1053,20 @@ class TestRigidityScan:
         assert rep1["solutions"] != rep2["solutions"]
 
     def test_counts_follow_each_start_status(self):
-        # Near the validity boundary some starts stop at MAX_ITER.  The
+        # Starts that cannot reach their target stop at MAX_ITER.  The
         # counts are those of gauss_newton on the same starts, and a probe
         # whose only start fails does not hold.
-        p = GluedFootballParams(ConeAngleSpec(1.0, 2.0), 0.2)
-        base = np.array(glued_football(p).lengths())
-        offsets = np.random.default_rng(7).uniform(-0.02, 0.02, size=(12, 6))
-        statuses = [gauss_newton(base + off, p.spec.cone_vector()).status
-                    for off in offsets]
-        report = rigidity_scan(p, p.spec.cone_vector(), radius=0.02,
-                               samples=12, seed=7)
+        fold = TestFoldControl()
+        p = GluedFootballParams(fold.spec, fold.t)
+        starts, target = inward_fold_problem(12)
+        statuses = [gauss_newton(s, target).status for s in starts]
+        report = rigidity_scan(p, target, radius=0.01, samples=12, seed=7)
         counts = (report["converged"], report["nonconverged"],
                   report["boundary_failures"])
         assert counts == (statuses.count("converged"), statuses.count("max_iter"),
                           statuses.count("boundary"))
         assert report["nonconverged"] > 0
-        lone = rigidity_scan(p, p.spec.cone_vector(), radius=0.02, samples=1,
-                             seed=7)
+        lone = rigidity_scan(p, target, radius=0.01, samples=1, seed=7)
         assert statuses[0] == "max_iter"
         assert lone["converged"] == 0 and lone["max_family_distance"] == 0.0
         assert lone["rigidity_holds"] is False
