@@ -44,9 +44,14 @@ singular root the residual can rise for one step while the iterate still
 closes in, so a trial point is accepted against the larger residual of the
 last two accepted points (Grippo, Lampariello and Lucidi), and the polish
 stops where the steps stop halving: the iterate is then at the roundoff
-floor.  That makes about 14.6 iterations per start on the rigidity
-benchmark plan (18.4 with a monotone test and a fixed polish budget, 27.6
-without doubling) and about 25.2 on rigidity-edge (38.6).
+floor.  A doubled step can land below that floor; the steps from there are
+roundoff amplified by the floor damping and grow until the iterate is back
+at it, so after a doubled step a growing step is followed until the steps
+stop growing.  Every start then ends at the floor, about 2e-8 from the
+family on the rigidity benchmark plan, wherever its doubled step landed.
+That makes about 15.5 iterations per start there (18.4 with a monotone
+test and a fixed polish budget, 27.6 without doubling) and about 25.2 on
+rigidity-edge (38.6).
 """
 
 from __future__ import annotations
@@ -169,9 +174,18 @@ def gauss_newton(start, target) -> GaussNewtonResult:
 
     Success requires the residual norm below RES_TOL; the iteration then
     polishes the quadratically flat directions.  It stops after an
-    accepted step, taken below RES_TOL, that is not HALVING_TOL shorter
-    than the step before it, since steps stop halving at the roundoff
-    floor, or once the last step is below STEP_TOL.  Near the family, a
+    accepted step, taken below RES_TOL at the damping floor, that is not
+    HALVING_TOL shorter than the step before it, since steps stop halving
+    at the roundoff floor, or once the last step is below STEP_TOL.  Above
+    the damping floor a step can fail to halve because the damping holds
+    it back, far from the roundoff floor.  Once a doubled step has been
+    accepted, a polish step longer than the step before it is not a
+    stall: the doubled step landed below the floor, and the roundoff steps
+    grow until the iterate is back at it.  The polish then climbs and
+    stops after the first accepted step that is not longer than the step
+    before it, so that every start ends at the floor: stopped part way up,
+    starts would end anywhere between their landing points and the floor.
+    Near the family, a
     curve of double roots, the steps halve: a step within HALVING_TOL of
     half the step computed at the point before, both at the damping floor,
     is taken twice over, and the step after it is not compared.  Above the
@@ -200,6 +214,8 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     iterations = 0
     svd = None
     prev = None  # the undoubled floor-damped step at the last accepted point
+    extrapolated = False  # a doubled step was accepted
+    climbing = False  # polish steps grow back up to the roundoff floor
     for _ in range(MAX_ITER):
         if rnorm < RES_TOL and last_step < STEP_TOL:
             break
@@ -231,9 +247,22 @@ def gauss_newton(start, target) -> GaussNewtonResult:
         # Near a double root |r| may rise for one step on the way in.
         if rnorm_new <= max(rnorm, rnorm_prev) or rnorm_new < RES_TOL:
             new_step = math.sqrt(step.dot(step))
-            # A polish step that no longer halves is at the roundoff floor.
-            stalled = (rnorm < RES_TOL
-                       and new_step > (1.0 - HALVING_TOL) * last_step)
+            stalled = False
+            # Above the damping floor the damping, not roundoff, can hold a
+            # step back, so the polish reads its steps only at the floor.
+            if rnorm < RES_TOL and lam <= DAMPING_FLOOR:
+                grew = new_step > last_step
+                if climbing:
+                    # Back at the roundoff floor the steps stop growing.
+                    stalled = not grew
+                elif extrapolated and grew:
+                    # A doubled step can land below the roundoff floor, and
+                    # the steps from there grow until they are back at it.
+                    climbing = True
+                else:
+                    # A polish step that no longer halves is at the floor.
+                    stalled = new_step > (1.0 - HALVING_TOL) * last_step
+            extrapolated = extrapolated or doubled
             x, r, rnorm_prev, rnorm, J = x_new, r_new, rnorm, rnorm_new, J_new
             svd = None
             lam = max(lam / 3.0, DAMPING_FLOOR)
