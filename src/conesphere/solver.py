@@ -38,20 +38,12 @@ fixed inputs are converted once: gauss_newton makes its target an ndarray
 once per call, and family_distance scans a grid built once at import.
 
 The glued family is a curve of double roots, where Gauss-Newton converges
-only linearly and each step halves the one before.  gauss_newton doubles
-such a step, which cancels the leading error (Decker and Kelley).  Near a
-singular root the residual can rise for one step while the iterate still
-closes in, so a trial point is accepted against the larger residual of the
-last two accepted points (Grippo, Lampariello and Lucidi), and the polish
-stops where the steps stop halving: the iterate is then at the roundoff
-floor.  A doubled step can land below that floor; the steps from there are
-roundoff amplified by the floor damping and grow until the iterate is back
-at it, so after a doubled step a growing step is followed until the steps
-stop growing.  Every start then ends at the floor, about 2e-8 from the
-family on the rigidity benchmark plan, wherever its doubled step landed.
-That makes about 15.5 iterations per start there (18.4 with a monotone
-test and a fixed polish budget, 27.6 without doubling) and about 25.2 on
-rigidity-edge (38.6).
+only linearly: each step about halves the one before.  gauss_newton keeps
+four rules, stated in its docstring: Levenberg damping, a nonmonotone
+acceptance test (Grippo, Lampariello and Lucidi), doubling a halving step,
+which cancels the leading error (Decker and Kelley), and one stop decision
+after each accepted step.  On the rigidity benchmark plan that takes about
+15.5 iterations per start, and about 25.2 on rigidity-edge.
 """
 
 from __future__ import annotations
@@ -162,43 +154,48 @@ def _halves(prev: np.ndarray, step: np.ndarray) -> bool:
 def gauss_newton(start, target) -> GaussNewtonResult:
     """Project the six lengths start onto the zero set of residual(., target).
 
-    Steps are damped minimum-norm least-squares solutions from the SVD of
-    the exact Jacobian, backtracked to stay inside the validity region.  A
-    trial point is accepted when its residual norm is at most the larger of
-    the norms at the current and the previous accepted points, or below
-    RES_TOL.  A rejected step multiplies the damping by 10, an accepted
-    one divides it by 3.  Near a double root a damped step can raise the
-    residual once and still close in; rejecting it would raise the damping
-    and can hold it in a x10 / /3 cycle above the smallest singular value
-    until MAX_ITER.
+    Each iteration takes the damped minimum-norm least-squares step from the
+    SVD of the exact Jacobian, halved up to 60 times to keep the trial point
+    inside the validity region.  Four rules drive it:
 
-    Success requires the residual norm below RES_TOL; the iteration then
-    polishes the quadratically flat directions.  It stops after an
-    accepted step, taken below RES_TOL at the damping floor, that is not
-    HALVING_TOL shorter than the step before it, since steps stop halving
-    at the roundoff floor, or once the last step is below STEP_TOL.  Above
-    the damping floor a step can fail to halve because the damping holds
-    it back, far from the roundoff floor.  Once a doubled step has been
-    accepted, a polish step longer than the step before it is not a
-    stall: the doubled step landed below the floor, and the roundoff steps
-    grow until the iterate is back at it.  The polish then climbs and
-    stops after the first accepted step that is not longer than the step
-    before it, so that every start ends at the floor: stopped part way up,
-    starts would end anywhere between their landing points and the floor.
-    Near the family, a
-    curve of double roots, the steps halve: a step within HALVING_TOL of
-    half the step computed at the point before, both at the damping floor,
-    is taken twice over, and the step after it is not compared.  Above the
-    floor the test also fires on chance halvings far from the family, and
-    doubling those lost converged starts near the validity boundary.  A
-    rejected step forgets the step before it.
+    - Damping.  The Levenberg damping starts at DAMPING0.  A rejected step
+      multiplies it by 10, up to DAMPING_MAX; an accepted one divides it
+      by 3, down to DAMPING_FLOOR.
+    - Acceptance.  A trial point is accepted when its residual norm is at
+      most the larger of the norms at the last two accepted points, or
+      below RES_TOL.  Near a double root a damped step can raise the
+      residual once and still close in.  A monotone test rejects it, and
+      its x10 / /3 cycle can then hold the damping above the smallest
+      singular value until MAX_ITER.
+    - Doubling.  Near the family the steps halve.  A step within
+      HALVING_TOL of half the step computed at the accepted point before,
+      both at the damping floor, is taken twice over, and the step after
+      it is not compared.  Above the floor the test also fires on chance
+      halvings far from the family, and doubling those lost converged
+      starts near the validity boundary.
+    - Stop.  The solve stops after an accepted step, or after MAX_ITER
+      iterations.  It stops once the residual is below RES_TOL and the
+      step that got it there is below STEP_TOL.  It also stops when the
+      polish stalls: a step taken below RES_TOL at the damping floor that
+      is not HALVING_TOL shorter than the step before it, since the steps
+      stop halving at the roundoff floor.  Above the damping floor the
+      damping, not roundoff, can hold a step back.  Once a doubled step has
+      been accepted, a longer step starts a climb instead: the doubled
+      step landed below the roundoff floor, and the steps from there grow
+      until the iterate is back at it.  The climb stalls at its first step
+      that is not longer than the one before it.  A step doubled below
+      RES_TOL is about as long as the step before it, so it mostly reads
+      as a stall, and the solve ends where that step landed.
 
-    Each trial point is solved once, by cone_angle_pass: its angles give
-    the residual, and an accepted point keeps its Jacobian.  A rejected
-    step changes only the damping, so the SVD is kept until a step is
-    accepted and computed only when an iteration needs it.  The result
-    carries the final lengths as a tuple of floats, or None when start
-    itself is outside the region.
+    The status is "boundary" when start is outside the region or no
+    halving of a step stays in it, else "converged" when the final
+    residual norm is below RES_TOL and "max_iter" otherwise.  Each trial
+    point is solved once, by cone_angle_pass: its angles give the
+    residual, and an accepted point keeps its Jacobian.  A rejected step
+    changes only the damping, so the SVD is computed once per accepted
+    point, when an iteration needs it.  The result carries the final
+    lengths as a tuple of floats, or None when start itself is outside the
+    region.
     """
     x = np.array(start, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -207,71 +204,52 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     except InvalidTriangleError:
         return GaussNewtonResult("boundary", None, math.inf, 0)
     r = np.subtract(theta, target)
-    rnorm = math.sqrt(r.dot(r))
-    rnorm_prev = rnorm  # the norm at the accepted point before x
+    # rnorm_prev is the norm at the accepted point before x.
+    rnorm = rnorm_prev = math.sqrt(r.dot(r))
     lam = DAMPING0
     last_step = math.inf
-    iterations = 0
     svd = None
     prev = None  # the undoubled floor-damped step at the last accepted point
     extrapolated = False  # a doubled step was accepted
     climbing = False  # polish steps grow back up to the roundoff floor
-    for _ in range(MAX_ITER):
-        if rnorm < RES_TOL and last_step < STEP_TOL:
-            break
-        iterations += 1
+    for iterations in range(1, MAX_ITER + 1):
         if svd is None:
             svd = np.linalg.svd(np.array(J).reshape(4, 6), full_matrices=False)
         step = _damped_min_norm_step(*svd, r, lam)
-        # At a double root the steps halve, and twice the step cancels the
-        # leading error.
         doubled = prev is not None and _halves(prev, step)
         prev = None if doubled or lam > DAMPING_FLOOR else step
         if doubled:
             step = 2.0 * step
-        # Backtrack into the validity region.
-        shrink = 0
-        while True:
+        for _ in range(61):  # the step, then 60 halvings into the region
             x_new = x - step
             try:
                 theta, J_new = cone_angle_pass(x_new)
                 break
             except InvalidTriangleError:
                 step = 0.5 * step
-                shrink += 1
-                if shrink > 60:
-                    return GaussNewtonResult("boundary", tuple(x.tolist()),
-                                             rnorm, iterations)
+        else:
+            return GaussNewtonResult("boundary", tuple(x.tolist()), rnorm,
+                                     iterations)
         r_new = np.subtract(theta, target)
         rnorm_new = math.sqrt(r_new.dot(r_new))
-        # Near a double root |r| may rise for one step on the way in.
-        if rnorm_new <= max(rnorm, rnorm_prev) or rnorm_new < RES_TOL:
-            new_step = math.sqrt(step.dot(step))
-            stalled = False
-            # Above the damping floor the damping, not roundoff, can hold a
-            # step back, so the polish reads its steps only at the floor.
-            if rnorm < RES_TOL and lam <= DAMPING_FLOOR:
-                grew = new_step > last_step
-                if climbing:
-                    # Back at the roundoff floor the steps stop growing.
-                    stalled = not grew
-                elif extrapolated and grew:
-                    # A doubled step can land below the roundoff floor, and
-                    # the steps from there grow until they are back at it.
-                    climbing = True
-                else:
-                    # A polish step that no longer halves is at the floor.
-                    stalled = new_step > (1.0 - HALVING_TOL) * last_step
-            extrapolated = extrapolated or doubled
-            x, r, rnorm_prev, rnorm, J = x_new, r_new, rnorm, rnorm_new, J_new
-            svd = None
-            lam = max(lam / 3.0, DAMPING_FLOOR)
-            last_step = new_step
-            if stalled:
-                break
-        else:
+        if not (rnorm_new <= max(rnorm, rnorm_prev) or rnorm_new < RES_TOL):
             lam = min(lam * 10.0, DAMPING_MAX)
             prev = None
+            continue
+        new_step = math.sqrt(step.dot(step))
+        stalled = False
+        if rnorm < RES_TOL and lam <= DAMPING_FLOOR:
+            if extrapolated and new_step > last_step:
+                climbing = True
+            else:
+                stalled = climbing or new_step > (1 - HALVING_TOL) * last_step
+        extrapolated = extrapolated or doubled
+        x, r, rnorm_prev, rnorm, J = x_new, r_new, rnorm, rnorm_new, J_new
+        svd = None
+        lam = max(lam / 3.0, DAMPING_FLOOR)
+        last_step = new_step
+        if stalled or (rnorm < RES_TOL and last_step < STEP_TOL):
+            break
     status = "converged" if rnorm < RES_TOL else "max_iter"
     return GaussNewtonResult(status, tuple(x.tolist()), rnorm, iterations)
 

@@ -624,12 +624,30 @@ class TestGaussNewton:
         # The start, the full step and 60 halvings of it.
         assert len(passes) == 1 + 61
 
-    @pytest.mark.parametrize("t, radius", BENCH_PLANS)
-    def test_matches_the_two_solve_reference(self, t, radius):
-        # The one-solve iteration changes no bit: every result of the first
-        # 100-start benchmark input equals the reference's.
+    @pytest.mark.parametrize(
+        "case", [*BENCH_PLANS, "damping-cycle", "backtrack",
+                 *(("fold", k) for k in range(20))],
+        ids=lambda case: case if isinstance(case, str) else "-".join(
+            map(str, case)))
+    def test_matches_the_two_solve_reference(self, case):
+        # The one-solve iteration changes no bit: every result equals the
+        # reference's.  The first 100-start input of each benchmark plan
+        # makes no rejected step and no backtrack, so the other cases take
+        # those paths: a rigidity-edge start (benchmark seed 7, input 2,
+        # start 31) whose damping cycles x10 / /3 until MAX_ITER, the start
+        # of test_backtracks_out_of_the_validity_region, and each start of
+        # the unreachable fold problem, which end MAX_ITER after rejections.
         target = ConeAngleSpec(1.0, 2.0).cone_vector()
-        for start in bench_starts(t, radius):
+        if case == "damping-cycle":
+            starts = bench_starts(0.2, 0.02, seed=1695753998)[31:32]
+        elif case == "backtrack":
+            starts = np.random.default_rng(3).uniform(0.05, 3.1, (36, 6))[35:]
+        elif case[0] == "fold":
+            starts, target = inward_fold_problem()
+            starts = starts[case[1]:case[1] + 1]
+        else:
+            starts = bench_starts(*case)
+        for start in starts:
             assert gauss_newton(start, target) == two_solve_gauss_newton(
                 start, target)
 
