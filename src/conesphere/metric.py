@@ -143,6 +143,12 @@ def _validity_rows() -> tuple[np.ndarray, np.ndarray]:
 
 VALIDITY_ROWS, VALIDITY_BOUNDS = _validity_rows()
 
+# TRIANGLE_LAYOUT with the nine flat Jacobian indices 6*point + side of each
+# triangle, in row (corner) then column (side) order, for cone_angle_pass.
+_PASS_PLAN = tuple(
+    (sides, points, tuple(6 * p + s for p in points for s in sides))
+    for sides, points in TRIANGLE_LAYOUT)
+
 # Each triangle's message prefix with its sides, for validate.
 _NAMED_SIDES = tuple((f"T{idx}: ", sides)
                     for idx, (sides, _) in enumerate(TRIANGLE_LAYOUT, start=1))
@@ -155,11 +161,14 @@ def validate(lengths) -> list[str]:
     Empty means valid.  Every length is a side of some triangle, so a
     length outside (0, pi) is flagged there.
     """
+    m = VALIDITY_MARGIN
     issues = []
     for name, (i, j, k) in _NAMED_SIDES:
-        bad = triangle_violations(lengths[i], lengths[j], lengths[k])
-        if bad:
-            issues.extend(name + b for b in bad)
+        a, b, c = lengths[i], lengths[j], lengths[k]
+        # triangle_violations inline: it names the violations only on failure.
+        if not (a < b + c - m and b < a + c - m and c < a + b - m
+                and a + b + c < TWO_PI - m):
+            issues.extend(name + v for v in triangle_violations(a, b, c))
     return issues
 
 
@@ -191,15 +200,21 @@ def cone_angle_pass(lengths) -> tuple[tuple[float, ...], list[float]]:
     triangle (T1 first), corner and side order."""
     x = np.asarray(lengths, dtype=float).tolist()
     theta, J = [0.0] * 4, [0.0] * 24
-    for (i, j, k), (p, q, r) in TRIANGLE_LAYOUT:
-        (A, B, C), (dA, dB, dC) = sss_solve(x[i], x[j], x[k])
+    for (i, j, k), (p, q, r), (e0, e1, e2, e3, e4, e5, e6, e7, e8) in _PASS_PLAN:
+        (A, B, C), ((d0, d1, d2), (d3, d4, d5), (d6, d7, d8)) = sss_solve(
+            x[i], x[j], x[k])
         theta[p] += A
         theta[q] += B
         theta[r] += C
-        for row, (di, dj, dk) in ((6 * p, dA), (6 * q, dB), (6 * r, dC)):
-            J[row + i] += di
-            J[row + j] += dj
-            J[row + k] += dk
+        J[e0] += d0
+        J[e1] += d1
+        J[e2] += d2
+        J[e3] += d3
+        J[e4] += d4
+        J[e5] += d5
+        J[e6] += d6
+        J[e7] += d7
+        J[e8] += d8
     return tuple(theta), J
 
 

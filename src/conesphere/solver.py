@@ -32,10 +32,17 @@ call: one gauss_newton makes one pass per trial point and one SVD per
 accepted point, and one family_distance about 203 glued_football builds.
 The per-point arithmetic therefore avoids numpy temporaries: lengths become
 a Python list once per pass, the Jacobian sums into a flat list of its 24
-entries, norms are math.sqrt of a dot product (what np.linalg.norm computes
-for a 1-D float array, to the bit), and family distances are math.dist.  The
-fixed inputs are converted once: gauss_newton makes its target an ndarray
-once per call, and family_distance scans a grid built once at import.
+entries at indices planned once at import, sphtrig.sss_solve and
+metric.validate test the four inequalities inline, norms are math.sqrt of a
+dot product (what np.linalg.norm computes for a 1-D float array, to the
+bit), and family distances are math.dist.  The fixed inputs are converted
+once: gauss_newton makes its target an ndarray once per call and keeps its
+SVD factors per accepted point, and family_distance scans a grid built once
+at import.  On a 2-vCPU Xeon host, best of timeit repeats: one pass about
+8 us (9.3 us with the validity rule called per triangle and the Jacobian
+indices summed per entry), one SVD about 10 us; per start of the rigidity
+plan, gauss_newton about 0.46 ms (was 0.50 ms) and family_distance about
+0.44 ms (was 0.49 ms).
 
 The glued family is a curve of double roots, where Gauss-Newton converges
 only linearly: each step about halves the one before.  gauss_newton keeps
@@ -133,14 +140,6 @@ def numerical_rank(J: np.ndarray) -> tuple[int, np.ndarray]:
     return rank, svals
 
 
-def _damped_min_norm_step(U: np.ndarray, s: np.ndarray, Vt: np.ndarray,
-                          r: np.ndarray, lam: float) -> np.ndarray:
-    """Minus the minimum-norm Levenberg step: V diag(s/(s^2+lam^2)) U^T r
-    from J's SVD, which gauss_newton subtracts."""
-    factors = s / (s * s + lam * lam)
-    return Vt.T @ (factors * (U.T @ r))
-
-
 def _halves(prev: np.ndarray, step: np.ndarray) -> bool:
     """True when |prev - 2 step| <= HALVING_TOL |prev|, squared and summed
     over Python floats: six entries cost less than numpy temporaries."""
@@ -193,9 +192,12 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     point is solved once, by cone_angle_pass: its angles give the
     residual, and an accepted point keeps its Jacobian.  A rejected step
     changes only the damping, so the SVD is computed once per accepted
-    point, when an iteration needs it.  The result carries the final
-    lengths as a tuple of floats, or None when start itself is outside the
-    region.
+    point, when an iteration needs it.  With it the point keeps s*s, U^T r
+    and V = Vt.T, since r and U change only on acceptance, so each
+    iteration, after a rejection too, forms only V (s/(s*s + lam^2) U^T r):
+    about 2.1 us, where forming the whole step from U, s and Vt took about
+    3.6 us.  The result carries the final lengths as a tuple of floats, or
+    None when start itself is outside the region.
     """
     x = np.array(start, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -208,14 +210,17 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     rnorm = rnorm_prev = math.sqrt(r.dot(r))
     lam = DAMPING0
     last_step = math.inf
-    svd = None
+    V = None  # Vt.T of the SVD of J at x, kept with sv, sv*sv and U.T @ r
     prev = None  # the undoubled floor-damped step at the last accepted point
     extrapolated = False  # a doubled step was accepted
     climbing = False  # polish steps grow back up to the roundoff floor
     for iterations in range(1, MAX_ITER + 1):
-        if svd is None:
-            svd = np.linalg.svd(np.array(J).reshape(4, 6), full_matrices=False)
-        step = _damped_min_norm_step(*svd, r, lam)
+        if V is None:
+            U, sv, Vt = np.linalg.svd(np.array(J).reshape(4, 6),
+                                      full_matrices=False)
+            ss, Ur, V = sv * sv, U.T @ r, Vt.T
+        # Minus the damped minimum-norm step V diag(s/(s^2+lam^2)) U^T r.
+        step = V @ (sv / (ss + lam * lam) * Ur)
         doubled = prev is not None and _halves(prev, step)
         prev = None if doubled or lam > DAMPING_FLOOR else step
         if doubled:
@@ -245,7 +250,7 @@ def gauss_newton(start, target) -> GaussNewtonResult:
                 stalled = climbing or new_step > (1 - HALVING_TOL) * last_step
         extrapolated = extrapolated or doubled
         x, r, rnorm_prev, rnorm, J = x_new, r_new, rnorm, rnorm_new, J_new
-        svd = None
+        V = None
         lam = max(lam / 3.0, DAMPING_FLOOR)
         last_step = new_step
         if stalled or (rnorm < RES_TOL and last_step < STEP_TOL):
@@ -278,7 +283,8 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     exactly.  When no grid football is valid (the valid slit window can be
     narrower than the grid step) the call raises ValueError.
 
-    Each probe is one scalar glued_football build with its validate: the
+    Each probe is one scalar glued_football build with its validate, about
+    1.9 us (2.2 us before validate tested its inequalities inline): the
     200-point scan plus a few Newton builds (2-4 on the benchmark plans)
     make a call.  The scan is one pass that keeps the running minimum, with
     no list of builds or distances.  The builds stay scalar and uncached

@@ -36,6 +36,9 @@ def triangle_violations(a: float, b: float, c: float) -> list[str]:
     imply margin < a < pi - margin: b < a + c - m and c < a + b - m add to
     a > m, and a < b + c - m with the perimeter to a < pi - m.  Each
     message writes its number as a float, whatever the sides' type.
+    sss_solve and metric.validate make the same four comparisons inline and
+    call this only to name a violation; metric.cone_angle_rows makes them
+    elementwise.
     """
     m = VALIDITY_MARGIN
     out = []
@@ -91,10 +94,12 @@ def sss_solve(a: float, b: float, c: float) -> tuple[tuple[float, ...], tuple[tu
     -cos C dA/da, dA/dc = -cos B dA/da, with cos A = (f fa - fb fc)/(f fa +
     fb fc) from tan^2(A/2) = fb fc/(f fa); all of it holds cyclically.
     """
-    bad = triangle_violations(a, b, c)
-    if bad:
-        raise InvalidTriangleError(
-            f"invalid spherical triangle {(a, b, c)}: {bad[0]}")
+    m = VALIDITY_MARGIN
+    # triangle_violations inline: it names the violation only on failure.
+    if not (a < b + c - m and b < a + c - m and c < a + b - m
+            and a + b + c < TWO_PI - m):
+        raise InvalidTriangleError(f"invalid spherical triangle {(a, b, c)}: "
+                                   f"{triangle_violations(a, b, c)[0]}")
     f, fa, fb, fc = half_angle_sines(a, b, c, math.sin)
     root = math.sqrt(f * fa * fb * fc)
     cA = (f * fa - fb * fc) / (f * fa + fb * fc)

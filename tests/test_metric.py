@@ -21,7 +21,14 @@ from conesphere.metric import (
     validate,
 )
 from conesphere.solver import max_feasible_radius
-from conesphere.sphtrig import PI, VALIDITY_MARGIN, sss_solve
+from conesphere.sphtrig import (
+    PI,
+    TWO_PI,
+    VALIDITY_MARGIN,
+    InvalidTriangleError,
+    sss_solve,
+    triangle_violations,
+)
 
 TARGET = 4.0 * PI
 
@@ -262,6 +269,110 @@ class TestValidate:
         # The solver's residual evaluates through the same path.
         with pytest.raises(InvalidTriangleError):
             residual(bad, ConeAngleSpec(1.0, 1.0).cone_vector())
+
+
+def _edge_side(a, b, bound, place, push):
+    """The side c that puts the given bound of triangle_violations on
+    (a, b, c), numbered in its order a < b + c, b < a + c, c < a + b,
+    perimeter, at its edge, then moved by push.  place 1 is the last double
+    that meets the bound and 2 the first that breaks it; 0 is one double
+    inside 1, and 3 one double beyond 2."""
+    m = VALIDITY_MARGIN
+    meets = (lambda c: a < b + c - m, lambda c: b < a + c - m,
+             lambda c: c < a + b - m, lambda c: a + b + c < TWO_PI - m)[bound]
+    edge = (a - b + m, b - a + m, a + b - m, TWO_PI - m - a - b)[bound]
+    # A larger c meets the first two bounds and breaks the last two.  Each
+    # comparison is monotone in c, so bisect to two adjacent doubles.
+    inward = 1e-12 if bound < 2 else -1e-12
+    ok, bad = edge + inward, edge - inward
+    while (mid := 0.5 * (ok + bad)) not in (ok, bad):
+        ok, bad = (mid, bad) if meets(mid) else (ok, mid)
+    return (math.nextafter(ok, ok + inward), ok, bad,
+            math.nextafter(bad, bad - inward))[place] + push
+
+
+def _with(values, index, v):
+    return (*values[:index], v, *values[index + 1:])
+
+
+# Plain values, with room outside (0, pi); a special value in one slot.
+SIDE = st.floats(-0.5, 7.0)
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
+IN_RANGE = st.floats(0.0, PI)
+BOUND = st.integers(0, 3)
+PLACE = st.integers(0, 3)
+PUSH = st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12))
+
+# Triangles anywhere, within 1e-12 of each of the four bounds (often on
+# the doubles where it flips), and with a nan or infinite side.
+TRIANGLES = st.one_of(
+    st.tuples(SIDE, SIDE, SIDE),
+    st.builds(lambda a, b, *edge: (a, b, _edge_side(a, b, *edge)),
+              IN_RANGE, IN_RANGE, BOUND, PLACE, PUSH),
+    st.builds(_with, st.tuples(SIDE, SIDE, SIDE), st.integers(0, 2), SPECIAL))
+
+
+def _edge_row(x, tri, *edge):
+    # The third side of each triangle is one length in no other slot of it.
+    (i, j, k), _ = TRIANGLE_LAYOUT[tri]
+    return _with(x, k, _edge_side(x[i], x[j], *edge))
+
+
+SIX = st.tuples(*[IN_RANGE] * 6)
+# Six lengths anywhere, with one triangle within 1e-12 of one of its four
+# bounds, and with a nan or infinite length.
+ROWS = st.one_of(
+    st.tuples(*[SIDE] * 6),
+    st.builds(_edge_row, SIX, st.integers(0, 3), BOUND, PLACE, PUSH),
+    st.builds(_with, st.tuples(*[SIDE] * 6), st.integers(0, 5), SPECIAL))
+
+
+class TestInlineValidity:
+    """sss_solve and validate test the four inequalities inline and call
+    triangle_violations only to name a violation; cone_angle_rows makes the
+    same comparisons elementwise.  All three must agree with the rule."""
+
+    @staticmethod
+    def check_sss_solve(sides):
+        bad = triangle_violations(*sides)
+        if not bad:
+            sss_solve(*sides)
+            return
+        with pytest.raises(InvalidTriangleError) as err:
+            sss_solve(*sides)
+        assert str(err.value) == f"invalid spherical triangle {sides}: {bad[0]}"
+
+    @staticmethod
+    def check_validate(x):
+        expected = [f"T{t}: " + v
+                    for t, (sides, _) in enumerate(TRIANGLE_LAYOUT, start=1)
+                    for v in triangle_violations(*(x[s] for s in sides))]
+        assert validate(x) == expected
+        assert cone_angle_rows([x])[1].tolist() == [not expected]
+
+    @given(TRIANGLES)
+    @settings(max_examples=500, deadline=None)
+    def test_sss_solve_raises_on_the_rule(self, sides):
+        self.check_sss_solve(sides)
+
+    @given(ROWS)
+    @settings(max_examples=500, deadline=None)
+    def test_validate_expands_the_rule(self, x):
+        self.check_validate(x)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.2), (1.2, 1.0), (2.0, 2.2)])
+    @pytest.mark.parametrize("bound", range(4))
+    def test_every_bound_flips_with_the_rule(self, a, b, bound):
+        # The four doubles around each bound's edge, in a triangle (a, b, c)
+        # and in each triangle of a valid row.  At each pair the first
+        # double that breaks a bound meets it with equality.  The first
+        # bound breaks alone where a > b, the second where a < b, and the
+        # perimeter where a + b > pi.
+        row = (a, b, a, b, 1.1, 1.3)
+        for place in range(4):
+            self.check_sss_solve((a, b, _edge_side(a, b, bound, place, 0.0)))
+            for tri in range(len(TRIANGLE_LAYOUT)):
+                self.check_validate(_edge_row(row, tri, bound, place, 0.0))
 
 
 GENERIC = (1.9, 2.0, 1.0, 1.2, 1.3, 1.25)

@@ -1128,6 +1128,35 @@ class TestRigidityScan:
         assert [sol["iterations"] for sol in report["solutions"]] == [
             gauss_newton(s, target).iterations for s in starts]
 
+    @pytest.mark.parametrize("t, radius", BENCH_PLANS)
+    def test_bit_identical_to_the_two_solve_reference(self, t, radius):
+        # The first input of each benchmark plan, against the scan rebuilt
+        # from two_solve_gauss_newton per start plus family_distance: every
+        # solution row and every count, to the bit.
+        spec = ConeAngleSpec(1.0, 2.0)
+        target = spec.cone_vector()
+        report = rigidity_scan(GluedFootballParams(spec, t), target, radius,
+                               100, BENCH_FIRST_SEED)
+        results = [two_solve_gauss_newton(s, target)
+                   for s in bench_starts(t, radius)]
+        rows = []
+        for res in results:
+            if res.status == "converged":
+                rows.append((*res.lengths, res.residual_norm, res.iterations,
+                             *family_distance(res.lengths, spec)))
+        statuses = [res.status for res in results]
+        assert (report["converged"], report["nonconverged"],
+                report["boundary_failures"]) == (
+            len(rows), statuses.count("max_iter"), statuses.count("boundary"))
+
+        def bits(row):
+            return [v.hex() if isinstance(v, float) else v for v in row]
+
+        assert [bits((*sol["lengths"], sol["residual_norm"],
+                      sol["iterations"], sol["s_star"],
+                      sol["family_distance"]))
+                 for sol in report["solutions"]] == [bits(r) for r in rows]
+
     def test_deterministic_for_fixed_seed(self):
         from conesphere.suites import rigidity_suite
         from conesphere.reports import render_report
