@@ -1,4 +1,4 @@
-"""Cone-angle bookkeeping: conic Euler characteristic and the odd-lattice distance.
+"""Cone-angle bookkeeping: the odd-lattice distance.
 
 Normalized cone angles are beta_j = (cone angle)/(2*pi), passed as a plain
 sequence of floats: ConeAngleSpec.normalized(), or the cone angles of
@@ -12,11 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-
-
-def chi(beta_vec) -> float:
-    """Conic Euler characteristic of the sphere: 2 + sum(beta_j - 1)."""
-    return 2 + sum(b - 1.0 for b in beta_vec)
 
 
 def mp_distance(beta_vec) -> float:

@@ -76,14 +76,14 @@ def half_piece_solve(apex_half: float, d_half: float, ell: float,
     return side, corner
 
 
+def sign(x: float) -> int:
+    """Three-way sign of x: 1, -1, or 0 for +-0.0 (and nan)."""
+    return int(x > 0.0) - int(x < 0.0)
+
+
 def inequality_sign(ell: float, l1: float, l2: float) -> int:
     """Sign of sin(ell) * cos(ell) * sin((l1 - l2)/2)."""
-    product = math.sin(ell) * math.cos(ell) * math.sin(0.5 * (l1 - l2))
-    if product > 0.0:
-        return 1
-    if product < 0.0:
-        return -1
-    return 0
+    return sign(math.sin(ell) * math.cos(ell) * math.sin(0.5 * (l1 - l2)))
 
 
 def _angle_sum_roots(alpha: float, ell: float, beta: float) -> list[float]:

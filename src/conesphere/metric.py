@@ -10,10 +10,10 @@ The one-parameter family glued_football(alpha, beta, t) cross-glues two
 spherical footballs of cone angles alpha and beta along a meridian slit of
 length t and realizes cone angles (alpha, beta, alpha + beta, 4*pi) exactly.
 
-validate, cone_angle_pass, total_area and serialize read any sequence of
-the six lengths: a tuple, a list, an ndarray row, or the TriangulatedMetric
-that glued_football and deserialize return.  validate alone names a
-violated inequality, by its triangle T1..T4; the triangle solvers raise
+validate, cone_angle_pass and serialize read any sequence of the six
+lengths: a tuple, a list, an ndarray row, or the TriangulatedMetric that
+glued_football and deserialize return.  validate alone names a violated
+inequality, by its triangle T1..T4; the triangle solvers raise
 InvalidTriangleError without naming the triangle.
 """
 
@@ -247,15 +247,6 @@ def cone_angle_rows(lengths) -> tuple[np.ndarray, np.ndarray]:
             theta[:, r] += 2.0 * np.arctan2(root, f * fc)
     theta[~valid] = np.nan
     return theta, valid
-
-
-def total_area(lengths) -> float:
-    """Surface area of l1..l6 by Gauss-Bonnet: sum(theta) - 4*pi.
-
-    The four triangle excesses sum every corner angle, less 4*pi, and the
-    corners make up the cone angles.
-    """
-    return sum(cone_angle_tuple(lengths)) - 2.0 * TWO_PI
 
 
 def serialize(lengths, spec: ConeAngleSpec) -> str:

@@ -38,11 +38,9 @@ dot product (what np.linalg.norm computes for a 1-D float array, to the
 bit), and family distances are math.dist.  The fixed inputs are converted
 once: gauss_newton makes its target an ndarray once per call and keeps its
 SVD factors per accepted point, and family_distance scans a grid built once
-at import.  On a 2-vCPU Xeon host, best of timeit repeats: one pass about
-8 us (9.3 us with the validity rule called per triangle and the Jacobian
-indices summed per entry), one SVD about 10 us; per start of the rigidity
-plan, gauss_newton about 0.46 ms (was 0.50 ms) and family_distance about
-0.44 ms (was 0.49 ms).
+at import.  On a 2-vCPU Xeon host, best of timeit repeats, one pass takes
+about 8 us and one SVD about 10 us, so per-call overhead of a few us
+matters.
 
 The glued family is a curve of double roots, where Gauss-Newton converges
 only linearly: each step about halves the one before.  gauss_newton keeps
@@ -194,10 +192,9 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     changes only the damping, so the SVD is computed once per accepted
     point, when an iteration needs it.  With it the point keeps s*s, U^T r
     and V = Vt.T, since r and U change only on acceptance, so each
-    iteration, after a rejection too, forms only V (s/(s*s + lam^2) U^T r):
-    about 2.1 us, where forming the whole step from U, s and Vt took about
-    3.6 us.  The result carries the final lengths as a tuple of floats, or
-    None when start itself is outside the region.
+    iteration, after a rejection too, forms only V (s/(s*s + lam^2) U^T r).
+    The result carries the final lengths as a tuple of floats, or None when
+    start itself is outside the region.
     """
     x = np.array(start, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -284,12 +281,12 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     narrower than the grid step) the call raises ValueError.
 
     Each probe is one scalar glued_football build with its validate, about
-    1.9 us (2.2 us before validate tested its inequalities inline): the
-    200-point scan plus a few Newton builds (2-4 on the benchmark plans)
-    make a call.  The scan is one pass that keeps the running minimum, with
-    no list of builds or distances.  The builds stay scalar and uncached
-    because the benchmark traces glued_football and counts them; the
-    closed-form projection that replaces the scan waits on that count.
+    1.9 us: the 200-point scan plus a few Newton builds (2-4 on the
+    benchmark plans) make a call.  The scan is one pass that keeps the
+    running minimum, with no list of builds or distances.  The builds stay
+    scalar and uncached because the benchmark traces glued_football and
+    counts them; the closed-form projection that replaces the scan waits on
+    that count.
     """
     half = (math.sin(0.5 * spec.alpha), math.sin(0.5 * spec.beta))
     for field, x in zip(LENGTH_FIELDS, lengths):

@@ -8,11 +8,12 @@ solver.defect_scan, the same closure the scan suite sweeps, so a report
 row carries the piece sides l1, l2 and the corner total's defect, not
 the corner of each piece.  The slit-defect suites (lemma2, step1, scan)
 assert the classical sign convention for the corner-angle defect: corner
-total below 4*pi when l1, l2 < pi/2 and above 4*pi in the mirror regime.
-The computed geometry consistently yields the opposite signs (see the
-test suite for the corrected sign law verified against independent
-embeddings), so those suites report FAIL; the reports carry both the
-expected and the computed sign per node.
+total below 4*pi on the acute branch (l1, l2 < pi/2) and above 4*pi on
+the obtuse one.  A node is as stated (as_stated) when its defect clears
+SIGN_MARGIN with the stated sign.  The computed geometry consistently
+yields the opposite signs (see the test suite for the corrected sign law
+verified against independent embeddings), so those suites report FAIL;
+the reports carry both the expected and the computed sign per node.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import math
 import numpy as np
 
 from . import lemmas
-from .admissibility import chi, mp_distance, mp_distance_bruteforce
+from .admissibility import mp_distance, mp_distance_bruteforce
 from .eigencheck import radial_residual
-from .metric import ConeAngleSpec, GluedFootballParams, glued_football, total_area
+from .metric import ConeAngleSpec, GluedFootballParams
 from .reports import build_report
 from .solver import (
     DAMPING0,
@@ -39,18 +40,24 @@ from .solver import (
 from .sphtrig import PI
 
 
-def _stated_sign(regime: str) -> int:
-    # The classical convention under test: defect negative in the "below"
-    # regime, positive in "above".
-    return -1 if regime == "below" else 1
+# The classical convention under test, by branch: the corner-total defect
+# is negative on the acute branch ("below") and positive on the obtuse one.
+STATED_SIGN = {"acute": -1, "obtuse": 1}
+# A defect decides its sign only beyond this margin.
+SIGN_MARGIN = 1e-9
 
 
-# Uneven-split defect grids.  Every window sits inside the feasibility
-# region of every eps in LEMMA2_EPS.
+def as_stated(defect: float, stated: int) -> bool:
+    """True when |defect| > SIGN_MARGIN and defect has the stated sign."""
+    return abs(defect) > SIGN_MARGIN and lemmas.sign(defect) == stated
+
+
+# Uneven-split defect grids: each regime's branch and slit window.  Every
+# window sits inside the feasibility region of every eps in LEMMA2_EPS.
 LEMMA2_EPS = (0.01, 0.05, 0.1)
 LEMMA2_GRID = 5
-LEMMA2_WINDOWS = {"below": (2.0, 2.6), "above": (0.5, 1.04)}
-STEP1_WINDOWS = {"below": (2.11, 2.82), "above": (0.2, 1.06)}
+LEMMA2_WINDOWS = {"below": ("acute", 2.0, 2.6), "above": ("obtuse", 0.5, 1.04)}
+STEP1_WINDOWS = {"below": ("acute", 2.11, 2.82), "above": ("obtuse", 0.2, 1.06)}
 
 
 def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
@@ -63,13 +70,11 @@ def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
     """
     spec = ConeAngleSpec(alpha, beta)
     results["sweeps"] = []
-    margin = 1e-9
     for eps in LEMMA2_EPS:
-        for regime, (lo, hi) in windows.items():
+        for regime, (branch, lo, hi) in windows.items():
             grid = np.linspace(lo, hi, LEMMA2_GRID)
-            branch = "acute" if regime == "below" else "obtuse"
             scan = defect_scan(spec, grid, grid, eps, branch)
-            expected = _stated_sign(regime)
+            expected = STATED_SIGN[branch]
             rows = []
             for k, ell in enumerate(grid.tolist()):
                 if not scan.feasible[k]:
@@ -80,16 +85,13 @@ def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
                 rows.append({
                     "ell": ell, "feasible": True, "l1": l1, "l2": l2,
                     "defect": defect, "expected_sign": expected,
-                    "computed_sign": (int(math.copysign(1.0, defect))
-                                      if defect else 0),
+                    "computed_sign": lemmas.sign(defect),
                     "classical_product_sign": lemmas.inequality_sign(ell, l1, l2)})
-            node_ok = all(
-                r["feasible"] and r["computed_sign"] == expected
-                and abs(r["defect"]) > margin
-                for r in rows)
+            ok = all(r["feasible"] and as_stated(r["defect"], expected)
+                     for r in rows)
             results["sweeps"].append({
                 "eps": eps, "regime": regime, "grid": grid.tolist(),
-                "rows": rows, "pass": node_ok,
+                "rows": rows, "pass": ok,
             })
     results["pass"] = all(sweep["pass"] for sweep in results["sweeps"])
     return build_report(command, results)
@@ -188,29 +190,15 @@ def eigen_suite() -> dict:
 
 
 def admissible_suite(alpha: float, beta: float) -> dict:
-    spec = ConeAngleSpec(alpha, beta)
-    beta_vec = spec.normalized()
+    beta_vec = ConeAngleSpec(alpha, beta).normalized()
     mp = mp_distance(beta_vec)
     mp_brute = mp_distance_bruteforce(beta_vec)
-    chi_val = chi(beta_vec)
-    chi_closed = (alpha + beta) / PI
-    area_checks = []
-    for t in (0.6, PI / 2.0, 2.2):
-        area = total_area(glued_football(GluedFootballParams(spec, t)))
-        gap = abs(area - 2.0 * PI * chi_val)
-        area_checks.append({"t": t, "area": area, "gap": gap})
-    ok = (abs(mp - 1.0) < 1e-12 and mp == mp_brute
-          and abs(chi_val - chi_closed) < 1e-12
-          and all(c["gap"] < 1e-10 for c in area_checks))
     results = {
         "alpha": alpha, "beta": beta,
         "beta_vec": list(beta_vec),
         "mp_distance": mp,
         "mp_distance_bruteforce": mp_brute,
-        "chi": chi_val,
-        "chi_closed_form": chi_closed,
-        "area_checks": area_checks,
-        "pass": ok,
+        "pass": abs(mp - 1.0) < 1e-12 and mp == mp_brute,
     }
     return build_report("admissible", results)
 
@@ -232,18 +220,18 @@ def scan_suite(alpha: float, beta: float, eps: float,
     """Defect scan plus the stated per-node sign assertion (eps != 0 only).
 
     The scan runs over the (l3, l4) product of the two axes, rows in
-    lexicographic order.  A verdict needs at least one checked node: a scan
-    at eps = 0, or one whose nodes are all infeasible, fails.
+    lexicographic order.  It passes when it checks at least one node and
+    every checked node is as_stated: a scan at eps = 0, or one whose nodes
+    are all infeasible, fails.
     """
     spec = ConeAngleSpec(alpha, beta)
     grid = defect_scan(spec, np.repeat(l3_grid, len(l4_grid)),
                        np.tile(l4_grid, len(l3_grid)), eps, branch)
-    regime = "below" if branch == "acute" else "above"
-    expected = _stated_sign(regime)
+    expected = STATED_SIGN[branch]
     feasible = int(grid.feasible.sum())
-    signs = np.sign(grid.residuals[grid.feasible, 3]) if eps != 0.0 else []
-    checked = len(signs)
-    ok = checked > 0 and bool(np.all(signs == expected))
+    defects = grid.residuals[grid.feasible, 3].tolist() if eps != 0.0 else []
+    checked = len(defects)
+    ok = checked > 0 and all(as_stated(d, expected) for d in defects)
     results = {
         "alpha": alpha, "beta": beta, "eps": eps, "branch": branch,
         "nodes": len(grid.feasible), "feasible_nodes": feasible,

@@ -4,32 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conesphere.admissibility import (
-    chi,
-    mp_distance,
-    mp_distance_bruteforce,
-)
-from conesphere.metric import ConeAngleSpec, GluedFootballParams, glued_football, total_area
+from conesphere.admissibility import mp_distance, mp_distance_bruteforce
+from conesphere.metric import ConeAngleSpec
 from conesphere.sphtrig import PI
-
-
-class TestChi:
-    def test_example_vector(self):
-        assert chi((0.25, 0.25, 0.5, 2.0)) == pytest.approx(1.0)
-
-    def test_smooth_sphere(self):
-        assert chi(()) == 2
-
-    def test_family_closed_form(self):
-        for alpha, beta in ((0.4, 0.9), (PI / 2, PI / 2), (2.5, 0.3)):
-            vec = ConeAngleSpec(alpha, beta).normalized()
-            assert chi(vec) == pytest.approx((alpha + beta) / PI, abs=1e-14)
-
-    def test_area_is_two_pi_chi(self):
-        spec = ConeAngleSpec(1.3, 0.7)
-        vec = spec.normalized()
-        area = total_area(glued_football(GluedFootballParams(spec, 1.1)))
-        assert area == pytest.approx(2.0 * PI * chi(vec), abs=1e-10)
 
 
 class TestMpDistance:

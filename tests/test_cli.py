@@ -479,8 +479,6 @@ class TestEigenAdmissible:
         results = json.loads(stdout)["results"]
         assert results["mp_distance"] == pytest.approx(1.0, abs=1e-12)
         assert "mp_distance_all_odd" not in results
-        assert results["chi"] == pytest.approx(
-            (float(ALPHA) + float(BETA)) / PI, abs=1e-14)
 
 
 class TestUnwritableOutput:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conesphere import suites
+from conesphere import lemmas, suites
 from conesphere.lemmas import (
     NoTriangleError,
     angle_sum_branches,
@@ -16,10 +16,9 @@ from conesphere.lemmas import (
     _angle_sum_roots,
 )
 from conesphere.metric import ConeAngleSpec
-from conesphere.solver import defect_scan
+from conesphere.solver import ScanGrid, defect_scan
 from conesphere.sphtrig import PI, sss_solve
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from oracles import corner, golden_minimize, tangent
 
 
 # ---------------------------------------------------------------------------
@@ -27,11 +26,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # measure its corner angle with tangent vectors, entirely outside the
 # trigonometric kernel.
 # ---------------------------------------------------------------------------
-
-def _tangent(frm, to):
-    t = to - np.dot(to, frm) * frm
-    return t / np.linalg.norm(t)
-
 
 def embedded_half_piece_corner(apex_half, d_half, ell, branch):
     """Corner angle at the slit vertex, via explicit unit vectors.
@@ -61,7 +55,7 @@ def embedded_half_piece_corner(apex_half, d_half, ell, branch):
         D = np.array([math.sin(psi), 0.0, math.cos(psi)])
         # Axis tangent at D back toward the apex, along decreasing psi.
         axis_dir = np.array([-math.cos(psi), 0.0, math.sin(psi)])
-        to_C = _tangent(D, C)
+        to_C = tangent(D, C)
         d_angle = math.acos(max(-1.0, min(1.0, np.dot(axis_dir, to_C))))
         err = abs(d_angle - d_half)
         if best is None or err < best[0]:
@@ -70,8 +64,8 @@ def embedded_half_piece_corner(apex_half, d_half, ell, branch):
     assert err < 1e-8, f"no symmetry-plane vertex with D-angle {d_half}"
     # Interior angle at C between the apex arc and the slit arc, swept on
     # the region side (toward decreasing azimuth).
-    t_A = _tangent(C, A)
-    t_D = _tangent(C, D)
+    t_A = tangent(C, A)
+    t_D = tangent(C, D)
     cross = np.cross(t_A, t_D)
     signed_sin = float(np.dot(cross, C))
     cos_angle = float(np.dot(t_A, t_D))
@@ -79,12 +73,6 @@ def embedded_half_piece_corner(apex_half, d_half, ell, branch):
     if sweep < 0.0:
         sweep += 2.0 * PI
     return sweep
-
-
-def _corner(at, p, q):
-    """Interior angle at `at` between the arcs to p and q."""
-    cos_angle = float(np.dot(_tangent(at, p), _tangent(at, q)))
-    return math.acos(max(-1.0, min(1.0, cos_angle)))
 
 
 def embedded_base_angle_sums(a, ell, beta, n=120):
@@ -104,7 +92,7 @@ def embedded_base_angle_sums(a, ell, beta, n=120):
         return math.cos(t) * P + math.sin(t) * u
 
     def f(t):
-        return _corner(apex(t), P, Q) - beta
+        return corner(apex(t), P, Q) - beta
 
     ts = [PI * (k + 0.5) / n for k in range(n)]
     fs = [f(t) for t in ts]
@@ -120,7 +108,7 @@ def embedded_base_angle_sums(a, ell, beta, n=120):
                 hi = mid
             else:
                 lo, f_lo = mid, f_mid
-        sums.append(a + _corner(Q, P, apex(0.5 * (lo + hi))))
+        sums.append(a + corner(Q, P, apex(0.5 * (lo + hi))))
     return sums
 
 
@@ -354,7 +342,7 @@ class TestLemma2Defect:
         # writes each infeasible node as {"ell", "feasible": False} and
         # each feasible one as the diagonal node plus the sign keys.
         report = suites._defect_suite("lemmas --suite lemma2", PI / 2, PI / 2,
-                                      {"below": (1.7, 2.2)}, {})
+                                      {"below": ("acute", 1.7, 2.2)}, {})
         sweeps = report["results"]["sweeps"]
         feasible = [row["feasible"] for sweep in sweeps for row in sweep["rows"]]
         assert 0 < sum(feasible) < len(feasible)
@@ -389,6 +377,63 @@ class TestInequalitySign:
     def test_mixed_signs_product_is_negative(self):
         # ell < pi/2 with l1 < l2: sin, cos > 0 and sin((l1-l2)/2) < 0.
         assert inequality_sign(PI / 3, 1.0, 1.2) == -1
+
+
+# ---------------------------------------------------------------------------
+# The per-node sign rule of the lemma2, step1 and scan verdicts
+# ---------------------------------------------------------------------------
+
+def constant_defect_scan(defects):
+    """A stand-in for suites.defect_scan: every node feasible, node k with
+    r_C = defects[k % len(defects)] and the other cells 1.0."""
+    def scan(spec, l3, l4, eps, branch):
+        n = len(l3)
+        residuals = np.ones((n, 4))
+        residuals[:, 3] = [defects[k % len(defects)] for k in range(n)]
+        return ScanGrid(np.ones((n, 6)), residuals, np.ones(n, dtype=bool))
+    return scan
+
+
+class TestSignRule:
+    def test_margin_is_undecided(self):
+        beyond = math.nextafter(suites.SIGN_MARGIN, math.inf)
+        for stated in (1, -1):
+            assert not suites.as_stated(stated * suites.SIGN_MARGIN, stated)
+            assert suites.as_stated(stated * beyond, stated)
+            assert not suites.as_stated(-stated * beyond, stated)
+
+    def test_signed_zero_signs_to_zero(self):
+        assert lemmas.sign(0.0) == lemmas.sign(-0.0) == 0
+        assert lemmas.sign(5e-324) == 1
+        assert lemmas.sign(-5e-324) == -1
+
+    def test_scan_node_inside_the_margin_fails(self, monkeypatch):
+        # Every node carries the stated sign; one of the nine is 5e-10
+        # from zero, inside the margin, and fails the scan by itself.
+        stated = suites.STATED_SIGN["acute"]
+        axis = [2.0, 2.2, 2.4]
+        monkeypatch.setattr(suites, "defect_scan",
+                            constant_defect_scan([stated * 1e-3]))
+        report, _ = suites.scan_suite(1.0, 2.0, 0.05, "acute", axis, axis)
+        assert report["results"]["checked_nodes"] == 9
+        assert report["results"]["pass"] is True
+        monkeypatch.setattr(suites, "defect_scan", constant_defect_scan(
+            [stated * 1e-3] * 4 + [stated * 5e-10]))
+        report, _ = suites.scan_suite(1.0, 2.0, 0.05, "acute", axis, axis)
+        assert report["results"]["checked_nodes"] == 9
+        assert report["results"]["pass"] is False
+
+    def test_defect_suite_node_inside_the_margin_fails(self, monkeypatch):
+        monkeypatch.setattr(suites, "defect_scan", constant_defect_scan(
+            [-1e-3, -1e-3, -5e-10]))
+        report = suites._defect_suite("lemmas --suite lemma2", PI / 2,
+                                      PI / 2, {"below": ("acute", 2.0, 2.6)},
+                                      {})
+        sweeps = report["results"]["sweeps"]
+        # Five nodes per sweep, so the 5e-10 node lands in every sweep.
+        assert [s["pass"] for s in sweeps] == [False] * len(suites.LEMMA2_EPS)
+        assert all(row["computed_sign"] == -1
+                   for s in sweeps for row in s["rows"])
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +496,7 @@ def golden_extremize(ell, beta, lo, hi, kind):
         return min(roots, key=lambda s: abs(s - 2 * a))
 
     sign = 1.0 if kind == "minimum" else -1.0
-
-    def f(a):
-        return sign * s_of(a)
-
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-9:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
+    return golden_minimize(lambda a: sign * s_of(a), lo, hi, 1e-9)
 
 
 def mp_angle_sum_roots(alpha, ell, beta, dps=50):

@@ -17,10 +17,8 @@ from conesphere.metric import (
     deserialize,
     glued_football,
     serialize,
-    total_area,
     validate,
 )
-from conesphere.solver import max_feasible_radius
 from conesphere.sphtrig import (
     PI,
     TWO_PI,
@@ -382,12 +380,11 @@ GENERIC = (1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
     tuple, list, lambda x: np.array([x, x])[1], lambda x: TriangulatedMetric(*x),
 ], ids=["tuple", "list", "ndarray-row", "metric"])
 def test_plain_lengths_in_every_container(wrap):
-    # validate, total_area and serialize index or iterate the six lengths
+    # validate and serialize index or iterate the six lengths
     # and convert nothing, so every container gives the tuple's results.
     spec = ConeAngleSpec(1.0, 2.0)
     x = wrap(GENERIC)
     assert validate(x) == []
-    assert total_area(x) == total_area(GENERIC)
     assert serialize(x, spec) == serialize(GENERIC, spec)
     assert deserialize(serialize(x, spec)) == (GENERIC, spec)
     # The messages are the same text for every container: an ndarray
@@ -397,37 +394,6 @@ def test_plain_lengths_in_every_container(wrap):
         f"T2: triangle inequality c < a + b violated by {1.2 - (0.5 + 0.5)!r}",
         f"T4: triangle inequality c < a + b violated by {1.4 - (0.5 + 0.5)!r}",
     ]
-
-
-class TestArea:
-    def test_right_angle_family_area(self):
-        for t in (0.3, 1.1, 2.6):
-            assert total_area(family(PI / 2, PI / 2, t)) == pytest.approx(
-                2.0 * PI, abs=1e-10)
-
-    def test_area_constant_along_family(self):
-        spec_area = 2.0 * (0.9 + 2.4)
-        areas = [total_area(family(0.9, 2.4, t))
-                 for t in np.linspace(0.15, PI - 0.15, 9)]
-        assert max(abs(a - spec_area) for a in areas) < 1e-10
-
-    def test_generic_metric_area_bounds(self):
-        assert 0.0 < total_area(GENERIC) < 8.0 * PI
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
-           st.floats(0.2, PI - 0.2),
-           st.lists(st.floats(-0.99, 0.99), min_size=6, max_size=6))
-    def test_matches_the_triangle_excess_sum(self, alpha, beta, t, frac):
-        # Valid lengths off the family: a family point moved by less than
-        # the largest ball that stays in the validity region.  The oracle
-        # sums each triangle's excess, angle sum less pi.
-        base = family(alpha, beta, t)
-        radius = max_feasible_radius(base)
-        x = [v + radius * f for v, f in zip(base.lengths(), frac)]
-        excess = sum(sum(sss_solve(*(x[i] for i in sides))[0]) - PI
-                     for sides, _ in TRIANGLE_LAYOUT)
-        assert abs(total_area(x) - excess) < 1e-13
 
 
 class TestSerialization:

@@ -42,6 +42,7 @@ from conesphere.solver import (
     rigidity_scan,
 )
 from conesphere.sphtrig import PI, InvalidTriangleError, sss_solve
+from oracles import corner, golden_minimize
 
 SPEC = ConeAngleSpec(PI / 2, PI / 2)
 
@@ -72,17 +73,6 @@ LAYOUT = (
 )
 
 
-def _tangent(at, to):
-    t = to - np.dot(to, at) * at
-    return t / np.linalg.norm(t)
-
-
-def _corner(at, p, q):
-    """Interior angle at `at` between the arcs to p and q."""
-    u, v = _tangent(at, p), _tangent(at, q)
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
-
-
 def embedded_corners(a, b, c):
     """Corners opposite sides a, b and c of a triangle on the unit sphere.
 
@@ -94,7 +84,7 @@ def embedded_corners(a, b, c):
     z = math.cos(b)
     x = (math.cos(a) - z * math.cos(c)) / math.sin(c)
     P = np.array([x, math.sqrt(1.0 - x * x - z * z), z])
-    return _corner(P1, P2, P), _corner(P2, P1, P), _corner(P, P1, P2)
+    return corner(P1, P2, P), corner(P2, P1, P), corner(P, P1, P2)
 
 
 def embedded_cone_angles(lengths, layout=LAYOUT):
@@ -276,9 +266,6 @@ def distance_slack(s, spec):
     return 4.0 * sys.float_info.epsilon * condition
 
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def golden_family_distance(lengths, spec):
     """Reference projection onto the family: the same 200-point scan,
     refined by golden-section search on the best grid point's two
@@ -295,19 +282,7 @@ def golden_family_distance(lengths, spec):
     j = int(np.argmin([dist(s) for s in grid]))
     lo = grid[max(j - 1, 0)]
     hi = grid[min(j + 1, len(grid) - 1)]
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = dist(x1), dist(x2)
-    while hi - lo > 1e-12:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = dist(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = dist(x2)
-    s_star = 0.5 * (lo + hi)
+    s_star = golden_minimize(dist, lo, hi, 1e-12)
     return float(s_star), float(dist(s_star))
 
 
