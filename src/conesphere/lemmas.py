@@ -17,8 +17,9 @@ numerical sweep:
   every interval of base angles between the closed-form points where the
   number of triangles changes.
 * lemma1_caseb_exclusion tabulates the bigon case of lemma 1 (two
-  non-identical triangles over the chord).  It cannot fail: it takes cos l5
-  from the bigon relation itself, so every node restates sin^2 l1 < 1.
+  non-identical triangles over the chord) by its one closed form: the
+  closure gap is (1 - cos beta) cos^2 l1, positive for every l1 != pi/2.
+  It cannot fail, since it takes cos l5 from the bigon relation itself.
 
 Every function takes plain numbers.  lemma3_sweep, angle_sum_branches and
 lemma1_caseb_exclusion return the rows themselves, as dicts; the suites add
@@ -220,17 +221,16 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[dict, ...]:
     """One row per l1 of the non-identical (bigon) case, which cannot close.
 
     With l1 + l2 = pi the chord satisfies cos l5 = 1 + (cos beta - 1) sin^2 l1,
-    so (cos l5 - 1)/(cos beta - 1) = sin^2 l1 < 1 away from l1 = pi/2, while
-    closing the slit triangle over the same chord would need
-    sin^2 alpha = (cos beta - 1)/(cos l5 - 1) > 1.  Since cos l5 comes from
-    the bigon relation itself, each row restates sin^2 l1 < 1 three ways
-    (bigon_ratio, required_sin2_alpha and the smallest closure gap over all
-    alpha), and incompatible holds at every l1 != pi/2: no node can fail.
-    Each row is {"l1", "cos_l5", "bigon_ratio", "required_sin2_alpha",
-    "incompatible", "alpha_scan_min"}.
+    and closing the slit triangle over that chord at apex angle alpha leaves
+    the gap |1 + (cos l5 - 1) sin^2 alpha - cos beta|, smallest at
+    alpha = pi/2, where it is |cos l5 - cos beta| = (1 - cos beta) cos^2 l1.
+    That closed form is positive for every l1 != pi/2, so incompatible
+    (gap > 0) holds at every node: no node can fail.  Each row is
+    {"l1", "cos_l5", "incompatible", "alpha_scan_min"}, the last the gap.
     """
     if not (0.0 < beta < PI):
         raise ValueError(f"beta = {beta!r} outside (0, pi)")
+    cos_beta = math.cos(beta)
     rows = []
     for l1 in l1_grid:
         l1 = float(l1)
@@ -239,19 +239,8 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[dict, ...]:
         if abs(l1 - PI / 2.0) < 1e-9:
             raise ValueError("l1 = pi/2 is the identical-triangle case (a), "
                              "excluded from the grid")
-        sin2 = math.sin(l1) ** 2
-        cos_l5 = 1.0 + (math.cos(beta) - 1.0) * sin2
-        bigon_ratio = (cos_l5 - 1.0) / (math.cos(beta) - 1.0)
-        required = (math.cos(beta) - 1.0) / (cos_l5 - 1.0)
-        # Direct evidence: no alpha satisfies the slit-triangle closure.  The
-        # closure gap |1 + (cos l5 - 1) sin^2 alpha - cos beta| equals
-        # (1 - cos beta)(1 - sin^2 l1 sin^2 alpha), smallest at alpha = pi/2.
-        scan_min = abs(cos_l5 - math.cos(beta))
-        rows.append({
-            "l1": l1, "cos_l5": cos_l5, "bigon_ratio": bigon_ratio,
-            "required_sin2_alpha": required,
-            "incompatible": (bigon_ratio < 1.0 and required > 1.0
-                             and scan_min > 0.0),
-            "alpha_scan_min": scan_min})
+        cos_l5 = 1.0 + (cos_beta - 1.0) * math.sin(l1) ** 2
+        gap = abs(cos_l5 - cos_beta)
+        rows.append({"l1": l1, "cos_l5": cos_l5, "incompatible": gap > 0.0,
+                     "alpha_scan_min": gap})
     return tuple(rows)
-

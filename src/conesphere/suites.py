@@ -145,9 +145,8 @@ LEMMA1_GRID = 1000
 
 def lemma1_suite(betas: tuple[float, ...]) -> dict:
     per_beta = []
-    # Grid over (0, pi) omitting the excluded midpoint l1 = pi/2.
-    grid = [v for v in np.linspace(0.01, PI - 0.01, LEMMA1_GRID)
-            if abs(v - PI / 2.0) > 1e-6]
+    # No node of the even grid lies within 1e-3 of the excluded l1 = pi/2.
+    grid = np.linspace(0.01, PI - 0.01, LEMMA1_GRID).tolist()
     for beta in betas:
         rows = lemmas.lemma1_caseb_exclusion(beta, grid)
         feasible_caseb = sum(0 if r["incompatible"] else 1 for r in rows)

@@ -210,13 +210,20 @@ def test_c6_caseb_exclusion():
     grid = [v for v in np.linspace(0.01, PI - 0.01, 1000)
             if abs(v - PI / 2) > 1e-6]
     feasible_total = 0
+    # The closure gap is (1 - cos beta) cos^2 l1 in closed form.
+    eps, worst_eps = np.finfo(float).eps, 0.0
     for beta in (0.5, 1.0, 2.0, 3.0):
         rows = lemma1_caseb_exclusion(beta, grid)
         feasible_total += sum(0 if r["incompatible"] else 1 for r in rows)
-    ok = feasible_total == 0
+        for r in rows:
+            closed = (1.0 - math.cos(beta)) * math.cos(r["l1"]) ** 2
+            worst_eps = max(worst_eps, abs(r["alpha_scan_min"] - closed) / eps)
+    ok = feasible_total == 0 and worst_eps <= 4.0
     report("6 bigon case-b exclusion", ok,
-           f"{feasible_total} feasible case-b nodes over {4 * len(grid)}")
+           f"{feasible_total} feasible case-b nodes over {4 * len(grid)}; "
+           f"gap within {worst_eps:.1f} eps of its closed form")
     assert feasible_total == 0
+    assert worst_eps <= 4.0
 
 
 def test_c7_admissibility():

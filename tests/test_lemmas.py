@@ -802,9 +802,9 @@ class TestLemma1CaseB:
                 assert row["alpha_scan_min"] == pytest.approx(scanned, abs=1e-15)
 
     def test_spec_point(self):
+        # The gap (1 - cos beta) cos^2 l1 at (pi/2, pi/3).
         (row,) = lemma1_caseb_exclusion(PI / 2, [PI / 3])
-        assert row["bigon_ratio"] == pytest.approx(0.75, abs=1e-12)
-        assert row["required_sin2_alpha"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert row["alpha_scan_min"] == pytest.approx(0.25, abs=1e-12)
         assert row["incompatible"]
 
     def test_midpoint_is_rejected(self):
