@@ -32,14 +32,16 @@ call: one gauss_newton makes one pass per trial point and one SVD per
 accepted point, and one family_distance about 203 glued_football builds.
 The per-point arithmetic therefore avoids numpy temporaries: lengths become
 a Python list once per pass, the Jacobian sums into a flat list of its 24
-entries at indices planned once at import, sphtrig.sss_solve and
-metric.validate test the four inequalities inline, norms are math.sqrt of a
-dot product (what np.linalg.norm computes for a 1-D float array, to the
-bit), and family distances are math.dist.  The fixed inputs are converted
-once: gauss_newton makes its target an ndarray once per call and keeps its
-SVD factors per accepted point, and family_distance scans a grid built once
-at import.  On a 2-vCPU Xeon host, best of timeit repeats, one pass takes
-about 8 us and one SVD about 10 us, so per-call overhead of a few us
+entries at indices planned once at import, sphtrig.sss_solve tests its
+four inequalities inline and metric.validate all of T1..T4 in one
+expression, norms are math.sqrt of a dot product (what np.linalg.norm
+computes for a 1-D float array, to the bit), and family distances are
+math.dist.  The fixed inputs are converted once: gauss_newton makes its
+target an ndarray once per call and keeps its SVD factors per accepted
+point, family_distance scans a grid built once at import, and a
+ConeAngleSpec carries its half-angle sines.  On a 2-vCPU Xeon host, best of
+timeit repeats, one pass takes about 8 us, one SVD about 10 us and one
+glued_football build about 1.5 us, so per-call overhead of a few us
 matters.
 
 The glued family is a curve of double roots, where Gauss-Newton converges
@@ -266,8 +268,8 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     ends of the window) counts as infinitely far.  A safeguarded Newton
     iteration on phi(s) = |F(s) - x|^2 / 2 then refines the best grid point
     inside its two neighbours: F(s) = (pi - s, pi - s, s, s, l5, l6) is a
-    glued_football build, and with a = sin(alpha/2), w = 1 - a^2 sin^2 s
-    the chord has l5' = 2a cos s / sqrt(w) and
+    glued_football build, and with a = sin(alpha/2) from spec.half_sines,
+    w = 1 - a^2 sin^2 s the chord has l5' = 2a cos s / sqrt(w) and
     l5'' = 2a (a^2 - 1) sin s / w^(3/2) (l6 with beta).  The sign of phi'
     shrinks the bracket; a step that leaves it, or phi'' <= 0, bisects
     instead, and a degenerate football bounds it.  A step toward the last
@@ -281,14 +283,13 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     narrower than the grid step) the call raises ValueError.
 
     Each probe is one scalar glued_football build with its validate, about
-    1.9 us: the 200-point scan plus a few Newton builds (2-4 on the
+    1.5 us: the 200-point scan plus a few Newton builds (2-4 on the
     benchmark plans) make a call.  The scan is one pass that keeps the
     running minimum, with no list of builds or distances.  The builds stay
     scalar and uncached because the benchmark traces glued_football and
     counts them; the closed-form projection that replaces the scan waits on
     that count.
     """
-    half = (math.sin(0.5 * spec.alpha), math.sin(0.5 * spec.beta))
     for field, x in zip(LENGTH_FIELDS, lengths):
         if not math.isfinite(x):
             raise ValueError(f"{field} = {float(x)!r} is not finite")
@@ -314,7 +315,7 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
         slope = d[2] + d[3] - d[0] - d[1]
         curvature = 4.0
         sin_s, cos_s = math.sin(s), math.cos(s)
-        for a, dl in zip(half, d[4:]):
+        for a, dl in zip(spec.half_sines, d[4:]):
             w = 1.0 - a * a * sin_s * sin_s
             first = 2.0 * a * cos_s / math.sqrt(w)
             second = 2.0 * a * (a * a - 1.0) * sin_s / (w * math.sqrt(w))
@@ -367,12 +368,15 @@ def rigidity_scan(p: GluedFootballParams, target, radius: float,
     Gauss-Newton iterations, nearest slit parameter s_star and family
     distance, with the largest of those distances.  Deterministic for a
     fixed seed.  An empty probe (radius not positive, no samples) is a
-    ValueError.
+    ValueError, and so is a negative seed, which numpy's generator rejects
+    without naming it.
     """
     if not radius > 0.0:  # also rejects nan
         raise ValueError(f"radius must be positive, got {radius!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     base = glued_football(p)
     feasible = max_feasible_radius(base)
     if not radius < feasible:
@@ -445,9 +449,8 @@ def defect_scan(spec: ConeAngleSpec, l3, l4, eps: float = 0.0,
     if len(l3) == 0 or len(l3) != len(l4):
         raise ValueError(f"scan grid needs at least 1 node, as equal-length "
                          f"l3 and l4, got {len(l3)} and {len(l4)}")
-    alpha, beta = spec.alpha, spec.beta
-    d1 = alpha - 2.0 * eps
-    d2 = beta + 2.0 * eps
+    d1 = spec.alpha - 2.0 * eps
+    d2 = spec.beta + 2.0 * eps
     if not (0.0 < d1 < PI and 0.0 < d2 < PI):
         raise ValueError(f"eps = {eps!r} drives a D-apex out of (0, pi)")
     with np.errstate(invalid="ignore"):
@@ -456,8 +459,8 @@ def defect_scan(spec: ConeAngleSpec, l3, l4, eps: float = 0.0,
         # outside [0, pi] can make a half-side negative: its root is nan.
         h, k = sas_half_sides(l3, l4, np.array([[d1], [d2]]), np.sin, np.cos)
         l5, l6 = 2.0 * np.arctan2(np.sqrt(h), np.sqrt(k))
-        s1 = np.sin(0.5 * l5) / math.sin(0.5 * alpha)
-        s2 = np.sin(0.5 * l6) / math.sin(0.5 * beta)
+        s1 = np.sin(0.5 * l5) / spec.half_sines[0]
+        s2 = np.sin(0.5 * l6) / spec.half_sines[1]
         feasible = (0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0)
         l1, l2 = np.arcsin(s1), np.arcsin(s2)
     if branch == "obtuse":

@@ -197,9 +197,11 @@ class TestRigidity:
         assert "max feasible radius" in err
 
     @pytest.mark.parametrize("option, value", [
-        ("--radius", "0"), ("--radius", "-0.01"), ("--samples", "0")])
+        ("--radius", "0"), ("--radius", "-0.01"), ("--samples", "0"),
+        ("--seed", "-1")])
     def test_empty_probe_usage_error(self, capsys, option, value):
-        # A probe with no ball or no starts has nothing to give a verdict on.
+        # A probe with no ball or no starts has nothing to give a verdict on,
+        # and a negative seed draws no starts: each names its option.
         code, _, err = run(capsys, "rigidity", "--alpha", ALPHA,
                            "--beta", BETA, "--t", T, option, value)
         assert code == 2

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conesphere.metric import (
     TRIANGLE_LAYOUT,
@@ -54,6 +55,28 @@ class TestConeAngleSpec:
         spec = ConeAngleSpec(1e-16, 1.0)
         assert spec.cone_vector() == (1e-16, 1.0, 1.0 + 1e-16, 4.0 * PI)
 
+    @given(st.floats(0.0, PI, exclude_min=True, exclude_max=True),
+           st.floats(0.0, PI, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_half_sines_are_the_half_angle_sines(self, alpha, beta):
+        spec = ConeAngleSpec(alpha, beta)
+        assert spec.half_sines == (math.sin(0.5 * alpha), math.sin(0.5 * beta))
+
+    def test_half_sines_leave_equality_hash_and_repr_alone(self):
+        # The sines are derived from alpha and beta, so the spec compares,
+        # hashes and prints by those two alone, and they are not an argument.
+        spec = ConeAngleSpec(1.0, 2.0)
+        assert repr(spec) == "ConeAngleSpec(alpha=1.0, beta=2.0)"
+        assert spec == ConeAngleSpec(1.0, 2.0)
+        assert spec != ConeAngleSpec(2.0, 1.0)
+        assert hash(spec) == hash((1.0, 2.0))
+        assert [f.name for f in dataclasses.fields(spec) if f.compare] == [
+            "alpha", "beta"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.half_sines = (0.5, 0.5)
+        with pytest.raises(TypeError):
+            ConeAngleSpec(1.0, 2.0, (0.5, 0.5))
+
 
 class TestGluedFootball:
     def test_closed_forms(self):
@@ -74,6 +97,53 @@ class TestGluedFootball:
     def test_degenerate_t_rejected(self):
         with pytest.raises(ValueError):
             family(1.0, 1.0, 0.0)
+
+    def test_builds_match_the_closed_form_bit_for_bit(self):
+        # A seeded grid of (alpha, beta, t).  The closed form recomputes
+        # both sines, which a build reads from its spec.
+        rng = np.random.default_rng(20190)
+        built = 0
+        for alpha, beta, t in rng.uniform(0.01, PI - 0.01, (400, 3)).tolist():
+            sin_t, u = math.sin(t), PI - t
+            closed = (u, u, t, t,
+                      2.0 * math.asin(sin_t * math.sin(0.5 * alpha)),
+                      2.0 * math.asin(sin_t * math.sin(0.5 * beta)))
+            try:
+                m = family(alpha, beta, t)
+            except InvalidTriangleError:
+                assert validate(closed)
+                continue
+            assert type(m) is TriangulatedMetric
+            assert m == closed and m.lengths() == closed
+            built += 1
+        assert built > 300
+
+    def test_degenerate_build_names_every_violation(self):
+        # At t = 1e-11 both chords are below the validity margin, so every
+        # triangle is too thin; T1 and T3 also reach the perimeter bound.
+        t = 1e-11
+        u = PI - t
+        l5 = 2.0 * math.asin(math.sin(t) * math.sin(0.5))
+        l6 = 2.0 * math.asin(math.sin(t) * math.sin(1.0))
+        issues = [
+            f"T1: triangle inequality a < b + c violated by {u - (u + l5)!r}",
+            f"T1: triangle inequality b < a + c violated by {u - (u + l5)!r}",
+            f"T1: perimeter {u + u + l5!r} not below 2*pi",
+            f"T2: triangle inequality a < b + c violated by {t - (t + l5)!r}",
+            f"T2: triangle inequality b < a + c violated by {t - (t + l5)!r}",
+            f"T2: triangle inequality c < a + b violated by {l5 - (t + t)!r}",
+            f"T3: triangle inequality a < b + c violated by {u - (u + l6)!r}",
+            f"T3: triangle inequality b < a + c violated by {u - (u + l6)!r}",
+            f"T3: perimeter {u + u + l6!r} not below 2*pi",
+            f"T4: triangle inequality a < b + c violated by {t - (t + l6)!r}",
+            f"T4: triangle inequality b < a + c violated by {t - (t + l6)!r}",
+            f"T4: triangle inequality c < a + b violated by {l6 - (t + t)!r}",
+        ]
+        assert validate((u, u, t, t, l5, l6)) == issues
+        with pytest.raises(InvalidTriangleError) as err:
+            family(1.0, 2.0, t)
+        assert str(err.value) == (
+            f"glued football at t = 1e-11 degenerates: {'; '.join(issues)}")
 
     def test_family_grid_residual(self):
         for alpha in np.linspace(0.25, PI - 0.25, 4):
@@ -316,7 +386,53 @@ def _edge_row(x, tri, *edge):
     return _with(x, k, _edge_side(x[i], x[j], *edge))
 
 
+# Each bound of triangle_violations by the start of its message.
+BOUND_TEXT = ("triangle inequality a < b + c ", "triangle inequality b < a + c ",
+              "triangle inequality c < a + b ", "perimeter ")
+
+# The 16 inequalities of T1..T4 as (triangle, bound), each with every
+# length it is monotone in.  In T1 = (l1, l1, l5), l1 < l1 + l5 - m is not
+# monotone in l1, so that bound moves with l5 alone (l2 and l6 in T3).
+INEQUALITIES = tuple(
+    (tri, bound, slot)
+    for tri, (sides, _) in enumerate(TRIANGLE_LAYOUT) for bound in range(4)
+    for slot in sorted(set(sides))
+    if not (bound < 2 and sides[0] == sides[1] == slot))
+
+
+def _meets(x, tri, bound):
+    """The rule's verdict on one bound of one triangle of l1..l6."""
+    sides, _ = TRIANGLE_LAYOUT[tri]
+    return not any(v.startswith(BOUND_TEXT[bound])
+                   for v in triangle_violations(*(x[s] for s in sides)))
+
+
+def _around_bound(x, tri, bound, slot):
+    """x with x[slot] at the four doubles around the edge of one bound: one
+    inside the last double that meets it, that double, the first that
+    breaks it, and one beyond.  Each bound holds at one end of [-10, 10]
+    and fails at the other, and is monotone in between, so bisect."""
+    def meets(v):
+        return _meets(_with(x, slot, v), tri, bound)
+
+    ok, bad = (-10.0, 10.0) if meets(-10.0) else (10.0, -10.0)
+    assert meets(ok) and not meets(bad)
+    while (mid := 0.5 * (ok + bad)) not in (ok, bad):
+        ok, bad = (mid, bad) if meets(mid) else (ok, mid)
+    inward = math.inf if ok > bad else -math.inf
+    return [_with(x, slot, v) for v in (math.nextafter(ok, inward), ok, bad,
+                                        math.nextafter(bad, -inward))]
+
+
 SIX = st.tuples(*[IN_RANGE] * 6)
+# A valid row, near the glued family or near a generic metric, 0.05 away at
+# most: moved to one edge, the rest of it is often still valid.
+OFFSETS = st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6)
+GENERIC = (1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
+NEAR_VALID = st.one_of(
+    st.builds(lambda *near: tuple(_near_family(*near)), st.floats(0.3, PI - 0.3),
+              st.floats(0.3, PI - 0.3), st.floats(0.4, PI - 0.4), OFFSETS),
+    st.builds(lambda d: tuple(np.add(GENERIC, d).tolist()), OFFSETS))
 # Six lengths anywhere, with one triangle within 1e-12 of one of its four
 # bounds, and with a nan or infinite length.
 ROWS = st.one_of(
@@ -358,6 +474,24 @@ class TestInlineValidity:
     def test_validate_expands_the_rule(self, x):
         self.check_validate(x)
 
+    @given(st.one_of(SIX, NEAR_VALID))
+    # Here T4's perimeter regrouped, l4 + (l3 + l6), still holds at the
+    # first double that breaks the rule's (l4 + l3) + l6.
+    @example((0.8862516191750124, 0.9502861379169955, 2.2458689890803973,
+              2.2521157532400222, 0.8909137871151402, 1.2878168594962545))
+    @settings(max_examples=100, deadline=None)
+    def test_validate_is_empty_exactly_when_every_triangle_passes(self, x):
+        # validate's one expression for the valid case against the rule,
+        # with each of the 16 inequalities in turn one double to each side
+        # of its edge, reached through each length it is monotone in.
+        for tri, bound, slot in INEQUALITIES:
+            for place, y in enumerate(_around_bound(x, tri, bound, slot)):
+                assert _meets(y, tri, bound) == (place < 2)
+                passes = all(not triangle_violations(*(y[s] for s in sides))
+                             for sides, _ in TRIANGLE_LAYOUT)
+                assert (validate(y) == []) == passes
+                self.check_validate(y)
+
     @pytest.mark.parametrize("a, b", [(1.0, 1.2), (1.2, 1.0), (2.0, 2.2)])
     @pytest.mark.parametrize("bound", range(4))
     def test_every_bound_flips_with_the_rule(self, a, b, bound):
@@ -373,12 +507,12 @@ class TestInlineValidity:
                 self.check_validate(_edge_row(row, tri, bound, place, 0.0))
 
 
-GENERIC = (1.9, 2.0, 1.0, 1.2, 1.3, 1.25)
-
-
-@pytest.mark.parametrize("wrap", [
+CONTAINERS = pytest.mark.parametrize("wrap", [
     tuple, list, lambda x: np.array([x, x])[1], lambda x: TriangulatedMetric(*x),
 ], ids=["tuple", "list", "ndarray-row", "metric"])
+
+
+@CONTAINERS
 def test_plain_lengths_in_every_container(wrap):
     # validate and serialize index or iterate the six lengths
     # and convert nothing, so every container gives the tuple's results.
@@ -394,6 +528,20 @@ def test_plain_lengths_in_every_container(wrap):
         f"T2: triangle inequality c < a + b violated by {1.2 - (0.5 + 0.5)!r}",
         f"T4: triangle inequality c < a + b violated by {1.4 - (0.5 + 0.5)!r}",
     ]
+
+
+@CONTAINERS
+@pytest.mark.parametrize("special", [math.nan, 0.0, -0.0, math.inf, -math.inf])
+# inf - inf in a message is nan, with a warning for numpy scalars.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_special_lengths_in_every_container(wrap, special):
+    # A nan, a signed zero or an infinity in any slot breaks a bound of each
+    # triangle it is a side of, and validate names each violation as the
+    # rule does, whatever holds the lengths.
+    for slot in range(6):
+        x = wrap(_with(GENERIC, slot, special))
+        assert validate(x)
+        TestInlineValidity.check_validate(x)
 
 
 class TestSerialization:

@@ -1177,6 +1177,14 @@ class TestRigidityScan:
                 rigidity_scan(p, p.spec.cone_vector(), radius=radius,
                               samples=1, seed=7)
 
+    def test_negative_seed_is_named(self):
+        # numpy's generator rejects it too, but without naming the seed.
+        p = GluedFootballParams(ConeAngleSpec(1.0, 2.0), 1.2)
+        with pytest.raises(ValueError,
+                           match=r"^seed must be non-negative, got -1$"):
+            rigidity_scan(p, p.spec.cone_vector(), radius=0.05, samples=1,
+                          seed=-1)
+
     def test_oversized_radius_names_feasible_bound(self):
         p = GluedFootballParams(SPEC, 0.1)
         with pytest.raises(ValueError) as err:
