@@ -163,6 +163,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    # A window with a bound that is not finite has no nodes to check.
+    for option in ("l3_min", "l3_max", "l4_min", "l4_max"):
+        value = getattr(args, option)
+        if not math.isfinite(value):
+            raise ValueError(f"--{option.replace('_', '-')} = {value!r} "
+                             f"is not finite")
     l3_grid = np.linspace(args.l3_min, args.l3_max, args.grid)
     l4_grid = np.linspace(args.l4_min, args.l4_max, args.grid)
     report, grid = suites.scan_suite(

@@ -90,9 +90,10 @@ class ConeAngleSpec:
 class GluedFootballParams:
     """A cone-angle target plus the slit length t in (0, pi).
 
-    Slotted: family_distance builds one per probe, and a slotted record is
-    cheaper to construct.  Even so it is about 0.45 us, about a third of a
-    build (best of timeit repeats on a 2-vCPU Xeon host).
+    Slotted: a slotted record is cheaper to construct, about 0.45 us, a
+    third of a build with its record (best of timeit repeats on a 2-vCPU
+    Xeon host).  family_distance builds its coarse scan's 200 records once
+    per spec and one per Newton probe.
     """
 
     spec: ConeAngleSpec
@@ -207,8 +208,8 @@ def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
     Closed forms: l1 = l2 = pi - t, l3 = l4 = t, and the chord across each
     opened slit is l5 = 2*asin(sin t * sin(alpha/2)) (l6 with beta), the
     sines read from p.spec.half_sines.  The result realizes the cone angles
-    of p.spec exactly.  A build with its params record and validate is
-    about 1.5 us, best of timeit repeats on a 2-vCPU Xeon host.
+    of p.spec exactly.  A build with its validate is about 0.9 us, 1.4 us
+    with a new params record, best of timeit repeats on a 2-vCPU Xeon host.
     """
     t = p.t
     half_alpha, half_beta = p.spec.half_sines

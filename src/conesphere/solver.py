@@ -38,11 +38,12 @@ expression, norms are math.sqrt of a dot product (what np.linalg.norm
 computes for a 1-D float array, to the bit), and family distances are
 math.dist.  The fixed inputs are converted once: gauss_newton makes its
 target an ndarray once per call and keeps its SVD factors per accepted
-point, family_distance scans a grid built once at import, and a
-ConeAngleSpec carries its half-angle sines.  On a 2-vCPU Xeon host, best of
-timeit repeats, one pass takes about 8 us, one SVD about 10 us and one
-glued_football build about 1.5 us, so per-call overhead of a few us
-matters.
+point, family_distance scans a grid built once at import with its 200
+GluedFootballParams records built once per spec, and a ConeAngleSpec
+carries its half-angle sines.  On a 2-vCPU Xeon host, best of timeit
+repeats, one pass takes about 8 us, one SVD about 10 us and one
+glued_football build about 0.9 us (1.4 us with a new record), so per-call
+overhead of a few us matters.
 
 The glued family is a curve of double roots, where Gauss-Newton converges
 only linearly: each step about halves the one before.  gauss_newton keeps
@@ -55,6 +56,7 @@ after each accepted step.  On the rigidity benchmark plan that takes about
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -258,6 +260,14 @@ def gauss_newton(start, target) -> GaussNewtonResult:
     return GaussNewtonResult(status, tuple(x.tolist()), rnorm, iterations)
 
 
+@functools.lru_cache(maxsize=1)
+def _family_params(spec: ConeAngleSpec) -> tuple[GluedFootballParams, ...]:
+    """The records GluedFootballParams(spec, s) of the coarse scan, one per
+    slit parameter s of FAMILY_GRID, kept for the last spec asked for: a
+    rigidity probe projects every start onto the family of one spec."""
+    return tuple(GluedFootballParams(spec, s) for s in FAMILY_GRID)
+
+
 def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     """Closest glued football to l1..l6: (s_star, Euclidean distance).
 
@@ -267,7 +277,8 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     parameter whose football degenerates (alpha or beta near pi, at the
     ends of the window) counts as infinitely far.  A safeguarded Newton
     iteration on phi(s) = |F(s) - x|^2 / 2 then refines the best grid point
-    inside its two neighbours: F(s) = (pi - s, pi - s, s, s, l5, l6) is a
+    inside its two neighbours, or between an end node and 0 or pi, since the
+    family runs past the window: F(s) = (pi - s, pi - s, s, s, l5, l6) is a
     glued_football build, and with a = sin(alpha/2) from spec.half_sines,
     w = 1 - a^2 sin^2 s the chord has l5' = 2a cos s / sqrt(w) and
     l5'' = 2a (a^2 - 1) sin s / w^(3/2) (l6 with beta).  The sign of phi'
@@ -283,12 +294,15 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     narrower than the grid step) the call raises ValueError.
 
     Each probe is one scalar glued_football build with its validate, about
-    1.5 us: the 200-point scan plus a few Newton builds (2-4 on the
+    0.9 us: the 200-point scan plus a few Newton builds (2-4 on the
     benchmark plans) make a call.  The scan is one pass that keeps the
-    running minimum, with no list of builds or distances.  The builds stay
-    scalar and uncached because the benchmark traces glued_football and
-    counts them; the closed-form projection that replaces the scan waits on
-    that count.
+    running minimum, with no list of builds or distances.  Its 200 params
+    records come from _family_params, built once per spec, since a
+    rigidity probe projects every start onto one family; the Newton stage
+    makes its own.  The builds themselves stay scalar and uncached because
+    the benchmark traces glued_football and pins more than 200 builds per
+    call; the closed-form projection that replaces the scan waits on that
+    pin.
     """
     for field, x in zip(LENGTH_FIELDS, lengths):
         if not math.isfinite(x):
@@ -297,9 +311,9 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     # distances, and a degenerate build is never nearest.
     grid = FAMILY_GRID
     best, j, fam = math.inf, 0, None
-    for i, s in enumerate(grid):
+    for i, p in enumerate(_family_params(spec)):
         try:
-            f = glued_football(GluedFootballParams(spec, s))
+            f = glued_football(p)
         except InvalidTriangleError:
             continue
         d = math.dist(f, lengths)
@@ -308,7 +322,9 @@ def family_distance(lengths, spec: ConeAngleSpec) -> tuple[float, float]:
     if fam is None:
         raise ValueError(f"no grid slit gives a valid football for {spec!r}")
     s = grid[j]
-    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    # An end node's bracket runs on to the end of the family.
+    lo = grid[j - 1] if j > 0 else 0.0
+    hi = grid[j + 1] if j + 1 < len(grid) else PI
     dead = math.nan  # the last slit parameter whose football degenerated
     while True:
         d = [f - x for f, x in zip(fam, lengths)]

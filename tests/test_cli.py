@@ -311,6 +311,22 @@ class TestScan:
         assert "usage error: scan grid needs at least 1 node" in err
 
 
+    @pytest.mark.parametrize("option, value", [
+        ("--l3-min", "inf"), ("--l3-max", "nan"), ("--l4-min", "-inf"),
+        ("--l4-max", "inf")])
+    def test_non_finite_window_usage_error(self, capsys, option, value):
+        # A window bound that is not finite leaves no node to check: the
+        # bound is named, not read as a failed verdict.
+        bounds = {"--l3-min": "2.0", "--l3-max": "2.4",
+                  "--l4-min": "2.0", "--l4-max": "2.4", option: value}
+        code, out, err = run(capsys, "scan", "--alpha", "1.0", "--beta", "2.0",
+                             "--eps", "0.05", "--grid", "3",
+                             *(f"{k}={v}" for k, v in bounds.items()))
+        assert code == 2
+        assert out == ""
+        assert f"usage error: {option} = {float(value)!r} is not finite" in err
+
+
 class TestLemmasCommand:
     def test_lemma3_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",

@@ -801,6 +801,22 @@ class TestLemma1CaseB:
                               for k in range(181)))
                 assert row["alpha_scan_min"] == pytest.approx(scanned, abs=1e-15)
 
+    @pytest.mark.parametrize("beta", [3e-6, 1e-7, 1e-9])
+    def test_small_beta_gap_is_exact(self, beta):
+        # On the suite's grid, 1 - cos beta cancels to a gap of exactly 0 at
+        # 2 nodes at beta = 3e-6 and at all of them at 1e-8.  The gap must
+        # match (1 - cos beta) cos^2 l1 taken in 50 digits.
+        grid = np.linspace(0.01, PI - 0.01, suites.LEMMA1_GRID)
+        rows = lemma1_caseb_exclusion(beta, grid)
+        with mpmath.workdps(50):
+            for row in rows:
+                exact = ((1 - mpmath.cos(beta))
+                         * mpmath.cos(mpmath.mpf(row["l1"])) ** 2)
+                assert row["incompatible"]
+                assert row["alpha_scan_min"] == pytest.approx(
+                    float(exact), rel=1e-14)
+        assert suites.lemma1_suite((beta,))["results"]["pass"]
+
     def test_spec_point(self):
         # The gap (1 - cos beta) cos^2 l1 at (pi/2, pi/3).
         (row,) = lemma1_caseb_exclusion(PI / 2, [PI / 3])

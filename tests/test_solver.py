@@ -858,6 +858,10 @@ class TestFamilyDistance:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.2, PI - 0.2), st.floats(0.2, PI - 0.2),
            st.floats(0.2, PI - 0.2))
+    # Outside FAMILY_GRID's end nodes: a bracket clipped to them left
+    # these 1.4e-4 and 1.6e-4 from their own family.
+    @example(1.0, 2.0, 5e-5)
+    @example(1.0, 2.0, 3.14155)
     def test_family_points_to_roundoff(self, alpha, beta, t):
         # The last Newton step is taken, not only measured: a family point
         # comes back within an ulp or two of its own t (a refinement that
@@ -891,6 +895,49 @@ class TestFamilyDistance:
             assert (s_star, dist) == (sol["s_star"], sol["family_distance"])
             fam = glued_football(GluedFootballParams(spec, s_star))
             assert dist == math.dist(fam.lengths(), m.lengths())
+
+    def test_second_call_reuses_the_scan_records(self, monkeypatch):
+        # The coarse scan's 200 records are built once per spec: a second
+        # call constructs only its Newton records (2-4 on this point).
+        made = []
+
+        def counting(spec, t):
+            made.append(t)
+            return GluedFootballParams(spec, t)
+
+        monkeypatch.setattr(solver, "GluedFootballParams", counting)
+        solver._family_params.cache_clear()
+        m = base_metric(t=1.2)
+        first = family_distance(m, SPEC)
+        assert len(made) > 200
+        made.clear()
+        assert family_distance(m, SPEC) == first
+        assert len(made) <= 10
+
+    def test_alternating_specs_match_fresh_results(self, monkeypatch):
+        # Specs A, B, A in one process: each result is, to the bit, the one
+        # an empty memo gives, and every scan build is of the spec asked for.
+        specs = [ConeAngleSpec(1.0, 2.0), ConeAngleSpec(2.5, 0.7),
+                 ConeAngleSpec(1.0, 2.0)]
+        points = [np.array(base_metric(t=1.2, spec=spec)) + 1e-3
+                  for spec in specs]
+        built = []
+
+        def recording(p):
+            built.append(p.spec)
+            return glued_football(p)
+
+        monkeypatch.setattr(solver, "glued_football", recording)
+        solver._family_params.cache_clear()
+        results = []
+        for spec, point in zip(specs, points):
+            built.clear()
+            results.append(family_distance(point, spec))
+            assert built[:200] == [spec] * 200
+        for spec, point, result in zip(specs, points, results):
+            solver._family_params.cache_clear()
+            assert family_distance(point, spec) == result
+        assert results[0] != results[1]
 
     def test_degenerate_end_of_the_family(self, monkeypatch):
         # With alpha within 1.1e-3 of pi the footballs below s = 3.35e-4
