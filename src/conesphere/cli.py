@@ -86,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-angle", type=float,
                    help="opposite/cone angle for lemma1..lemma3")
     p.add_argument("--ell", type=float, help="base length for lemma3")
-    p.add_argument("--alpha", type=float, default=1.0, help="step1 first angle")
-    p.add_argument("--beta", type=float, default=2.0, help="step1 second angle")
+    p.add_argument("--alpha", type=float, help="step1 first angle")
+    p.add_argument("--beta", type=float, help="step1 second angle")
     p.add_argument("--out", help="report path (default: stdout)")
 
     p = sub.add_parser("eigen", help="radial eigenfunction residual check")
@@ -179,7 +179,19 @@ def _cmd_scan(args) -> int:
     return EXIT_PASS if report["results"]["pass"] else EXIT_FAIL
 
 
+# The angle options each lemmas suite reads; any other one given is a usage
+# error.
+_SUITE_OPTIONS = {"lemma1": ("beta_angle",), "lemma2": ("beta_angle",),
+                  "lemma3": ("ell", "beta_angle"), "step1": ("alpha", "beta")}
+
+
 def _lemmas(args) -> dict:
+    reads = _SUITE_OPTIONS[args.suite]
+    # A fixed order, so that every run names the same option.
+    for option in ("beta_angle", "ell", "alpha", "beta"):
+        if option not in reads and getattr(args, option) is not None:
+            raise ValueError(f"--suite {args.suite} does not read "
+                             f"--{option.replace('_', '-')}")
     if args.suite == "lemma1":
         betas = ((args.beta_angle,) if args.beta_angle is not None
                  else (0.5, 1.0, 2.0, 3.0))
@@ -191,7 +203,8 @@ def _lemmas(args) -> dict:
         if args.ell is None or args.beta_angle is None:
             raise ValueError("lemma3 needs --ell and --beta-angle")
         return suites.lemma3_suite(args.ell, args.beta_angle)
-    return suites.step1_suite(args.alpha, args.beta)
+    return suites.step1_suite(1.0 if args.alpha is None else args.alpha,
+                              2.0 if args.beta is None else args.beta)
 
 
 # The commands whose only output is their suite's report.

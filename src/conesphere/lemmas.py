@@ -12,10 +12,12 @@ numerical sweep:
   solver.defect_scan, and the tests check that diagonal against two half
   pieces solved here.
 * lemma3_sweep gives the extrema of the base-angle sum of triangles with a
-  fixed base and fixed opposite angle in closed form: the isosceles shapes.
-  Where there are none, angle_sum_branches shows the sum is monotone on
-  every interval of base angles between the closed-form points where the
-  number of triangles changes.
+  fixed base and fixed opposite angle in closed form: the isosceles shapes,
+  each row with its own isosceles test iso_gap.  It refuses the flat case
+  cos(ell) = cos(beta), which has no isolated extremum.  Where there are
+  none, angle_sum_branches shows the sum is monotone on every interval of
+  base angles between the closed-form points where the number of
+  triangles changes.
 * lemma1_caseb_exclusion tabulates the bigon case of lemma 1 (two
   non-identical triangles over the chord) by its one closed form: the
   closure gap is (1 - cos beta) cos^2 l1, positive for every l1 != pi/2.
@@ -122,12 +124,12 @@ def lemma3_sweep(ell: float, beta: float) -> tuple[dict, ...]:
     law reads cos^2(alpha) = (cos(ell) - cos(beta))/(1 + cos(ell)).  So there
     are two, alpha = acos(+-sqrt of that ratio), when cos(ell) > cos(beta),
     and none when cos(ell) < cos(beta).  At each, s is solved back from the
-    law (the root nearest 2*alpha), so |alpha - s/2| tests the formula, and
-    the kind comes from the second difference of s along that root branch.
-    cos(ell) = cos(beta) is the degenerate case: the critical shape sits in
-    a flat family and is reported as the one row (pi/2, pi, "degenerate").
-    Each extremum is the report row {"alpha_crit", "s_crit", "kind"}, kind
-    "minimum", "maximum" or "degenerate".
+    law (the root nearest 2*alpha), so iso_gap = |alpha - s/2| tests the
+    formula, and the kind comes from the second difference of s along that
+    root branch.  Within 1e-9 of cos(ell) = cos(beta) the sum is flat along
+    a family of triangles, with no isolated extremum to check, and the pair
+    raises ValueError.  Each extremum is the report row
+    {"alpha_crit", "s_crit", "kind", "iso_gap"}, kind "minimum" or "maximum".
     """
     for name, value in (("ell", ell), ("beta", beta)):
         if not (0.0 < value < PI):
@@ -136,7 +138,8 @@ def lemma3_sweep(ell: float, beta: float) -> tuple[dict, ...]:
         raise ValueError(f"ell = {ell!r} too close to a multiple of pi")
     cos_ell, cos_beta = math.cos(ell), math.cos(beta)
     if abs(cos_ell - cos_beta) < 1e-9:
-        return ({"alpha_crit": PI / 2.0, "s_crit": PI, "kind": "degenerate"},)
+        raise ValueError(f"cos(ell) = cos(beta) within 1e-9: no isolated "
+                         f"extremum at ell = {ell!r}, beta = {beta!r}")
     if cos_ell < cos_beta:
         return ()
 
@@ -165,7 +168,8 @@ def lemma3_sweep(ell: float, beta: float) -> tuple[dict, ...]:
         h = min(1e-4, 0.5 * a, 0.5 * (PI - a), 0.5 * (end - min(a, PI - a)))
         curvature = s_near(a - h, s) + s_near(a + h, s) - 2.0 * s
         kind = "minimum" if curvature > 0.0 else "maximum"
-        extrema.append({"alpha_crit": a, "s_crit": s, "kind": kind})
+        extrema.append({"alpha_crit": a, "s_crit": s, "kind": kind,
+                        "iso_gap": abs(a - 0.5 * s)})
     return tuple(extrema)
 
 
@@ -224,12 +228,14 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[dict, ...]:
     and closing the slit triangle over that chord at apex angle alpha leaves
     the gap |1 + (cos l5 - 1) sin^2 alpha - cos beta|, smallest at
     alpha = pi/2, where it is |cos l5 - cos beta| = (1 - cos beta) cos^2 l1.
-    That closed form is positive for every l1 != pi/2, so incompatible
-    (gap > 0) holds at every node: no node can fail.  Both use
-    1 - cos beta = 2 sin^2(beta/2): the difference cancels to 0 at small
-    beta (at 2 of 1000 nodes at beta = 3e-6 and all of them at 1e-8).  Each
-    row is {"l1", "cos_l5", "incompatible", "alpha_scan_min"}, the last the
-    gap.
+    That closed form is positive for every l1 != pi/2, so incompatible is
+    decided by its factors: 1 - cos beta > 0 for beta in (0, pi), and
+    cos l1 != 0.0.  No node can fail.  Both use 1 - cos beta =
+    2 sin^2(beta/2): the difference cancels to 0 at small beta (at 2 of 1000
+    nodes at beta = 3e-6 and all of them at 1e-8).  Below about
+    beta = 1e-154 the product underflows, so the reported gap can read 0,
+    while the verdict does not change.  Each row is
+    {"l1", "cos_l5", "incompatible", "alpha_scan_min"}, the last the gap.
     """
     if not (0.0 < beta < PI):
         raise ValueError(f"beta = {beta!r} outside (0, pi)")
@@ -243,8 +249,8 @@ def lemma1_caseb_exclusion(beta: float, l1_grid) -> tuple[dict, ...]:
         if abs(l1 - PI / 2.0) < 1e-9:
             raise ValueError("l1 = pi/2 is the identical-triangle case (a), "
                              "excluded from the grid")
-        cos_l5 = 1.0 - versine * math.sin(l1) ** 2
-        gap = versine * math.cos(l1) ** 2
-        rows.append({"l1": l1, "cos_l5": cos_l5, "incompatible": gap > 0.0,
-                     "alpha_scan_min": gap})
+        cos_l1 = math.cos(l1)
+        rows.append({"l1": l1, "cos_l5": 1.0 - versine * math.sin(l1) ** 2,
+                     "incompatible": cos_l1 != 0.0,
+                     "alpha_scan_min": versine * cos_l1 ** 2})
     return tuple(rows)

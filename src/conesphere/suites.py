@@ -1,7 +1,9 @@
 """Suite runners: wire the library operations to reports and pass/fail verdicts.
 
 Each runner returns its report, whose results.pass is the verdict;
-scan_suite returns (report, grid).  lemma2_suite and step1_suite are two
+scan_suite returns (report, grid).  The lemma1 and lemma3 suites print the
+rows the lemmas functions return and write into none of them; lemma3's
+rows carry their own iso_gap.  lemma2_suite and step1_suite are two
 entries into one uneven-split defect runner; lemma2 is step1 with
 alpha = beta.  It reads each defect off the diagonal l3 = l4 = ell of
 solver.defect_scan, the same closure the scan suite sweeps, so a report
@@ -112,22 +114,13 @@ def step1_suite(alpha: float, beta: float) -> dict:
 
 def lemma3_suite(ell: float, beta: float) -> dict:
     extrema = lemmas.lemma3_sweep(ell, beta)
-    for e in extrema:
-        e["iso_gap"] = abs(e["alpha_crit"] - 0.5 * e["s_crit"])
-    kinds = [e["kind"] for e in extrema]
-    degenerate = kinds == ["degenerate"]
-    results = {"ell": ell, "beta": beta, "degenerate": degenerate,
-               "extrema": list(extrema)}
-    if degenerate:
-        # Cannot fail: lemma3_sweep returns this one row itself whenever
-        # |cos l - cos beta| < 1e-9, and checks nothing there.
-        ok = True
-    elif extrema:
+    results = {"ell": ell, "beta": beta, "extrema": list(extrema)}
+    if extrema:
         # Node assertions: both isosceles extrema located, each a genuine
         # critical point of the angle sum.
         ok = (len(extrema) == 2
               and all(e["iso_gap"] < 1e-6 for e in extrema)
-              and set(kinds) == {"minimum", "maximum"})
+              and {e["kind"] for e in extrema} == {"minimum", "maximum"})
     else:
         # No isosceles shape (cos l < cos beta): the sum must have no
         # interior critical point, so it is strictly monotone on every

@@ -327,6 +327,12 @@ class TestScan:
         assert f"usage error: {option} = {float(value)!r} is not finite" in err
 
 
+# The angle options each lemmas suite reads.
+SUITE_OPTIONS = {"lemma1": ("--beta-angle",), "lemma2": ("--beta-angle",),
+                 "lemma3": ("--ell", "--beta-angle"),
+                 "step1": ("--alpha", "--beta")}
+
+
 class TestLemmasCommand:
     def test_lemma3_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
@@ -401,6 +407,46 @@ class TestLemmasCommand:
         assert out == ""
         assert err.startswith("usage error: beta = 3.2 outside")
 
+    @pytest.mark.parametrize("ell, beta", [
+        ("1.0471976", "1.0471976"),
+        # cos(ell) - cos(beta) = 5.0e-10, inside the 1e-9 window.
+        ("1.0", "1.0000000005941976")])
+    def test_lemma3_degenerate_pair_usage_error(self, capsys, ell, beta):
+        # The angle sum is flat: no isolated extremum to check.
+        code, out, err = run(capsys, "lemmas", "--suite", "lemma3",
+                             "--ell", ell, "--beta-angle", beta)
+        assert code == 2
+        assert out == ""
+        assert "no isolated extremum" in err
+
+    @pytest.mark.parametrize("suite, option", [
+        (suite, option) for suite in ("lemma1", "lemma2", "lemma3", "step1")
+        for option in ("--beta-angle", "--ell", "--alpha", "--beta")
+        if option not in SUITE_OPTIONS[suite]])
+    def test_unread_option_usage_error(self, capsys, suite, option):
+        # lemma3 gets its own two options, so only the unread one is wrong.
+        own = (["--ell", "1.0471976", "--beta-angle", "1.5707963"]
+               if suite == "lemma3" else [])
+        code, out, err = run(capsys, "lemmas", "--suite", suite, *own,
+                             option, "1.0")
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: --suite {suite} does not read {option}\n"
+
+    def test_unread_options_named_in_a_fixed_order(self, capsys):
+        code, _, err = run(capsys, "lemmas", "--suite", "step1",
+                           "--ell", "1.0", "--beta-angle", "1.0")
+        assert code == 2
+        assert err == "usage error: --suite step1 does not read --beta-angle\n"
+
+    @pytest.mark.parametrize("suite, given", [
+        ("lemma2", ["--beta-angle", repr(PI / 2)]),
+        ("step1", ["--alpha", "1.0", "--beta", "2.0"])])
+    def test_read_options_accepted(self, capsys, suite, given):
+        # The options state the suite's defaults: the same exit and report.
+        code, stdout, _ = run(capsys, "lemmas", "--suite", suite, *given)
+        assert (code, stdout) == run(capsys, "lemmas", "--suite", suite)[:2]
+
     def test_lemma3_requires_inputs(self, capsys):
         code, _, err = run(capsys, "lemmas", "--suite", "lemma3")
         assert code == 2
@@ -439,26 +485,17 @@ class TestReportRows:
                               "--ell", "1.0471976", "--beta-angle", "1.5707963")
         assert code == 0
         results = json.loads(stdout)["results"]
-        assert set(results) == {"ell", "beta", "degenerate", "extrema", "pass"}
+        assert set(results) == {"ell", "beta", "extrema", "pass"}
         assert len(results["extrema"]) == 2
         for row in results["extrema"]:
             assert set(row) == {"alpha_crit", "s_crit", "kind", "iso_gap"}
-
-    def test_lemma3_degenerate_row(self, capsys):
-        code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
-                              "--ell", "1.0471976", "--beta-angle", "1.0471976")
-        assert code == 0
-        results = json.loads(stdout)["results"]
-        assert results["degenerate"] is True and results["pass"] is True
-        assert results["extrema"] == [{"alpha_crit": PI / 2, "s_crit": PI,
-                                       "kind": "degenerate", "iso_gap": 0.0}]
 
     def test_lemma3_branch_rows(self, capsys):
         code, stdout, _ = run(capsys, "lemmas", "--suite", "lemma3",
                               "--ell", "2.5", "--beta-angle", "0.5")
         assert code == 0
         results = json.loads(stdout)["results"]
-        assert results["degenerate"] is False
+        assert set(results) == {"ell", "beta", "extrema", "branches", "pass"}
         assert len(results["branches"]) == 2
         for row in results["branches"]:
             assert set(row) == {"alpha_min", "alpha_max", "samples", "trend"}

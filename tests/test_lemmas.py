@@ -1,4 +1,5 @@
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -557,7 +558,6 @@ class TestAngleSumRoots:
 class TestLemma3:
     def test_closed_form_case(self):
         extrema = lemma3_sweep(PI / 3, PI / 2)
-        assert [e["kind"] for e in extrema] != ["degenerate"]
         assert len(extrema) == 2
         lo, hi = extrema
         assert lo["alpha_crit"] == pytest.approx(math.acos(1 / math.sqrt(3)),
@@ -697,10 +697,46 @@ class TestLemma3:
             located = golden_extremize(1.0, 2.0, a - 0.05, a + 0.05, ext["kind"])
             assert located == pytest.approx(a, abs=1e-6)
 
-    def test_degenerate_case_flagged(self):
-        (ext,) = lemma3_sweep(PI / 3, PI / 3)
-        assert ext["kind"] == "degenerate"
-        assert ext["alpha_crit"] == pytest.approx(PI / 2)
+    @pytest.mark.parametrize("ell, beta", [
+        (PI / 3, PI / 3),
+        # cos(ell) - cos(beta) = 5.0e-10, inside the 1e-9 window.
+        (1.0, 1.0000000005941976)])
+    def test_degenerate_case_refused(self, ell, beta):
+        # The sum is flat along a family of triangles: no isolated extremum.
+        with pytest.raises(ValueError, match="no isolated extremum"):
+            lemma3_sweep(ell, beta)
+
+    def test_just_outside_the_degenerate_window(self):
+        # cos(ell) - cos(beta) = 2.0e-9: two extrema, and the suite passes.
+        assert len(lemma3_sweep(1.0, 1.0000000023767903)) == 2
+        assert suites.lemma3_suite(1.0, 1.0000000023767903)["results"]["pass"]
+
+    def test_iso_gap_is_the_isosceles_test(self):
+        rng = np.random.default_rng(7)
+        rows = []
+        while len(rows) < 40:
+            ell, beta = rng.uniform(0.1, PI - 0.1, 2)
+            if math.cos(ell) - math.cos(beta) > 1e-3:
+                rows += lemma3_sweep(float(ell), float(beta))
+        for row in rows:
+            assert set(row) == {"alpha_crit", "s_crit", "kind", "iso_gap"}
+            gap = abs(row["alpha_crit"] - 0.5 * row["s_crit"])
+            assert row["iso_gap"] == gap
+
+    def test_suite_prints_the_rows_it_receives(self, monkeypatch):
+        # The suite writes into no row: read-only rows pass through as they
+        # are, and its verdict reads their iso_gap.
+        rows = tuple(types.MappingProxyType(row)
+                     for row in lemma3_sweep(PI / 3, PI / 2))
+        monkeypatch.setattr("conesphere.lemmas.lemma3_sweep",
+                            lambda ell, beta: rows)
+        results = suites.lemma3_suite(PI / 3, PI / 2)["results"]
+        assert results["extrema"] == list(rows) and results["pass"]
+        far = tuple(types.MappingProxyType({**row, "iso_gap": 1e-3})
+                    for row in rows)
+        monkeypatch.setattr("conesphere.lemmas.lemma3_sweep",
+                            lambda ell, beta: far)
+        assert not suites.lemma3_suite(PI / 3, PI / 2)["results"]["pass"]
 
     def test_no_isosceles_when_cos_ell_below_cos_beta(self):
         # Isosceles shapes need cos(ell) > cos(beta); here none exist and
@@ -815,6 +851,15 @@ class TestLemma1CaseB:
                 assert row["incompatible"]
                 assert row["alpha_scan_min"] == pytest.approx(
                     float(exact), rel=1e-14)
+        assert suites.lemma1_suite((beta,))["results"]["pass"]
+
+    @pytest.mark.parametrize("beta", [1e-160, 1e-300, 5e-324])
+    def test_underflowing_gap_keeps_the_verdict(self, beta):
+        # 2 sin^2(beta/2) cos^2 l1 underflows below about beta = 1e-154, so
+        # the reported gap can read 0; the verdict comes from its factors.
+        grid = np.linspace(0.01, PI - 0.01, suites.LEMMA1_GRID)
+        assert all(r["incompatible"]
+                   for r in lemma1_caseb_exclusion(beta, grid))
         assert suites.lemma1_suite((beta,))["results"]["pass"]
 
     def test_spec_point(self):
