@@ -13,8 +13,8 @@ length t and realizes cone angles (alpha, beta, alpha + beta, 4*pi) exactly.
 validate, cone_angle_pass and serialize read any sequence of the six
 lengths: a tuple, a list, an ndarray row, or the TriangulatedMetric that
 glued_football and deserialize return.  validate alone names a violated
-inequality, by its triangle T1..T4; the triangle solvers raise
-InvalidTriangleError without naming the triangle.
+inequality, by its triangle T1..T4; glued_football and cone_angle_pass
+raise InvalidTriangleError with every violation validate names.
 """
 
 from __future__ import annotations
@@ -228,10 +228,14 @@ def glued_football(p: GluedFootballParams) -> TriangulatedMetric:
 def cone_angle_pass(lengths) -> tuple[tuple[float, ...], list[float]]:
     """(theta_A, theta_B, theta_D, theta_C) of l1..l6 and their exact Jacobian,
     a flat list with d theta_p/d l at 6*p + l, from one sss_solve per
-    triangle; an invalid one raises InvalidTriangleError (validate names
-    every violation).  Each sum runs from 0.0 along TRIANGLE_LAYOUT, in
-    triangle (T1 first), corner and side order."""
+    triangle.  validate tests the point first, once: an invalid one raises
+    InvalidTriangleError with every violation it names.  Each sum runs
+    from 0.0 along TRIANGLE_LAYOUT, in triangle (T1 first), corner and
+    side order."""
     x = np.asarray(lengths, dtype=float).tolist()
+    issues = validate(x)
+    if issues:
+        raise InvalidTriangleError("; ".join(issues))
     theta, J = [0.0] * 4, [0.0] * 24
     for (i, j, k), (p, q, r), (e0, e1, e2, e3, e4, e5, e6, e7, e8) in _PASS_PLAN:
         (A, B, C), ((d0, d1, d2), (d3, d4, d5), (d6, d7, d8)) = sss_solve(

@@ -15,10 +15,10 @@ sequence of the six lengths l1..l6 (a tuple, a metric or an ndarray row);
 target is a 4-vector of cone angles, spec.cone_vector() on the family or a
 point off it.  Each point is solved once, by metric.cone_angle_pass: one
 sphtrig.sss_solve per triangle gives its cone angles and exact Jacobian.
-Outside the validity region the pass raises InvalidTriangleError, which the
-solver loops treat as a boundary; metric.validate names the violations.  The
-region is a convex polytope in l1..l6 (metric.VALIDITY_ROWS), so the
-largest probe ball that fits in it (max_feasible_radius) is closed form.
+The pass tests the point first with metric.validate; outside the validity
+region it raises InvalidTriangleError naming every violation, which the
+solver loops treat as a boundary.  The region is a convex polytope in
+l1..l6 (metric.VALIDITY_ROWS), so the largest probe ball that fits in it (max_feasible_radius) is closed form.
 
 defect_scan solves all its nodes in one pass of array operations: the
 closure by half-angle sines, with no clamp, then metric.cone_angle_rows,
@@ -32,9 +32,9 @@ call: one gauss_newton makes one pass per trial point and one SVD per
 accepted point, and one family_distance about 203 glued_football builds.
 The per-point arithmetic therefore avoids numpy temporaries: lengths become
 a Python list once per pass, the Jacobian sums into a flat list of its 24
-entries at indices planned once at import, sphtrig.sss_solve tests its
-four inequalities inline and metric.validate all of T1..T4 in one
-expression, norms are math.sqrt of a dot product (what np.linalg.norm
+entries at indices planned once at import, metric.validate tests all of
+T1..T4 in one expression, once per pass, and sphtrig.sss_solve tests
+nothing, norms are math.sqrt of a dot product (what np.linalg.norm
 computes for a 1-D float array, to the bit), and family distances are
 math.dist.  The fixed inputs are converted once: gauss_newton makes its
 target an ndarray once per call and keeps its SVD factors per accepted
@@ -398,7 +398,7 @@ def rigidity_scan(p: GluedFootballParams, target, radius: float,
     if not radius < feasible:
         raise ValueError(
             f"radius {radius!r} leaves the validity region; "
-            f"max feasible radius here is {feasible:.6f}")
+            f"max feasible radius here is {feasible!r}")
     rank, svals = numerical_rank(jacobian(base))
     rng = np.random.default_rng(seed)
     starts = np.array(base) + rng.uniform(-radius, radius, size=(samples, 6))

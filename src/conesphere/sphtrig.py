@@ -9,8 +9,10 @@ sin(s - c), s = (a + b + c)/2, positive when valid.  Its SAS solve sums
 non-negative terms for sides in [0, pi] (sas_half_sides).  Neither takes an
 acos, and nothing is clamped: each scalar asin or acos left in the package
 notes why its argument is in [-1, 1].
-An invalid triangle raises InvalidTriangleError with its sides and first
-violation; metric.validate names every violation of T1..T4 by its triangle.
+sss_solve is the formula kernel and checks nothing: its caller has tested
+the sides against triangle_violations.  metric.cone_angle_pass does so with
+metric.validate, and raises InvalidTriangleError with every violation of
+T1..T4, each named by its triangle.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ def triangle_violations(a: float, b: float, c: float) -> list[str]:
     imply margin < a < pi - margin: b < a + c - m and c < a + b - m add to
     a > m, and a < b + c - m with the perimeter to a < pi - m.  Each
     message writes its number as a float, whatever the sides' type.
-    sss_solve and metric.validate make the same four comparisons inline and
-    call this only to name a violation; metric.cone_angle_rows makes them
+    metric.validate makes the same four comparisons inline for T1..T4 and
+    calls this only to name a violation; metric.cone_angle_rows makes them
     elementwise.
     """
     m = VALIDITY_MARGIN
@@ -86,7 +88,9 @@ def side_from_sas(a: float, b: float, C: float) -> float:
 def sss_solve(a: float, b: float, c: float) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
     """((A, B, C), J) of sides (a, b, c): the angles opposite them and their
     exact Jacobian J, rows A, B, C and columns a, b, c, from one set of
-    half-angle sines.  Invalid sides raise InvalidTriangleError.
+    half-angle sines.  Precondition: the caller has checked the sides
+    against triangle_violations, as metric.cone_angle_pass does with
+    metric.validate; invalid sides give no meaningful result.
     tan(A/2) = root/(f fa), root = sqrt(f fa fb fc), keeps the digits of
     tiny sides, where the cosine law's numerator cancels.  Its differential
     (Todhunter, Spherical Trigonometry, small variations of a triangle's
@@ -94,12 +98,6 @@ def sss_solve(a: float, b: float, c: float) -> tuple[tuple[float, ...], tuple[tu
     -cos C dA/da, dA/dc = -cos B dA/da, with cos A = (f fa - fb fc)/(f fa +
     fb fc) from tan^2(A/2) = fb fc/(f fa); all of it holds cyclically.
     """
-    m = VALIDITY_MARGIN
-    # triangle_violations inline: it names the violation only on failure.
-    if not (a < b + c - m and b < a + c - m and c < a + b - m
-            and a + b + c < TWO_PI - m):
-        raise InvalidTriangleError(f"invalid spherical triangle {(a, b, c)}: "
-                                   f"{triangle_violations(a, b, c)[0]}")
     f, fa, fb, fc = half_angle_sines(a, b, c, math.sin)
     root = math.sqrt(f * fa * fb * fc)
     cA = (f * fa - fb * fc) / (f * fa + fb * fc)

@@ -68,9 +68,15 @@ def _defect_suite(command: str, alpha: float, beta: float, windows: dict,
 
     Each sweep runs one defect_scan on the diagonal l3 = l4 = ell of its
     grid, node k at row k: the slit triangles of both pieces then share the
-    slit length, and r_C is the defect.
+    slit length, and r_C is the defect.  defect_scan's own check on its
+    D-apexes is made first, for every eps, so that the error names the
+    suite's angles rather than an eps that no option sets.
     """
     spec = ConeAngleSpec(alpha, beta)
+    if not all(0.0 < alpha - 2.0 * eps < PI and 0.0 < beta + 2.0 * eps < PI
+               for eps in LEMMA2_EPS):
+        raise ValueError(f"{command}: (alpha, beta) = {(alpha, beta)!r} drives "
+                         f"a D-apex out of (0, pi) at eps = {max(LEMMA2_EPS)!r}")
     results["sweeps"] = []
     for eps in LEMMA2_EPS:
         for regime, (branch, lo, hi) in windows.items():

@@ -397,6 +397,33 @@ class TestLemmasCommand:
         assert err == ("usage error: alpha = 3.15 outside the supported "
                        "range (0, pi)\n")
 
+    @pytest.mark.parametrize("suite, option, value, raises", [
+        ("lemma2", "--beta-angle", 0.2, True),
+        ("lemma2", "--beta-angle", math.nextafter(0.2, 1.0), False),
+        ("lemma2", "--beta-angle", 0.21, False),
+        ("lemma2", "--beta-angle", PI - 0.2, True),
+        ("step1", "--alpha", 0.2, True),
+        ("step1", "--alpha", math.nextafter(0.2, 1.0), False),
+        ("step1", "--beta", 0.2, False),
+        ("step1", "--beta", PI - 0.2, True)])
+    def test_apex_outside_range_names_the_suite_angles(self, capsys, suite,
+                                                       option, value, raises):
+        # The largest eps, 0.1, drives alpha - 2*eps to 0 at alpha = 0.2 and
+        # beta + 2*eps to pi at beta = pi - 0.2.  No lemmas option sets eps,
+        # so the error names the suite's angles; step1 reads (1.0, 2.0) for
+        # the angle it is not given.
+        code, out, err = run(capsys, "lemmas", "--suite", suite, option,
+                             repr(value))
+        angles = {"--alpha": (value, 2.0), "--beta": (1.0, value),
+                  "--beta-angle": (value, value)}[option]
+        if not raises:
+            assert (code, err) == (1, "")
+            return
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: lemmas --suite {suite}: (alpha, beta) = "
+                       f"{angles!r} drives a D-apex out of (0, pi) at "
+                       f"eps = 0.1\n")
+
     @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
     def test_beta_angle_outside_range_names_beta(self, capsys, suite):
         # lemma2 runs step1 at alpha = beta; its error names the option the

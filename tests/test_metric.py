@@ -13,6 +13,7 @@ from conesphere.metric import (
     MetricDocumentError,
     MetricRangeError,
     TriangulatedMetric,
+    cone_angle_pass,
     cone_angle_rows,
     cone_angle_tuple,
     deserialize,
@@ -325,18 +326,21 @@ class TestValidate:
         from conesphere.sphtrig import InvalidTriangleError
 
         # T2 = (0.5, 0.5, 1.2) and T4 = (0.5, 0.5, 1.4) are too flat; T1 and
-        # T3 are valid.  validate names both triangles; the solvers only
-        # raise.
+        # T3 are valid.  validate names both triangles, and so does the
+        # error of each solver path.
         bad = (1.5, 1.5, 0.5, 0.5, 1.2, 1.4)
-        assert validate(bad) == [
+        issues = [
             f"T2: triangle inequality c < a + b violated by {1.2 - (0.5 + 0.5)!r}",
             f"T4: triangle inequality c < a + b violated by {1.4 - (0.5 + 0.5)!r}",
         ]
-        with pytest.raises(InvalidTriangleError):
+        assert validate(bad) == issues
+        with pytest.raises(InvalidTriangleError) as err:
             cone_angle_tuple(bad)
+        assert str(err.value) == "; ".join(issues)
         # The solver's residual evaluates through the same path.
-        with pytest.raises(InvalidTriangleError):
+        with pytest.raises(InvalidTriangleError) as err:
             residual(bad, ConeAngleSpec(1.0, 1.0).cone_vector())
+        assert str(err.value) == "; ".join(issues)
 
 
 def _edge_side(a, b, bound, place, push):
@@ -370,15 +374,6 @@ IN_RANGE = st.floats(0.0, PI)
 BOUND = st.integers(0, 3)
 PLACE = st.integers(0, 3)
 PUSH = st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12))
-
-# Triangles anywhere, within 1e-12 of each of the four bounds (often on
-# the doubles where it flips), and with a nan or infinite side.
-TRIANGLES = st.one_of(
-    st.tuples(SIDE, SIDE, SIDE),
-    st.builds(lambda a, b, *edge: (a, b, _edge_side(a, b, *edge)),
-              IN_RANGE, IN_RANGE, BOUND, PLACE, PUSH),
-    st.builds(_with, st.tuples(SIDE, SIDE, SIDE), st.integers(0, 2), SPECIAL))
-
 
 def _edge_row(x, tri, *edge):
     # The third side of each triangle is one length in no other slot of it.
@@ -442,19 +437,10 @@ ROWS = st.one_of(
 
 
 class TestInlineValidity:
-    """sss_solve and validate test the four inequalities inline and call
+    """validate tests the four inequalities inline and calls
     triangle_violations only to name a violation; cone_angle_rows makes the
-    same comparisons elementwise.  All three must agree with the rule."""
-
-    @staticmethod
-    def check_sss_solve(sides):
-        bad = triangle_violations(*sides)
-        if not bad:
-            sss_solve(*sides)
-            return
-        with pytest.raises(InvalidTriangleError) as err:
-            sss_solve(*sides)
-        assert str(err.value) == f"invalid spherical triangle {sides}: {bad[0]}"
+    same comparisons elementwise, and cone_angle_pass raises exactly when
+    validate names a violation.  All three must agree with the rule."""
 
     @staticmethod
     def check_validate(x):
@@ -463,11 +449,12 @@ class TestInlineValidity:
                     for v in triangle_violations(*(x[s] for s in sides))]
         assert validate(x) == expected
         assert cone_angle_rows([x])[1].tolist() == [not expected]
-
-    @given(TRIANGLES)
-    @settings(max_examples=500, deadline=None)
-    def test_sss_solve_raises_on_the_rule(self, sides):
-        self.check_sss_solve(sides)
+        if not expected:
+            cone_angle_pass(x)
+            return
+        with pytest.raises(InvalidTriangleError) as err:
+            cone_angle_pass(x)
+        assert str(err.value) == "; ".join(expected)
 
     @given(ROWS)
     @settings(max_examples=500, deadline=None)
@@ -495,14 +482,12 @@ class TestInlineValidity:
     @pytest.mark.parametrize("a, b", [(1.0, 1.2), (1.2, 1.0), (2.0, 2.2)])
     @pytest.mark.parametrize("bound", range(4))
     def test_every_bound_flips_with_the_rule(self, a, b, bound):
-        # The four doubles around each bound's edge, in a triangle (a, b, c)
-        # and in each triangle of a valid row.  At each pair the first
-        # double that breaks a bound meets it with equality.  The first
-        # bound breaks alone where a > b, the second where a < b, and the
-        # perimeter where a + b > pi.
+        # The four doubles around each bound's edge, in each triangle of a
+        # valid row.  At each pair the first double that breaks a bound
+        # meets it with equality.  The first bound breaks alone where a > b,
+        # the second where a < b, and the perimeter where a + b > pi.
         row = (a, b, a, b, 1.1, 1.3)
         for place in range(4):
-            self.check_sss_solve((a, b, _edge_side(a, b, bound, place, 0.0)))
             for tri in range(len(TRIANGLE_LAYOUT)):
                 self.check_validate(_edge_row(row, tri, bound, place, 0.0))
 

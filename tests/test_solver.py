@@ -732,8 +732,6 @@ class TestGaussNewton:
         assert not valid[0] and np.isnan(theta).all()
         with pytest.raises(InvalidTriangleError):
             cone_angle_tuple(lengths)
-        with pytest.raises(InvalidTriangleError):
-            sss_solve(bad, 1.0, 1.0)
         assert gauss_newton(lengths, SPEC.cone_vector()).status == "boundary"
 
     def test_invalid_start_is_boundary_failure(self):
@@ -1233,12 +1231,20 @@ class TestRigidityScan:
                           seed=-1)
 
     def test_oversized_radius_names_feasible_bound(self):
-        p = GluedFootballParams(SPEC, 0.1)
-        with pytest.raises(ValueError) as err:
-            rigidity_scan(p, p.spec.cone_vector(), radius=0.5, samples=5,
-                          seed=7)
-        feasible = max_feasible_radius(glued_football(p))
-        assert f"{feasible:.6f}" in str(err.value)
+        # At (3.1415, 3.1415, 1.2) the bound is about 1.8e-9, which six
+        # fixed decimals print as 0.
+        for p, radius in ((GluedFootballParams(SPEC, 0.1), 0.5),
+                          (GluedFootballParams(ConeAngleSpec(3.1415, 3.1415),
+                                               1.2), 1e-6)):
+            with pytest.raises(ValueError) as err:
+                rigidity_scan(p, p.spec.cone_vector(), radius=radius,
+                              samples=5, seed=7)
+            feasible = max_feasible_radius(glued_football(p))
+            assert str(err.value).endswith(f" is {feasible!r}")
+            # The printed bound is one a user can choose a radius from.
+            printed = float(str(err.value).rsplit(" ", 1)[1])
+            rigidity_scan(p, p.spec.cone_vector(), radius=0.5 * printed,
+                          samples=1, seed=7)
 
 
 def ball_corners_valid(base, radius):
